@@ -42,17 +42,25 @@ from .verify import (
 WORKERS_ENV_VAR = "INERTIA_BOUNDS_WORKERS"
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "1")
+def _positive_int(raw: str, name: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(
-            f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from None
+        value = 0
     if value < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}")
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
     return value
+
+
+def _default_workers() -> int:
+    return _positive_int(os.environ.get(WORKERS_ENV_VAR, "1"), WORKERS_ENV_VAR)
+
+
+def _workers_arg(raw: str) -> int:
+    try:
+        return _positive_int(raw, "--workers")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_analyze_input(spec: str, fmt: str) -> str:
@@ -171,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--workers",
-        type=int,
+        type=_workers_arg,
         default=None,
         help=f"process count (default ${WORKERS_ENV_VAR} or 1)",
     )

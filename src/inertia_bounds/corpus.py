@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from typing import Iterator, NamedTuple
 
-from .graphs import Graph, parse_graph6, to_graph6
+from .graphs import GRAPH6_HEADER, Graph, parse_graph6, to_graph6
 from .theorems import GeneratorParams, generate_extremal
 
 EXHAUSTIVE_VERTEX_LIMIT = 6
@@ -64,11 +64,15 @@ def sample_random(n: int, edge_probability: float, count: int, seed: int) -> Ite
 
 
 def read_graph6_file(path: str | os.PathLike[str]) -> Iterator[CorpusItem]:
-    """One graph6 string per line; lines starting with '>' are comments."""
+    """One graph6 string per line, optionally after a ``>>graph6<<`` header.
+
+    A header-only line, a blank line, and any other line starting with
+    '>' are skipped; a graph following the header on its line is read.
+    """
     name = os.path.basename(os.fspath(path))
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            line = raw.strip().removeprefix(GRAPH6_HEADER)
             if not line or line.startswith(">"):
                 continue
             yield CorpusItem(f"{name}:{lineno}", parse_graph6(line))

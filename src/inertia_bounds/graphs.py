@@ -47,7 +47,10 @@ class Graph:
             adj[v].add(u)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(normalized))
-        object.__setattr__(self, "adj", tuple(frozenset(s) for s in adj))
+        # tuple() of a list, not of a generator: growing a tuple from an
+        # iterator reallocates it, and over many graphs that fragments the
+        # heap (peak RSS kept rising over repeated analyze passes)
+        object.__setattr__(self, "adj", tuple([frozenset(s) for s in adj]))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
@@ -132,7 +135,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # graph6 format
 
-_G6_HEADER = ">>graph6<<"
+GRAPH6_HEADER = ">>graph6<<"
 
 
 def _g6_triangle_order(n: int) -> Iterable[Edge]:
@@ -153,8 +156,8 @@ def parse_graph6(text: str | bytes) -> Graph:
     else:
         data = bytes(text)
     base = 0
-    if data.startswith(_G6_HEADER.encode()):
-        base = len(_G6_HEADER)
+    if data.startswith(GRAPH6_HEADER.encode()):
+        base = len(GRAPH6_HEADER)
         data = data[base:]
     data = data.rstrip(b"\r\n")
     if not data:

@@ -1,21 +1,37 @@
-"""Exact inertia of symmetric rational matrices.
+"""Exact inertia of symmetric rational matrices and of graphs.
 
-Two independent routes are provided and kept deliberately separate:
+Three routes, kept deliberately separate:
 
-* :func:`inertia_congruence` diagonalizes by symmetric congruence with
-  exact rational arithmetic; by Sylvester's law of inertia the signs of
-  the resulting diagonal count positive and negative eigenvalues.
+* :func:`graph_inertia` (production) peels the graph first.  Each
+  isolated vertex is one zero eigenvalue, and deleting a pendant vertex
+  together with its neighbour removes exactly one positive and one
+  negative eigenvalue (the pendant lemma; on trees this amounts to
+  Jacobs and Trevisan's linear-time diagonalisation at zero).  Peeling
+  is O(n + |E|); only the core that remains, with minimum degree 2, is
+  eliminated.
+* :func:`inertia_congruence` (the unreduced kernel) diagonalises any
+  symmetric rational matrix by symmetric congruence with exact
+  arithmetic, storing only the nonzero entries of each row.  By
+  Sylvester's law of inertia the signs of the diagonal count positive
+  and negative eigenvalues.
 * :func:`inertia_charpoly_oracle` computes the integer characteristic
-  polynomial and reads the inertia off its coefficient signs; for a real
-  symmetric matrix all roots are real, so Descartes' rule of signs is
-  exact, not a bound.
+  polynomial by a Hessenberg reduction modulo a prime above twice a
+  Hadamard bound on its coefficients, and reads the inertia off the
+  coefficient signs; for a real symmetric matrix all roots are real, so
+  Descartes' rule of signs is exact, not a bound.
 
-Never merge the two paths: their agreement is a correctness check used
-throughout the test suite.
+The lemmas ``pendant_reduction`` and ``component_additivity`` in
+:mod:`.theorems` test the very rules the peeling applies, so they take
+their subgraph inertias from the unreduced kernel; with the peeled route
+they would check the peeling against itself.  Apart from
+:func:`adjacency_matrix`, the congruence routes and the char-poly route
+share no code: their agreement is a correctness check used throughout
+the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -51,7 +67,14 @@ def adjacency_matrix(g: Graph) -> Matrix:
     return m
 
 
-def _check_symmetric(m: Sequence[Sequence[Fraction]]) -> int:
+# ---------------------------------------------------------------------------
+# congruence route
+
+# Sparse symmetric matrix: row i maps column j to the nonzero entry (i, j).
+Rows = list[dict[int, Fraction]]
+
+
+def _check_symmetric(m: Sequence[Sequence[Fraction]]) -> None:
     k = len(m)
     for i, row in enumerate(m):
         if len(row) != k:
@@ -63,7 +86,70 @@ def _check_symmetric(m: Sequence[Sequence[Fraction]]) -> int:
                     f"matrix is not symmetric at ({i}, {j}): "
                     f"{m[i][j]} != {m[j][i]}"
                 )
-    return k
+
+
+def _eliminate(rows: Rows) -> Inertia:
+    """Inertia of a symmetric sparse matrix; consumes ``rows``.
+
+    Each step touches only the nonzeros of the pivot rows and of the
+    rows they meet.  The pivot policy is the one documented on
+    :func:`inertia_congruence`.
+    """
+    active = list(range(len(rows)))
+    p = n = 0
+    while active:
+        pivot = next((i for i in active if i in rows[i]), None)
+        if pivot is not None:
+            prow = rows[pivot]
+            d = prow.pop(pivot)
+            if d > 0:
+                p += 1
+            else:
+                n += 1
+            # rows i, j -= (entry (i, pivot) / d) * row pivot, each
+            # symmetric pair computed once
+            col = list(prow.items())
+            for k, (i, ci) in enumerate(col):
+                f = ci / d
+                ri = rows[i]
+                del ri[pivot]
+                for j, cj in col[k:]:
+                    w = ri.get(j, 0) - f * cj
+                    if w:
+                        ri[j] = rows[j][i] = w
+                    else:
+                        del ri[j]
+                        rows[j].pop(i, None)
+            active.remove(pivot)
+            continue
+        # no diagonal left: the smallest row with an entry holds the
+        # lexicographically smallest nonzero pair, at its smallest column
+        bi = next((i for i in active if rows[i]), None)
+        if bi is None:
+            break
+        bj = min(rows[bi])
+        row_i, row_j = rows[bi], rows[bj]
+        a = row_i.pop(bj)
+        del row_j[bi]
+        p += 1
+        n += 1
+        touched = sorted(row_i.keys() | row_j.keys())
+        for k, i in enumerate(touched):
+            ri = rows[i]
+            u = ri.pop(bi, 0)
+            v = ri.pop(bj, 0)
+            for j in touched[k:]:
+                w = v * row_i.get(j, 0) + u * row_j.get(j, 0)
+                if w:
+                    w = ri.get(j, 0) - w / a
+                    if w:
+                        ri[j] = rows[j][i] = w
+                    else:
+                        del ri[j]
+                        rows[j].pop(i, None)
+        active.remove(bi)
+        active.remove(bj)
+    return Inertia(p, n, len(active))
 
 
 def inertia_congruence(matrix: Sequence[Sequence[Fraction]]) -> Inertia:
@@ -76,58 +162,46 @@ def inertia_congruence(matrix: Sequence[Sequence[Fraction]]) -> Inertia:
     contributes exactly one positive and one negative count.  Whatever
     remains when no pivot exists is the null space.
     """
-    k = _check_symmetric(matrix)
-    m: list[list[Fraction]] = [[Fraction(x) for x in row] for row in matrix]
-    active = list(range(k))
-    p = n = eta = 0
-    while active:
-        pivot = next((i for i in active if m[i][i]), None)
-        if pivot is not None:
-            d = m[pivot][pivot]
-            if d > 0:
-                p += 1
-            else:
-                n += 1
-            rest = [i for i in active if i != pivot]
-            prow = m[pivot]
-            for i in rest:
-                ci = m[i][pivot]
-                if ci:
-                    f = ci / d
-                    mi = m[i]
-                    for j in rest:
-                        if prow[j]:
-                            mi[j] -= f * prow[j]
-            active = rest
+    _check_symmetric(matrix)
+    return _eliminate(
+        [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
+    )
+
+
+# Deleting a pendant vertex and its neighbour removes one positive and one
+# negative eigenvalue (the pendant lemma).
+_PENDANT_PAIR = Inertia(1, 1, 0)
+
+
+def graph_inertia(g: Graph) -> Inertia:
+    """Inertia of the adjacency matrix: peel pendants, then eliminate the core."""
+    adj = [set(s) for s in g.adj]
+    alive = [True] * g.n
+    work = [v for v in range(g.n) if len(adj[v]) <= 1]
+    pairs = isolated = 0
+    while work:
+        u = work.pop()
+        if not alive[u]:
             continue
-        block = next(
-            (
-                (i, j)
-                for i in active
-                for j in active
-                if i < j and m[i][j]
-            ),
-            None,
-        )
-        if block is None:
-            eta += len(active)
-            break
-        bi, bj = block
-        a = m[bi][bj]
-        p += 1
-        n += 1
-        rest = [i for i in active if i != bi and i != bj]
-        row_i, row_j = m[bi], m[bj]
-        for i in rest:
-            u, v = m[i][bi], m[i][bj]
-            if u or v:
-                mi = m[i]
-                for j in rest:
-                    w = v * row_i[j] + u * row_j[j]
-                    if w:
-                        mi[j] -= w / a
-        active = rest
-    return Inertia(p, n, eta)
+        alive[u] = False
+        if not adj[u]:
+            isolated += 1
+            continue
+        v = adj[u].pop()
+        alive[v] = False
+        pairs += 1
+        for w in adj[v]:
+            if w != u:
+                adj[w].discard(v)
+                if len(adj[w]) <= 1:
+                    work.append(w)
+    core = [v for v in range(g.n) if alive[v]]
+    index = {v: i for i, v in enumerate(core)}
+    one = Fraction(1)
+    rows = [{index[w]: one for w in adj[v]} for v in core]
+    dp, dn, deta = _PENDANT_PAIR
+    peeled = Inertia(pairs * dp, pairs * dn, isolated + pairs * deta)
+    return peeled + _eliminate(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +209,11 @@ def inertia_congruence(matrix: Sequence[Sequence[Fraction]]) -> Inertia:
 
 IntPolynomial = list[int]  # coefficients, lowest degree first
 
+# Exponents e of Mersenne primes 2^e - 1: moduli that need no primality test.
+MERSENNE_EXPONENTS = (127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
 
-def char_poly(matrix: Sequence[Sequence[Fraction | int]]) -> IntPolynomial:
-    """Coefficients of det(xI - M), lowest degree first, exact integers.
 
-    Uses the Faddeev-LeVerrier trace recurrence.  For an integer input
-    matrix every intermediate matrix is integral and each division by the
-    step index is exact, so the whole computation stays in Z.
-    """
+def _integer_matrix(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     k = len(matrix)
     a: list[list[int]] = []
     for i, row in enumerate(matrix):
@@ -155,26 +226,102 @@ def char_poly(matrix: Sequence[Sequence[Fraction | int]]) -> IntPolynomial:
                 raise ValueError(f"characteristic polynomial needs integer entries, got {x}")
             ints.append(f.numerator)
         a.append(ints)
-    if k == 0:
+    return a
+
+
+def _modulus(a: list[list[int]]) -> int:
+    """Smallest listed Mersenne prime P with P > 2B.
+
+    B = prod_i (1 + ceil(||row_i||_2)).  The coefficient of x^(k-j) in
+    det(xI - A) is a signed sum of the j x j principal minors, each at
+    most the product of its rows' norms (Hadamard), so its magnitude is
+    at most the j-th elementary symmetric function of the row norms,
+    which B bounds.  Residues modulo P then lift to the coefficients.
+    """
+    bound = 1
+    for row in a:
+        sq = sum(x * x for x in row)
+        norm = math.isqrt(sq)
+        if norm * norm < sq:
+            norm += 1
+        bound *= 1 + norm
+    for e in MERSENNE_EXPONENTS:
+        prime = (1 << e) - 1
+        if prime > 2 * bound:
+            return prime
+    raise OverflowError(
+        f"coefficient bound 2B has {(2 * bound).bit_length()} bits, more than "
+        f"the largest listed prime 2^{MERSENNE_EXPONENTS[-1]} - 1"
+    )
+
+
+def _char_poly_mod(a: list[list[int]], prime: int) -> IntPolynomial:
+    """det(xI - A) modulo ``prime``, lowest degree first (Cohen, Alg. 2.2.9).
+
+    First a similarity transform to upper Hessenberg form H, then the
+    recurrence p_m = (x - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ...
+    h_{m,m-1}) p_{i-1} over the leading principal blocks of H.
+    """
+    k = len(a)
+    h = [[x % prime for x in row] for row in a]
+    for m in range(1, k - 1):
+        col = m - 1
+        piv = next((i for i in range(m, k) if h[i][col]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        hm = h[m]
+        inv = pow(hm[col], -1, prime)
+        us = [h[r][col] * inv % prime for r in range(m + 1, k)]
+        if not any(us):
+            continue
+        # H <- L H L^-1 with L = I - sum_r u_r e_r e_m^T: row r -= u_r * row m
+        # (columns left of col are zero in both), then column m += sum_r
+        # u_r * column r
+        for r, u in zip(range(m + 1, k), us):
+            if u:
+                hr = h[r]
+                hr[col:] = [(x - u * y) % prime for x, y in zip(hr[col:], hm[col:])]
+        for row in h:
+            row[m] = (row[m] + sum(map(int.__mul__, us, row[m + 1 :]))) % prime
+    polys: list[IntPolynomial] = [[1]]
+    for m in range(1, k + 1):
+        prev = polys[-1]
+        diag = h[m - 1][m - 1]
+        cur = [x - diag * y for x, y in zip([0] + prev, prev + [0])]
+        t = 1
+        for i in range(1, m):
+            t = t * h[m - i][m - i - 1] % prime
+            if not t:
+                break
+            c = t * h[m - i - 1][m - 1]
+            if c:
+                q = polys[m - i - 1]
+                cur[: len(q)] = [x - c * y for x, y in zip(cur, q)]
+        polys.append([x % prime for x in cur])
+    return polys[k]
+
+
+def char_poly(matrix: Sequence[Sequence[Fraction | int]]) -> IntPolynomial:
+    """Coefficients of det(xI - M), lowest degree first, exact integers.
+
+    Works for any square integer matrix: a Hessenberg reduction modulo a
+    Mersenne prime P > 2B, where B bounds every coefficient (see
+    :func:`_modulus`), then the symmetric lift of each residue into
+    (-P/2, P/2).  O(k^3) operations on integers below P.
+    """
+    return _lifted_char_poly(_integer_matrix(matrix))
+
+
+def _lifted_char_poly(a: list[list[int]]) -> IntPolynomial:
+    if not a:
         return [1]
-    coeffs_high_first = [1]  # leading coefficient of x^k
-    m = [[1 if i == j else 0 for j in range(k)] for i in range(k)]  # M_0 = I
-    for step in range(1, k + 1):
-        # M_step = A @ (M_{step-1} + c_{step-1} I); c already folded into m
-        prod = [
-            [sum(a[i][t] * m[t][j] for t in range(k)) for j in range(k)]
-            for i in range(k)
-        ]
-        trace = sum(prod[i][i] for i in range(k))
-        q, r = divmod(-trace, step)
-        if r:
-            raise ArithmeticError("trace recurrence produced a non-integer coefficient")
-        coeffs_high_first.append(q)
-        m = [
-            [prod[i][j] + (q if i == j else 0) for j in range(k)]
-            for i in range(k)
-        ]
-    return list(reversed(coeffs_high_first))
+    prime = _modulus(a)
+    half = prime // 2
+    return [c - prime if c > half else c for c in _char_poly_mod(a, prime)]
 
 
 def _sign_changes(coeffs: Sequence[int]) -> int:
@@ -190,8 +337,14 @@ def inertia_charpoly_oracle(matrix: Sequence[Sequence[Fraction | int]]) -> Inert
     the negative ones.  Exact because a symmetric matrix has only real
     eigenvalues.
     """
-    _check_symmetric([[Fraction(x) for x in row] for row in matrix])
-    coeffs = char_poly(matrix)
+    a = _integer_matrix(matrix)
+    for i, row in enumerate(a):
+        for j in range(i + 1, len(a)):
+            if row[j] != a[j][i]:
+                raise ValueError(
+                    f"matrix is not symmetric at ({i}, {j}): {row[j]} != {a[j][i]}"
+                )
+    coeffs = _lifted_char_poly(a)
     eta = 0
     while eta < len(coeffs) and coeffs[eta] == 0:
         eta += 1
@@ -203,11 +356,6 @@ def inertia_charpoly_oracle(matrix: Sequence[Sequence[Fraction | int]]) -> Inert
 
 # ---------------------------------------------------------------------------
 # graph-level conveniences
-
-
-def graph_inertia(g: Graph) -> Inertia:
-    """Inertia of the adjacency matrix (congruence route)."""
-    return inertia_congruence(adjacency_matrix(g))
 
 
 def graph_inertia_oracle(g: Graph) -> Inertia:

@@ -139,6 +139,22 @@ def test_verify_workers_env_default(capsys, monkeypatch, tmp_path):
     assert run_cli(capsys, "verify", "--corpus", "exhaustive:2")[0] == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_verify_rejects_non_positive_workers(capsys, value):
+    code, _, err = run_cli(capsys, "verify", "--corpus", "exhaustive:2", "--workers", value)
+    assert code == 2
+    assert f"--workers must be a positive integer, got {value!r}" in err
+
+
+def test_verify_reads_graph6_header_with_graph_on_same_line(capsys, tmp_path):
+    path = tmp_path / "h.g6"
+    path.write_text(">>graph6<<Dhc\nA_\n")
+    assert len(parse_corpus_spec(f"file:{path}")) == 2
+    code, out, _ = run_cli(capsys, "verify", "--corpus", f"file:{path}")
+    assert code == 0
+    assert "graphs checked : 2" in out
+
+
 def test_generate_is_deterministic(capsys):
     code_a, out_a, _ = run_cli(
         capsys, "generate", "--residue", "1", "--cycles", "2", "--steps", "3", "--seed", "7"

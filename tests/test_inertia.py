@@ -1,7 +1,8 @@
-"""Exact inertia: congruence route, characteristic polynomial route, oracles.
+"""Exact inertia: peeled route, unreduced congruence kernel, char-poly oracle.
 
-The two routes share no code, so their agreement on random and exhaustive
-corpora is the core correctness argument for both.
+The congruence routes and the characteristic-polynomial route share no
+code, so their agreement on random and exhaustive corpora is the core
+correctness argument for all three.
 """
 
 import random
@@ -10,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from inertia_bounds import (
+    GeneratorParams,
     Graph,
     Inertia,
     adjacency_matrix,
@@ -18,14 +20,19 @@ from inertia_bounds import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    generate_extremal,
     graph_char_poly,
     graph_inertia,
     graph_inertia_oracle,
+    inertia_charpoly_oracle,
     inertia_congruence,
+    matching_number,
     path_graph,
     star_graph,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
+from inertia_bounds.inertia import MERSENNE_EXPONENTS, _modulus
+from conftest import all_trees, cycle_with_tail, random_tree
 
 
 def expected_cycle_inertia(q: int) -> Inertia:
@@ -147,19 +154,152 @@ def test_char_poly_is_general_but_oracle_is_not():
         char_poly([[Fraction(1, 2)]])  # non-integer entries rejected
 
 
-def test_two_routes_agree_exhaustively_n_le_4():
-    for n in range(5):
-        for item in enumerate_labeled(n):
-            assert graph_inertia(item.graph) == graph_inertia_oracle(item.graph)
-
-
-def test_two_routes_agree_on_random_graphs():
-    for item in sample_random(n=10, edge_probability=0.35, count=150, seed=41):
-        g = item.graph
-        assert graph_inertia(g) == graph_inertia_oracle(g)
-
-
 def test_inertia_sums_to_vertex_count():
     for item in sample_random(n=9, edge_probability=0.5, count=60, seed=5):
         ine = graph_inertia(item.graph)
         assert ine.p + ine.n + ine.eta == item.graph.n
+
+
+# ---------------------------------------------------------------------------
+# the three routes against each other
+
+
+def all_routes(g: Graph) -> Inertia:
+    """Peeled, unreduced and oracle inertia of ``g``; fails unless they agree."""
+    peeled = graph_inertia(g)
+    assert inertia_congruence(adjacency_matrix(g)) == peeled
+    assert graph_inertia_oracle(g) == peeled
+    return peeled
+
+
+def test_three_routes_agree_exhaustively_n_le_5():
+    for n in range(6):
+        for item in enumerate_labeled(n):
+            all_routes(item.graph)
+
+
+@pytest.mark.parametrize("n,p,seed", [(10, 0.35, 41), (12, 0.2, 4), (12, 0.5, 5)])
+def test_three_routes_agree_on_random_graphs(n, p, seed):
+    for item in sample_random(n=n, edge_probability=p, count=150, seed=seed):
+        all_routes(item.graph)
+
+
+def test_trees_and_forests_have_inertia_m_m():
+    # a forest's nullity is n - 2m, and p = n = m
+    for t in all_trees(9):
+        m = matching_number(t)
+        assert all_routes(t) == Inertia(m, m, t.n - 2 * m)
+    rng = random.Random(8)
+    for _ in range(20):
+        f = disjoint_union(random_tree(rng.randint(1, 12), rng), random_tree(rng.randint(1, 12), rng))
+        m = matching_number(f)
+        assert all_routes(f) == Inertia(m, m, f.n - 2 * m)
+    assert all_routes(empty_graph(0)) == Inertia(0, 0, 0)
+    assert all_routes(empty_graph(5)) == Inertia(0, 0, 5)
+
+
+def test_bare_disjoint_cycles_go_to_the_kernel_whole():
+    lengths = (3, 4, 5, 6, 7, 8, 12)
+    g = disjoint_union(*(cycle_graph(q) for q in lengths))
+    want = Inertia(0, 0, 0)
+    for q in lengths:
+        want = want + expected_cycle_inertia(q)
+    assert all_routes(g) == want
+
+
+@pytest.mark.parametrize("residue", [0, 1, 3])
+def test_generator_outputs_with_isolated_seeds(residue):
+    for seed in range(6):
+        params = GeneratorParams(residue, 1 + seed % 3, 2, 4 + seed, seed)
+        all_routes(generate_extremal(params))
+
+
+@pytest.mark.parametrize("q", range(3, 9))
+@pytest.mark.parametrize("tail", range(1, 6))
+def test_pendant_chain_cascades_into_the_cycle(q, tail):
+    # peeling the tail from its end reaches the cycle; an odd tail takes a
+    # cycle vertex with its last pair, opening the cycle into a path
+    g = cycle_with_tail(q, tail)
+    got = all_routes(g)
+    if tail % 2 == 0:
+        assert got == expected_cycle_inertia(q) + (tail // 2, tail // 2, 0)
+
+
+def test_congruence_agrees_with_oracle_on_general_symmetric_matrices():
+    rng = random.Random(17)
+    for _ in range(200):
+        k = rng.randint(1, 7)
+        m = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                m[i][j] = m[j][i] = rng.choice((-2, -1, 0, 0, 0, 1, 3))
+        assert inertia_congruence(m) == inertia_charpoly_oracle(m)
+
+
+# ---------------------------------------------------------------------------
+# char_poly on general integer matrices and near the modulus bound
+
+
+def sympy_char_poly(sympy, m):
+    lam = sympy.symbols("lam")
+    poly = sympy.Poly(sympy.Matrix(m).charpoly(lam), lam)
+    return [int(x) for x in poly.all_coeffs()[::-1]]
+
+
+def test_char_poly_matches_sympy_on_non_symmetric_matrices_with_negative_entries():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    for _ in range(40):
+        k = rng.randint(1, 7)
+        m = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+        assert char_poly(m) == sympy_char_poly(sympy, m)
+
+
+def test_modulus_moves_to_the_second_prime_just_above_2_127():
+    first, second = ((1 << e) - 1 for e in MERSENNE_EXPONENTS[:2])
+    # B = 1 + |a| for a 1x1 matrix; the first prime needs 2B < 2^127 - 1
+    assert _modulus([[2**126 - 2]]) == first
+    assert _modulus([[-(2**126 - 1)]]) == second
+    assert char_poly([[2**126 - 1]]) == [-(2**126 - 1), 1]
+    # (x - 2^63)^2: 2B lies just above 2^127, and the constant 2^126
+    # would lift to a wrong, negative value modulo the first prime
+    big = 2**63
+    assert _modulus([[big, 0], [0, big]]) == second
+    assert char_poly([[big, 0], [0, big]]) == [2**126, -(2**64), 1]
+    assert char_poly([[-big, big], [big, -big]]) == [0, 2**64, 1]
+
+
+def test_char_poly_refuses_a_bound_beyond_the_largest_prime():
+    with pytest.raises(OverflowError):
+        char_poly([[2**MERSENNE_EXPONENTS[-1]]])
+
+
+# ---------------------------------------------------------------------------
+# floating-point differential check
+
+
+def sparse_random_graph(n: int, rng: random.Random, degree: float = 3.0) -> Graph:
+    p = degree / (n - 1)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+@pytest.mark.parametrize("n", [20, 50, 100, 200])
+def test_engine_matches_numpy_eigvalsh(n):
+    np = pytest.importorskip("numpy")
+    rng = random.Random(n)
+    checked = 0
+    for _ in range(3):
+        g = sparse_random_graph(n, rng)
+        a = np.zeros((n, n))
+        for u, v in g.edges:
+            a[u, v] = a[v, u] = 1.0
+        ev = np.linalg.eigvalsh(a)
+        if np.any((np.abs(ev) > 1e-9) & (np.abs(ev) < 1e-6)):
+            continue  # too close to zero to classify in floating point
+        want = Inertia(int(np.sum(ev > 1e-6)), int(np.sum(ev < -1e-6)), int(np.sum(np.abs(ev) <= 1e-9)))
+        assert graph_inertia(g) == want
+        assert inertia_congruence(adjacency_matrix(g)) == want
+        if n <= 50:
+            assert graph_inertia_oracle(g) == want
+        checked += 1
+    assert checked

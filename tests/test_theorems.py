@@ -5,6 +5,7 @@ import pytest
 from inertia_bounds import (
     GeneratorParams,
     Graph,
+    Inertia,
     LEMMA_NAMES,
     check_bounds,
     check_deletion_corollaries,
@@ -27,6 +28,7 @@ from inertia_bounds import (
     star_graph,
 )
 from inertia_bounds.corpus import enumerate_labeled
+from inertia_bounds.verify import analyze_graph
 from conftest import cycle_with_tail, lower_bound_near_miss
 
 
@@ -234,6 +236,24 @@ def test_lemma_suite_never_false_on_small_corpus():
         report = lemma_suite(item.graph)
         bad = [k for k, v in report.items() if v is False]
         assert not bad, (item.graph_id, bad)
+
+
+def test_pendant_lemmas_do_not_check_the_peeling_against_itself(monkeypatch):
+    # A wrong pendant rule in the peeled route must be caught by the oracle
+    # and by both lemmas, which take their subgraph inertias unreduced.
+    import inertia_bounds.inertia as inertia_mod
+
+    g = disjoint_union(cycle_with_tail(5, 2), star_graph(3), path_graph(4))
+    assert analyze_graph(g).oracle_ok is True
+    report = lemma_suite(g)
+    assert report["pendant_reduction"] is True
+    assert report["component_additivity"] is True
+
+    monkeypatch.setattr(inertia_mod, "_PENDANT_PAIR", Inertia(1, 0, 1))
+    assert analyze_graph(g).oracle_ok is False
+    report = lemma_suite(g)
+    assert report["pendant_reduction"] is False
+    assert report["component_additivity"] is False
 
 
 # extremal generator

@@ -61,6 +61,14 @@ def test_read_graph6_file(tmp_path):
     assert items[0].graph_id == "c.g6:2"
 
 
+def test_read_graph6_file_header_shares_a_line_with_a_graph(tmp_path):
+    path = tmp_path / "h.g6"
+    path.write_text(">>graph6<<Dhc\n>> a comment\n>>graph6<<\nA_\n")
+    items = list(read_graph6_file(path))
+    assert [i.graph for i in items] == [cycle_graph(5), path_graph(2)]
+    assert [i.graph_id for i in items] == ["h.g6:1", "h.g6:4"]
+
+
 def test_generated_corpus_annotates_residue():
     base = GeneratorParams(
         cycle_residue=1, num_cycles=1, num_isolated_seeds=0, num_steps=2, rng_seed=10
