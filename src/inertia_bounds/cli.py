@@ -3,7 +3,8 @@
 Three subcommands:
 
 * ``analyze`` one graph (graph6 string, or a file in graph6 or
-  edge-list form) and print its full verdict row as JSON.
+  edge-list form) and print its full verdict row as JSON.  An argument
+  that is valid graph6 is the graph, even if a file of that name exists.
 * ``verify`` a whole corpus against selected checks, optionally writing
   a JSON/CSV report.
 * ``generate`` one extremal graph and print its graph6 line.
@@ -63,19 +64,23 @@ def _workers_arg(raw: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _read_analyze_input(spec: str, fmt: str) -> str:
+def _analyze_input_graph(spec: str, fmt: str):
+    """The graph an ``analyze`` argument names: graph6 first, then a file, then graph text."""
+    if fmt != "edgelist":
+        try:
+            return parse_graph6(spec)
+        except GraphParseError:
+            pass
+    text = spec
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
-            return fh.read()
-    return spec
-
-
-def _parse_single_graph(text: str, fmt: str):
+            text = fh.read()
     if fmt == "auto":
         fmt = "edgelist" if any(ch in text.strip() for ch in " \t\n") else "graph6"
-    if fmt == "graph6":
-        return parse_graph6(text.strip())
-    return parse_edge_list(text)
+    try:
+        return parse_graph6(text.strip()) if fmt == "graph6" else parse_edge_list(text)
+    except GraphParseError as exc:
+        raise ValueError(f"{spec!r} is not a graph6 string or a readable graph file: {exc}") from None
 
 
 def _split_kv(spec: str, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict[str, str]:
@@ -157,7 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "graph",
         help="graph6 string, or path to a file holding graph6 or an edge list "
-        "(first line n, then 'u v' lines)",
+        "(first line n, then 'u v' lines); a valid graph6 string is read as "
+        "graph6 first, so reach a file with such a name as ./NAME",
     )
     p_analyze.add_argument(
         "--format",
@@ -209,8 +215,7 @@ def _run(argv: Sequence[str] | None) -> int:
 
     if args.command == "analyze":
         try:
-            text = _read_analyze_input(args.graph, args.format)
-            g = _parse_single_graph(text, args.format)
+            g = _analyze_input_graph(args.graph, args.format)
         except (ValueError, OSError) as exc:
             parser.error(str(exc))
         row = analyze_graph(g)

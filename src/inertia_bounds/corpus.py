@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from typing import Iterator, NamedTuple
 
-from .graphs import GRAPH6_HEADER, Graph, parse_graph6, to_graph6
+from .graphs import GRAPH6_HEADER, Graph, parse_graph6
 from .theorems import GeneratorParams, generate_extremal
 
 EXHAUSTIVE_VERTEX_LIMIT = 6
@@ -95,7 +95,3 @@ def generated_corpus(base: GeneratorParams, count: int) -> Iterator[CorpusItem]:
             generate_extremal(params),
             residue=base.cycle_residue,
         )
-
-
-def corpus_graph6(item: CorpusItem) -> str:
-    return to_graph6(item.graph)

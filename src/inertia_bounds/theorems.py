@@ -5,26 +5,32 @@ the spectral side (exact inertia of the adjacency matrix) against the
 combinatorial side (matching numbers, cycle layout).  Equality of the
 two sides on every graph is the point of the package, so none of these
 functions ever "fix up" a mismatch; they report it.
+
+The verdicts share a handful of invariants of one graph, kept in a
+:class:`GraphFacts` record that computes each of them at most once.
+Every public verdict function takes either a :class:`~.graphs.Graph`
+or a ``GraphFacts``; given a bare graph it builds a fresh record, so a
+caller that runs several verdicts on one graph passes one record to all.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .cycles import (
     CycleStructure,
     analyze_cycles,
     contract_cycles,
-    cycle_lengths_mod4,
     enumerate_simple_cycles,
     frontier_edges,
-    has_attached_disjoint_cycles,
     non_cyclic_forest,
     pendant_cycles,
 )
 from .graphs import (
+    Edge,
     Graph,
     components,
     cyclomatic_number,
@@ -46,15 +52,60 @@ from .matching import (
 )
 
 
-def check_bounds(g: Graph) -> bool:
+class GraphFacts:
+    """The invariants of one graph that the verdicts share.
+
+    ``inertia``, ``m`` (matching number), ``c`` (cyclomatic number) and
+    ``cycles`` (the :class:`CycleStructure`) are computed on creation,
+    unless the caller passes in the inertia it already holds.  The rest
+    is computed on first use, at most once, and needs pairwise disjoint
+    cycles: the matching numbers of the contracted forest and of the
+    graph minus its cycles, the frontier edges, and whether some maximum
+    matching avoids them.  A record belongs to one graph; nothing is
+    cached across graphs.
+    """
+
+    def __init__(self, graph: Graph, inertia: Inertia | None = None) -> None:
+        self.graph = graph
+        self.inertia = graph_inertia(graph) if inertia is None else inertia
+        self.m = matching_number(graph)
+        self.c = cyclomatic_number(graph)
+        self.cycles = analyze_cycles(graph)
+
+    @cached_property
+    def forest_matchings(self) -> tuple[int, int]:
+        """(m of the contracted forest, m of its non-cyclic part, i.e. of G minus its cycles)."""
+        if not self.cycles.cycles:  # nothing to contract: both forests are the graph
+            return self.m, self.m
+        contraction = contract_cycles(self.graph, self.cycles)
+        return matching_number(contraction.forest), matching_number(non_cyclic_forest(contraction))
+
+    @property
+    def contraction_keeps_matching(self) -> bool:
+        m_forest, m_off_cycles = self.forest_matchings
+        return m_forest == m_off_cycles
+
+    @cached_property
+    def frontier(self) -> frozenset[Edge]:
+        return frontier_edges(self.graph, self.cycles)
+
+    @cached_property
+    def frontier_avoidable(self) -> bool:
+        return exists_max_matching_avoiding(self.graph, self.frontier)
+
+
+def _facts(g: Graph | GraphFacts) -> GraphFacts:
+    return g if isinstance(g, GraphFacts) else GraphFacts(g)
+
+
+def check_bounds(g: Graph | GraphFacts) -> bool:
     """Do matching number and cyclomatic number bound both inertia indices?
 
     True iff m - c <= p <= m + c and m - c <= n <= m + c.
     """
-    inert = graph_inertia(g)
-    m = matching_number(g)
-    c = cyclomatic_number(g)
-    return (m - c <= inert.p <= m + c) and (m - c <= inert.n <= m + c)
+    f = _facts(g)
+    m, c = f.m, f.c
+    return (m - c <= f.inertia.p <= m + c) and (m - c <= f.inertia.n <= m + c)
 
 
 class UpperClassification(NamedTuple):
@@ -79,62 +130,57 @@ class LowerClassification(NamedTuple):
     conditions: bool
 
 
-def _extremal_conditions(g: Graph, cs: CycleStructure, residue: int) -> tuple[bool, bool]:
-    """(contraction form, frontier form) of the extremal conditions.
+def _cycles_in_class(f: GraphFacts, residue: int) -> bool:
+    """Are the cycles pairwise vertex-disjoint, every length ``residue`` mod 4?"""
+    return f.cycles.disjoint and all(len(cyc) % 4 == residue for cyc in f.cycles.cycles)
 
-    Both are False unless the cycles are pairwise vertex-disjoint and all
-    cycle lengths fall in the given residue class mod 4.
-    """
-    if not cs.disjoint:
-        return False, False
-    if any(r != residue for r in cycle_lengths_mod4(cs)):
-        return False, False
-    contraction = contract_cycles(g, cs)
-    cond_contraction = matching_number(contraction.forest) == matching_number(
-        non_cyclic_forest(contraction)
+
+def _classify_upper(g: Graph | GraphFacts, index: str, residue: int) -> UpperClassification:
+    f = _facts(g)
+    fits = _cycles_in_class(f, residue)
+    return UpperClassification(
+        getattr(f.inertia, index) == f.m + f.c,
+        fits and f.contraction_keeps_matching,
+        fits and f.frontier_avoidable,
     )
-    cond_frontier = exists_max_matching_avoiding(g, frontier_edges(g, cs))
-    return cond_contraction, cond_frontier
 
 
-def classify_p_upper(g: Graph) -> UpperClassification:
+def _classify_lower(g: Graph | GraphFacts, index: str) -> LowerClassification:
+    f = _facts(g)
+    conditions = _cycles_in_class(f, 0) and f.contraction_keeps_matching
+    return LowerClassification(getattr(f.inertia, index) == f.m - f.c, conditions)
+
+
+def classify_p_upper(g: Graph | GraphFacts) -> UpperClassification:
     """Is p = m + c, and do the structural conditions predict it?
 
     Structural side: disjoint cycles, every length 1 mod 4, plus either
     witness form.  Trees and forests attain the bound vacuously (c = 0).
     """
-    attained = graph_inertia(g).p == matching_number(g) + cyclomatic_number(g)
-    cond_c, cond_f = _extremal_conditions(g, analyze_cycles(g), residue=1)
-    return UpperClassification(attained, cond_c, cond_f)
+    return _classify_upper(g, "p", residue=1)
 
 
-def classify_n_upper(g: Graph) -> UpperClassification:
+def classify_n_upper(g: Graph | GraphFacts) -> UpperClassification:
     """Is n = m + c; structural conditions with cycle lengths 3 mod 4."""
-    attained = graph_inertia(g).n == matching_number(g) + cyclomatic_number(g)
-    cond_c, cond_f = _extremal_conditions(g, analyze_cycles(g), residue=3)
-    return UpperClassification(attained, cond_c, cond_f)
+    return _classify_upper(g, "n", residue=3)
 
 
-def classify_p_lower(g: Graph) -> LowerClassification:
+def classify_p_lower(g: Graph | GraphFacts) -> LowerClassification:
     """Is p = m - c; structural conditions with cycle lengths 0 mod 4.
 
     Only the contraction form characterizes the lower bound: a matching
     avoiding the frontier can exist even when the bound is missed (two
     4-cycles joined by a bridge are the canonical example).
     """
-    attained = graph_inertia(g).p == matching_number(g) - cyclomatic_number(g)
-    cond_c, _ = _extremal_conditions(g, analyze_cycles(g), residue=0)
-    return LowerClassification(attained, cond_c)
+    return _classify_lower(g, "p")
 
 
-def classify_n_lower(g: Graph) -> LowerClassification:
+def classify_n_lower(g: Graph | GraphFacts) -> LowerClassification:
     """Is n = m - c; shares its conditions with :func:`classify_p_lower`."""
-    attained = graph_inertia(g).n == matching_number(g) - cyclomatic_number(g)
-    cond_c, _ = _extremal_conditions(g, analyze_cycles(g), residue=0)
-    return LowerClassification(attained, cond_c)
+    return _classify_lower(g, "n")
 
 
-def classify_unicyclic(g: Graph) -> tuple[int, int]:
+def classify_unicyclic(g: Graph | GraphFacts) -> tuple[int, int]:
     """Predicted (n, p) of a connected unicyclic graph from matchings alone.
 
     Four cases on the cycle length q mod 4 and matching structure:
@@ -142,24 +188,20 @@ def classify_unicyclic(g: Graph) -> tuple[int, int]:
     frontier; (m, m+1) when q = 1 mod 4 and m(G) = m(G - C) + (q-1)/2;
     (m+1, m) when q = 3 mod 4 under the same equation; (m, m) otherwise.
     """
-    if not is_connected(g) or cyclomatic_number(g) != 1:
+    f = _facts(g)
+    if not is_connected(f.graph) or f.c != 1:
         raise ValueError("unicyclic classification needs a connected graph with exactly one cycle")
-    cs = analyze_cycles(g)
-    cycle = cs.cycles[0]
-    q = len(cycle)
-    m = matching_number(g)
+    q = len(f.cycles.cycles[0])
+    m = f.m
     if q % 4 == 0:
-        if every_max_matching_avoids(g, frontier_edges(g, cs)):
-            return (m - 1, m - 1)
-        return (m, m)
-    if q % 2 == 1:
-        off_cycle = delete_vertices(g, cycle).graph
-        if m == matching_number(off_cycle) + (q - 1) // 2:
-            return (m, m + 1) if q % 4 == 1 else (m + 1, m)
+        return (m - 1, m - 1) if every_max_matching_avoids(f.graph, f.frontier) else (m, m)
+    # forest_matchings[1] is m(G - C)
+    if q % 2 == 1 and m == f.forest_matchings[1] + (q - 1) // 2:
+        return (m, m + 1) if q % 4 == 1 else (m + 1, m)
     return (m, m)
 
 
-def check_deletion_corollaries(g: Graph) -> bool:
+def check_deletion_corollaries(g: Graph | GraphFacts) -> bool:
     """Check the vertex-deletion consequences of a tight bound on p.
 
     Precondition: the graph has a cycle and p equals m + c or m - c.
@@ -169,18 +211,17 @@ def check_deletion_corollaries(g: Graph) -> bool:
     lower case: p unchanged, tight below, m drops by 1, c drops by 1,
     and v is not a quasi-pendant.
     """
-    cs = analyze_cycles(g)
-    if not cs.cyclic_vertices:
+    f = _facts(g)
+    g = f.graph
+    if not f.cycles.cyclic_vertices:
         raise ValueError("deletion corollaries need at least one cycle")
-    p = graph_inertia(g).p
-    m = matching_number(g)
-    c = cyclomatic_number(g)
+    p, m, c = f.inertia.p, f.m, f.c
     upper = p == m + c
     lower = p == m - c
     if not (upper or lower):
         raise ValueError("deletion corollaries apply only when p = m + c or p = m - c")
     quasi = quasi_pendant_vertices(g)
-    for v in sorted(cs.cyclic_vertices):
+    for v in sorted(f.cycles.cyclic_vertices):
         if v in quasi:
             return False
         h = delete_vertex(g, v)
@@ -196,11 +237,12 @@ def check_deletion_corollaries(g: Graph) -> bool:
     return True
 
 
-def check_tree_nullity(t: Graph) -> bool:
+def check_tree_nullity(t: Graph | GraphFacts) -> bool:
     """Is the nullity of a tree at most (number of leaves) - 1?"""
-    if not is_tree(t) or t.n < 2:
+    f = _facts(t)
+    if not is_tree(f.graph) or f.graph.n < 2:
         raise ValueError("tree nullity bound needs a tree with at least 2 vertices")
-    return graph_inertia(t).eta <= len(pendant_vertices(t)) - 1
+    return f.inertia.eta <= len(pendant_vertices(f.graph)) - 1
 
 
 class DifferenceBounds(NamedTuple):
@@ -219,10 +261,10 @@ class DifferenceBounds(NamedTuple):
     conjecture_ok: bool
 
 
-def check_difference_bounds(g: Graph) -> DifferenceBounds:
-    inert = graph_inertia(g)
-    counts = enumerate_simple_cycles(g)
-    diff = inert.p - inert.n
+def check_difference_bounds(g: Graph | GraphFacts) -> DifferenceBounds:
+    f = _facts(g)
+    counts = enumerate_simple_cycles(f.graph)
+    diff = f.inertia.p - f.inertia.n
     return DifferenceBounds(
         diff=diff,
         c1=counts.c1,
@@ -286,18 +328,7 @@ def _quasipendant_matching_drop_holds(g: Graph, m: int) -> bool | None:
     return all(matching_number(delete_vertex(g, v)) == m - 1 for v in sorted(quasi))
 
 
-def _tree_checks(g: Graph, inert: Inertia, m: int) -> tuple[bool | None, bool | None]:
-    if not (is_tree(g) and g.n >= 2):
-        return None, None
-    nullity_ok = inert.eta <= len(pendant_vertices(g)) - 1
-    stripped = delete_vertices(g, pendant_vertices(g)).graph
-    strip_ok = matching_number(stripped) < m
-    return nullity_ok, strip_ok
-
-
-def _contraction_lemmas(
-    g: Graph, cs: CycleStructure, inert: Inertia, m: int, c: int
-) -> dict[str, bool | None]:
+def _contraction_lemmas(f: GraphFacts) -> dict[str, bool | None]:
     """Lemmas about graphs whose disjoint cycles attach to a forest rest."""
     out: dict[str, bool | None] = {
         "pendant_existence": None,
@@ -306,33 +337,31 @@ def _contraction_lemmas(
         "attached_even_cycle": None,
         "lower_bound_forces_avoidance": None,
     }
-    if not has_attached_disjoint_cycles(g, cs):
+    g, cs, m = f.graph, f.cycles, f.m
+    # the premise of has_attached_disjoint_cycles, on the row's frontier
+    if not (cs.disjoint and cs.cycles and f.frontier):
         return out
-    contraction = contract_cycles(g, cs)
-    m_contracted = matching_number(contraction.forest)
-    m_off_cycles = matching_number(non_cyclic_forest(contraction))
-    frontier = frontier_edges(g, cs)
-    avoidable = exists_max_matching_avoiding(g, frontier)
+    keeps_m = f.contraction_keeps_matching
+    avoidable = f.frontier_avoidable
     all_odd = all(len(cyc) % 2 == 1 for cyc in cs.cycles)
 
-    if m_contracted == m_off_cycles:
+    if keeps_m:
         pend_ok = bool(pendant_vertices(g))
         quasi_off_cycle = not (quasi_pendant_vertices(g) & cs.cyclic_vertices)
         out["pendant_existence"] = pend_ok and quasi_off_cycle
 
     if avoidable:
+        m_off_cycles = f.forest_matchings[1]
         decomposition = m == m_off_cycles + sum(len(cyc) // 2 for cyc in cs.cycles)
         if all_odd:
-            decomposition = decomposition and (m_contracted == m_off_cycles)
+            decomposition = decomposition and keeps_m
         out["matching_decomposition"] = decomposition
 
     if all_odd:
-        out["odd_cycles_matching_equivalence"] = (
-            (m_contracted == m_off_cycles) == avoidable
-        )
+        out["odd_cycles_matching_equivalence"] = keeps_m == avoidable
 
-    if inert.p == m - c:
-        out["lower_bound_forces_avoidance"] = every_max_matching_avoids(g, frontier)
+    if f.inertia.p == m - f.c:
+        out["lower_bound_forces_avoidance"] = every_max_matching_avoids(g, f.frontier)
         out["attached_even_cycle"] = _attached_even_cycle_holds(g, cs, m)
     return out
 
@@ -372,26 +401,26 @@ def _attached_even_cycle_holds(g: Graph, cs: CycleStructure, m: int) -> bool | N
     return all(verdicts)
 
 
-def lemma_suite(g: Graph) -> dict[str, bool | None]:
+def lemma_suite(g: Graph | GraphFacts) -> dict[str, bool | None]:
     """Run every structural lemma check applicable to ``g``.
 
     Returns a fixed-key dict; values are True (verified), False
     (counterexample), or None (the lemma's premise does not apply).
     """
-    inert = graph_inertia(g)
-    m = matching_number(g)
-    c = cyclomatic_number(g)
-    cs = analyze_cycles(g)
-    nullity_ok, strip_ok = _tree_checks(g, inert, m)
+    f = _facts(g)
+    g, inert, m, c, cs = f.graph, f.inertia, f.m, f.c, f.cycles
+    tree = is_tree(g) and g.n >= 2
     report: dict[str, bool | None] = {
         "pendant_reduction": _pendant_reduction_holds(g, inert),
         "component_additivity": _component_additivity_holds(g, inert),
         "deletion_interlacing": _interlacing_holds(g, inert),
         "quasipendant_matching_drop": _quasipendant_matching_drop_holds(g, m),
-        "tree_nullity_bound": nullity_ok,
-        "leaf_stripping_drop": strip_ok,
+        "tree_nullity_bound": check_tree_nullity(f) if tree else None,
+        "leaf_stripping_drop": (
+            matching_number(delete_vertices(g, pendant_vertices(g)).graph) < m if tree else None
+        ),
     }
-    report.update(_contraction_lemmas(g, cs, inert, m, c))
+    report.update(_contraction_lemmas(f))
     # tight bounds force vertex-disjoint cycles
     attains_any = inert.p in (m - c, m + c) or inert.n in (m - c, m + c)
     report["tight_bound_disjoint_cycles"] = (

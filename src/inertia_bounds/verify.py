@@ -1,4 +1,11 @@
-"""Per-graph verdict assembly, corpus verification runs, report emission.
+"""Per-graph verdict rows, corpus verification runs, report emission.
+
+:data:`CHECKS` is the one ordered table of checks.  Each entry gives
+its name, when it applies (and its n/a note), how it computes its
+verdicts from the row's one :class:`~.theorems.GraphFacts`, its report
+columns, its counterexample rule and its mismatch notes; the check
+names, ``REPORT_FIELDS``, the row dict, the notes and the
+counterexample test all derive from it.
 
 A run maps every corpus graph to one :class:`GraphReport` row, collects
 counterexamples, and can emit the rows as JSON or CSV with a stable
@@ -13,19 +20,20 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Iterable, NamedTuple
 
 from .corpus import CorpusItem
-from .cycles import SIMPLE_CYCLE_VERTEX_BUDGET, analyze_cycles
-from .graphs import Graph, cyclomatic_number, is_connected, parse_graph6, to_graph6
+from .cycles import SIMPLE_CYCLE_VERTEX_BUDGET
+from .graphs import Graph, is_connected, to_graph6
 from .inertia import graph_inertia, graph_inertia_oracle
-from .matching import matching_number
 from .theorems import (
-    LEMMA_NAMES,
     DifferenceBounds,
+    GraphFacts,
     LowerClassification,
     UpperClassification,
+    check_bounds,
     check_deletion_corollaries,
     check_difference_bounds,
     classify_n_lower,
@@ -35,20 +43,6 @@ from .theorems import (
     classify_unicyclic,
     lemma_suite,
 )
-
-ALL_CHECKS = (
-    "bounds",
-    "classifiers",
-    "unicyclic",
-    "corollaries",
-    "lemmas",
-    "difference",
-    "generator",
-)
-
-
-class BudgetSkipError(RuntimeError):
-    """Raised in strict mode when a budgeted check would be skipped."""
 
 
 @dataclass(frozen=True)
@@ -68,19 +62,19 @@ class GraphReport:
     eta: int
     m: int
     c: int
-    bounds_ok: bool | None
-    p_upper: UpperClassification | None
-    n_upper: UpperClassification | None
-    p_lower: LowerClassification | None
-    n_lower: LowerClassification | None
-    unicyclic_prediction: tuple[int, int] | None
-    unicyclic_ok: bool | None
-    corollaries_ok: bool | None
-    lemmas: dict[str, bool | None] | None
-    difference: DifferenceBounds | None
-    generator_ok: bool | None
     oracle_ok: bool
-    notes: str
+    notes: str = ""
+    bounds_ok: bool | None = None
+    p_upper: UpperClassification | None = None
+    n_upper: UpperClassification | None = None
+    p_lower: LowerClassification | None = None
+    n_lower: LowerClassification | None = None
+    unicyclic_prediction: tuple[int, int] | None = None
+    unicyclic_ok: bool | None = None
+    corollaries_ok: bool | None = None
+    lemmas: dict[str, bool | None] | None = None
+    difference: DifferenceBounds | None = None
+    generator_ok: bool | None = None
 
     @property
     def lemmas_ok(self) -> bool | None:
@@ -92,35 +86,173 @@ class GraphReport:
         return all(verdicts)
 
     def is_counterexample(self) -> bool:
-        if not self.oracle_ok:
-            return True
-        if self.bounds_ok is False:
-            return True
-        for cls in (self.p_upper, self.n_upper):
-            if cls is not None and not (
-                cls.attained == cls.cond_contraction == cls.cond_frontier
-            ):
-                return True
-        for cls in (self.p_lower, self.n_lower):
-            if cls is not None and cls.attained != cls.conditions:
-                return True
-        if (
-            self.p_lower is not None
-            and self.n_lower is not None
-            and self.p_lower.attained != self.n_lower.attained
-        ):
-            return True
-        if self.unicyclic_ok is False:
-            return True
-        if self.corollaries_ok is False:
-            return True
-        if self.lemmas_ok is False:
-            return True
-        if self.difference is not None and not self.difference.c1_ok:
-            return True
-        if self.generator_ok is False:
-            return True
-        return False
+        return not self.oracle_ok or any(check.failed(self) for check in CHECKS)
+
+
+# ---------------------------------------------------------------------------
+# the table of checks
+
+def _column(name: str, field: str | None = None, part: str | int | None = None):
+    """A report column: row field ``field`` (default ``name``), or one part of it."""
+
+    def get(r: GraphReport) -> object:
+        value = getattr(r, field or name)
+        if value is None or part is None:
+            return value
+        return value[part] if isinstance(part, int) else getattr(value, part)
+
+    return name, get
+
+
+class Check(NamedTuple):
+    name: str
+    # the GraphReport fields this check fills, from the row's facts and residue
+    compute: Callable[[GraphFacts, int | None], dict[str, object]]
+    columns: tuple[tuple[str, Callable[[GraphReport], object]], ...]
+    # counterexample rule; it sees None fields when the check did not run
+    failed: Callable[[GraphReport], bool]
+    # notes on a row where the check ran, given the row and its residue
+    notes: Callable[[GraphReport, int | None], list[str]] = lambda r, residue: []
+    applies: Callable[[GraphFacts, int | None], bool] = lambda f, residue: True
+    na_note: str = ""
+
+
+def _mismatched(cls: UpperClassification | LowerClassification) -> bool:
+    # the attained flag and every condition form must agree
+    return len(set(cls)) > 1
+
+
+_CLASSIFICATIONS = (
+    ("p_upper", UpperClassification),
+    ("n_upper", UpperClassification),
+    ("p_lower", LowerClassification),
+    ("n_lower", LowerClassification),
+)
+
+
+def _classify(f: GraphFacts, residue: int | None) -> dict[str, object]:
+    return {
+        "p_upper": classify_p_upper(f),
+        "n_upper": classify_n_upper(f),
+        "p_lower": classify_p_lower(f),
+        "n_lower": classify_n_lower(f),
+    }
+
+
+def _unicyclic(f: GraphFacts, residue: int | None) -> dict[str, object]:
+    prediction = classify_unicyclic(f)
+    return {
+        "unicyclic_prediction": prediction,
+        "unicyclic_ok": prediction == (f.inertia.n, f.inertia.p),
+    }
+
+
+def _difference_notes(r: GraphReport, residue: int | None) -> list[str]:
+    d = r.difference
+    notes = []
+    if not d.c1_ok:
+        notes.append(f"|p-n|={abs(d.diff)} exceeds odd cycle count {d.c1}")
+    if not d.conjecture_ok:
+        notes.append(f"conjecture: p-n={d.diff} outside [-c3, c5]=[-{d.c3}, {d.c5}]")
+    return notes
+
+
+# the classifiers behind each generator recipe; each must hold in every form
+_GENERATOR_CLASSIFIERS = {1: ("p_upper",), 3: ("n_upper",), 0: ("p_lower", "n_lower")}
+
+
+def _generator_identity_holds(f: GraphFacts, residue: int) -> bool:
+    """Extremal identity plus classifier conditions for a generated graph."""
+    classified = _classify(f, residue)
+    return all(all(classified[name]) for name in _GENERATOR_CLASSIFIERS[residue])
+
+
+CHECKS: tuple[Check, ...] = (
+    Check(
+        "bounds",
+        compute=lambda f, residue: {"bounds_ok": check_bounds(f)},
+        columns=(_column("bounds_ok"),),
+        failed=lambda r: r.bounds_ok is False,
+    ),
+    Check(
+        "classifiers",
+        compute=_classify,
+        columns=tuple(
+            _column(f"{field}_{part}", field, part)
+            for field, kind in _CLASSIFICATIONS
+            for part in kind._fields
+        ),
+        failed=lambda r: r.p_upper is not None
+        and (
+            any(_mismatched(getattr(r, field)) for field, _ in _CLASSIFICATIONS)
+            or r.p_lower.attained != r.n_lower.attained
+        ),
+        notes=lambda r, residue: [
+            f"classifier {field} mismatch: {getattr(r, field)}"
+            for field, _ in _CLASSIFICATIONS
+            if _mismatched(getattr(r, field))
+        ],
+    ),
+    Check(
+        "unicyclic",
+        compute=_unicyclic,
+        columns=(
+            _column("unicyclic_pred_n", "unicyclic_prediction", 0),
+            _column("unicyclic_pred_p", "unicyclic_prediction", 1),
+            _column("unicyclic_ok"),
+        ),
+        failed=lambda r: r.unicyclic_ok is False,
+        notes=lambda r, residue: [] if r.unicyclic_ok else [
+            f"unicyclic prediction {r.unicyclic_prediction} != computed {(r.n, r.p)}"
+        ],
+        applies=lambda f, residue: is_connected(f.graph) and f.c == 1,
+        na_note="unicyclic: n/a (not connected unicyclic)",
+    ),
+    Check(
+        "corollaries",
+        compute=lambda f, residue: {"corollaries_ok": check_deletion_corollaries(f)},
+        columns=(_column("corollaries_ok"),),
+        failed=lambda r: r.corollaries_ok is False,
+        notes=lambda r, residue: [] if r.corollaries_ok else ["deletion corollaries failed"],
+        applies=lambda f, residue: bool(f.cycles.cyclic_vertices)
+        and f.inertia.p in (f.m + f.c, f.m - f.c),
+        na_note="corollaries: n/a (no cycle or bound not attained)",
+    ),
+    Check(
+        "lemmas",
+        compute=lambda f, residue: {"lemmas": lemma_suite(f)},
+        columns=(_column("lemmas_ok"),),
+        failed=lambda r: r.lemmas_ok is False,
+        notes=lambda r, residue: [] if r.lemmas_ok is not False else [
+            "lemmas failed: " + ", ".join(sorted(k for k, v in r.lemmas.items() if v is False))
+        ],
+    ),
+    Check(
+        "difference",
+        compute=lambda f, residue: {"difference": check_difference_bounds(f)},
+        columns=(
+            _column("c1_ok", "difference", "c1_ok"),
+            _column("conjecture_ok", "difference", "conjecture_ok"),
+        ),
+        failed=lambda r: r.difference is not None and not r.difference.c1_ok,
+        notes=_difference_notes,
+        applies=lambda f, residue: f.graph.n <= SIMPLE_CYCLE_VERTEX_BUDGET,
+        na_note="difference: n/a (budget)",
+    ),
+    Check(
+        "generator",
+        compute=lambda f, residue: {"generator_ok": _generator_identity_holds(f, residue)},
+        columns=(_column("generator_ok"),),
+        failed=lambda r: r.generator_ok is False,
+        notes=lambda r, residue: [] if r.generator_ok else [
+            f"generator identity failed for residue {residue}"
+        ],
+        applies=lambda f, residue: residue is not None,
+        na_note="generator: n/a (corpus not generator-produced)",
+    ),
+)
+
+ALL_CHECKS = tuple(check.name for check in CHECKS)
 
 
 def _normalize_checks(checks: Iterable[str] | None) -> tuple[str, ...]:
@@ -141,144 +273,28 @@ def analyze_graph(
     graph_id: str = "graph",
     checks: Iterable[str] | None = None,
     residue: int | None = None,
-    strict_budget: bool = False,
 ) -> GraphReport:
     """Build the full verdict row for one graph."""
     selected = _normalize_checks(checks)
-    notes: list[str] = []
-
     inert = graph_inertia(g)
     oracle = graph_inertia_oracle(g)
-    oracle_ok = inert == oracle
-    if not oracle_ok:
-        notes.append(
-            f"oracle mismatch: congruence {tuple(inert)} vs char-poly {tuple(oracle)}"
-        )
-    m = matching_number(g)
-    c = cyclomatic_number(g)
-
-    bounds_ok = None
-    if "bounds" in selected:
-        bounds_ok = (m - c <= inert.p <= m + c) and (m - c <= inert.n <= m + c)
-
-    p_upper = n_upper = None
-    p_lower = n_lower = None
-    if "classifiers" in selected:
-        p_upper = classify_p_upper(g)
-        n_upper = classify_n_upper(g)
-        p_lower = classify_p_lower(g)
-        n_lower = classify_n_lower(g)
-        for name, cls in (("p_upper", p_upper), ("n_upper", n_upper)):
-            if not (cls.attained == cls.cond_contraction == cls.cond_frontier):
-                notes.append(f"classifier {name} mismatch: {cls}")
-        for name, lcls in (("p_lower", p_lower), ("n_lower", n_lower)):
-            if lcls.attained != lcls.conditions:
-                notes.append(f"classifier {name} mismatch: {lcls}")
-
-    unicyclic_prediction = None
-    unicyclic_ok = None
-    if "unicyclic" in selected:
-        if is_connected(g) and c == 1:
-            unicyclic_prediction = classify_unicyclic(g)
-            unicyclic_ok = unicyclic_prediction == (inert.n, inert.p)
-            if not unicyclic_ok:
-                notes.append(
-                    f"unicyclic prediction {unicyclic_prediction} != "
-                    f"computed {(inert.n, inert.p)}"
-                )
-        else:
-            notes.append("unicyclic: n/a (not connected unicyclic)")
-
-    corollaries_ok = None
-    if "corollaries" in selected:
-        if analyze_cycles(g).cyclic_vertices and (inert.p == m + c or inert.p == m - c):
-            corollaries_ok = check_deletion_corollaries(g)
-            if not corollaries_ok:
-                notes.append("deletion corollaries failed")
-        else:
-            notes.append("corollaries: n/a (no cycle or bound not attained)")
-
-    lemmas = None
-    if "lemmas" in selected:
-        lemmas = lemma_suite(g)
-        failed = sorted(k for k, v in lemmas.items() if v is False)
-        if failed:
-            notes.append("lemmas failed: " + ", ".join(failed))
-
-    difference = None
-    if "difference" in selected:
-        if g.n <= SIMPLE_CYCLE_VERTEX_BUDGET:
-            difference = check_difference_bounds(g)
-            if not difference.c1_ok:
-                notes.append(
-                    f"|p-n|={abs(difference.diff)} exceeds odd cycle count {difference.c1}"
-                )
-            if not difference.conjecture_ok:
-                notes.append(
-                    f"conjecture: p-n={difference.diff} outside "
-                    f"[-c3, c5]=[-{difference.c3}, {difference.c5}]"
-                )
-        elif strict_budget:
-            raise BudgetSkipError(
-                f"difference check needs n <= {SIMPLE_CYCLE_VERTEX_BUDGET}, "
-                f"got n={g.n} for {graph_id}"
-            )
-        else:
-            notes.append("difference: n/a (budget)")
-
-    generator_ok = None
-    if "generator" in selected:
-        if residue is None:
-            notes.append("generator: n/a (corpus not generator-produced)")
-        else:
-            generator_ok = _generator_identity_holds(g, inert.p, inert.n, m, c, residue)
-            if not generator_ok:
-                notes.append(f"generator identity failed for residue {residue}")
-
-    return GraphReport(
-        graph_id=graph_id,
-        graph6=to_graph6(g),
-        p=inert.p,
-        n=inert.n,
-        eta=inert.eta,
-        m=m,
-        c=c,
-        bounds_ok=bounds_ok,
-        p_upper=p_upper,
-        n_upper=n_upper,
-        p_lower=p_lower,
-        n_lower=n_lower,
-        unicyclic_prediction=unicyclic_prediction,
-        unicyclic_ok=unicyclic_ok,
-        corollaries_ok=corollaries_ok,
-        lemmas=lemmas,
-        difference=difference,
-        generator_ok=generator_ok,
-        oracle_ok=oracle_ok,
-        notes="; ".join(notes),
+    facts = GraphFacts(g, inert)
+    fields: dict[str, object] = {}
+    ran = []  # (check, whether it applied) for each selected check
+    for check in (c for c in CHECKS if c.name in selected):
+        applies = check.applies(facts, residue)
+        if applies:
+            fields.update(check.compute(facts, residue))
+        ran.append((check, applies))
+    row = GraphReport(
+        graph_id, to_graph6(g), *inert, facts.m, facts.c, oracle_ok=inert == oracle, **fields
     )
-
-
-def _generator_identity_holds(
-    g: Graph, p: int, n: int, m: int, c: int, residue: int
-) -> bool:
-    """Extremal identity plus classifier conditions for a generated graph."""
-    if residue == 1:
-        cls = classify_p_upper(g)
-        return p == m + c and cls.attained and cls.cond_contraction and cls.cond_frontier
-    if residue == 3:
-        cls = classify_n_upper(g)
-        return n == m + c and cls.attained and cls.cond_contraction and cls.cond_frontier
-    low_p = classify_p_lower(g)
-    low_n = classify_n_lower(g)
-    return (
-        p == m - c
-        and n == m - c
-        and low_p.attained
-        and low_p.conditions
-        and low_n.attained
-        and low_n.conditions
-    )
+    notes = [] if row.oracle_ok else [
+        f"oracle mismatch: congruence {tuple(inert)} vs char-poly {tuple(oracle)}"
+    ]
+    for check, applies in ran:
+        notes.extend(check.notes(row, residue) if applies else [check.na_note])
+    return replace(row, notes="; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -297,43 +313,32 @@ class RunReport:
         return not self.counterexamples
 
 
-def _row_payload(args: tuple[str, str, int | None, tuple[str, ...], bool]) -> GraphReport:
-    graph_id, graph6, residue, checks, strict = args
-    return analyze_graph(
-        parse_graph6(graph6),
-        graph_id=graph_id,
-        checks=checks,
-        residue=residue,
-        strict_budget=strict,
-    )
+def _row(item: CorpusItem, checks: tuple[str, ...]) -> GraphReport:
+    return analyze_graph(item.graph, item.graph_id, checks, item.residue)
 
 
 def run_verification(
     corpus: Iterable[CorpusItem],
     checks: Iterable[str] | None = None,
     workers: int = 1,
-    strict_budget: bool = False,
 ) -> RunReport:
     """Evaluate the selected checks on every corpus graph, in order.
 
     ``workers`` > 1 fans rows out to a process pool; results are
     reassembled in corpus order, so worker count cannot change the
-    report.  Budget-skipped checks produce "n/a" notes unless
-    ``strict_budget`` is set, in which case skipping raises.
+    report.  Budget-skipped checks produce "n/a" notes.
     """
     selected = _normalize_checks(checks)
     start = time.perf_counter()
-    payloads = [
-        (item.graph_id, to_graph6(item.graph), item.residue, selected, strict_budget)
-        for item in corpus
-    ]
-    if workers > 1 and len(payloads) > 1:
+    items = list(corpus)
+    row = partial(_row, checks=selected)
+    if workers > 1 and len(items) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            rows = tuple(pool.imap(_row_payload, payloads, chunksize=64))
+            rows = tuple(pool.imap(row, items, chunksize=64))
     else:
-        rows = tuple(_row_payload(p) for p in payloads)
+        rows = tuple(map(row, items))
     elapsed = time.perf_counter() - start
     counterexamples = tuple(
         f"{r.graph_id} {r.graph6}" for r in rows if r.is_counterexample()
@@ -349,73 +354,21 @@ def run_verification(
 # ---------------------------------------------------------------------------
 # report emission
 
+_MEASURED_FIELDS = ("graph_id", "graph6", "p", "n", "eta", "m", "c")
+
 REPORT_FIELDS = (
-    "graph_id",
-    "graph6",
-    "p",
-    "n",
-    "eta",
-    "m",
-    "c",
-    "bounds_ok",
-    "p_upper_attained",
-    "p_upper_cond_contraction",
-    "p_upper_cond_frontier",
-    "n_upper_attained",
-    "n_upper_cond_contraction",
-    "n_upper_cond_frontier",
-    "p_lower_attained",
-    "p_lower_conditions",
-    "n_lower_attained",
-    "n_lower_conditions",
-    "unicyclic_pred_n",
-    "unicyclic_pred_p",
-    "unicyclic_ok",
-    "corollaries_ok",
-    "lemmas_ok",
-    "c1_ok",
-    "conjecture_ok",
-    "generator_ok",
-    "oracle_ok",
-    "counterexample",
-    "notes",
+    _MEASURED_FIELDS
+    + tuple(name for check in CHECKS for name, _ in check.columns)
+    + ("oracle_ok", "counterexample", "notes")
 )
 
 
 def report_row_dict(r: GraphReport) -> dict[str, object]:
     """Flatten one row into the documented field order (None = n/a)."""
-    diff = r.difference
-    return {
-        "graph_id": r.graph_id,
-        "graph6": r.graph6,
-        "p": r.p,
-        "n": r.n,
-        "eta": r.eta,
-        "m": r.m,
-        "c": r.c,
-        "bounds_ok": r.bounds_ok,
-        "p_upper_attained": None if r.p_upper is None else r.p_upper.attained,
-        "p_upper_cond_contraction": None if r.p_upper is None else r.p_upper.cond_contraction,
-        "p_upper_cond_frontier": None if r.p_upper is None else r.p_upper.cond_frontier,
-        "n_upper_attained": None if r.n_upper is None else r.n_upper.attained,
-        "n_upper_cond_contraction": None if r.n_upper is None else r.n_upper.cond_contraction,
-        "n_upper_cond_frontier": None if r.n_upper is None else r.n_upper.cond_frontier,
-        "p_lower_attained": None if r.p_lower is None else r.p_lower.attained,
-        "p_lower_conditions": None if r.p_lower is None else r.p_lower.conditions,
-        "n_lower_attained": None if r.n_lower is None else r.n_lower.attained,
-        "n_lower_conditions": None if r.n_lower is None else r.n_lower.conditions,
-        "unicyclic_pred_n": None if r.unicyclic_prediction is None else r.unicyclic_prediction[0],
-        "unicyclic_pred_p": None if r.unicyclic_prediction is None else r.unicyclic_prediction[1],
-        "unicyclic_ok": r.unicyclic_ok,
-        "corollaries_ok": r.corollaries_ok,
-        "lemmas_ok": r.lemmas_ok,
-        "c1_ok": None if diff is None else diff.c1_ok,
-        "conjecture_ok": None if diff is None else diff.conjecture_ok,
-        "generator_ok": r.generator_ok,
-        "oracle_ok": r.oracle_ok,
-        "counterexample": r.is_counterexample(),
-        "notes": r.notes,
-    }
+    row = {field: getattr(r, field) for field in _MEASURED_FIELDS}
+    row.update((name, get(r)) for check in CHECKS for name, get in check.columns)
+    row.update(oracle_ok=r.oracle_ok, counterexample=r.is_counterexample(), notes=r.notes)
+    return row
 
 
 def render_report(report: RunReport, fmt: str = "json") -> str:

@@ -195,3 +195,22 @@ def test_cli_counterexample_exit_path(capsys, tmp_path, monkeypatch):
     code, out, _ = run_cli(capsys, "analyze", to_graph6(cycle_graph(3)))
     assert code == 1
     assert json.loads(out)["counterexample"] is True
+
+
+def test_analyze_reads_valid_graph6_before_a_file_of_that_name(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "Bw").write_text("2\n0 1\n")
+    code, out, _ = run_cli(capsys, "analyze", "Bw")
+    assert code == 0
+    row = json.loads(out)
+    assert (row["graph6"], row["c"]) == ("Bw", 1)  # the triangle, not the file's K2
+    code, out, _ = run_cli(capsys, "analyze", "./Bw")
+    assert code == 0
+    assert json.loads(out)["graph6"] == "A_"
+
+
+def test_analyze_names_an_unreadable_argument(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "analyze", "no-such-graph")
+    assert code == 2
+    assert "'no-such-graph'" in err

@@ -1,6 +1,8 @@
 """Corpus streams, per-graph verdict rows, report rendering, determinism."""
 
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -193,3 +195,106 @@ def test_summarize_mentions_scale_and_outcome():
     assert "3" in text
     assert "counterexample" in text.lower()
     assert "conjecture" in text.lower()
+
+
+# report bytes pinned across refactors
+
+
+def golden_corpus():
+    """A mixed corpus whose rows carry every n/a note, the difference budget's included."""
+    items = list(enumerate_labeled(5))
+    for residue, cycles, steps, isolated, seed in ((0, 2, 3, 0, 0), (1, 1, 2, 1, 5), (3, 2, 6, 1, 9)):
+        base = GeneratorParams(
+            cycle_residue=residue,
+            num_cycles=cycles,
+            num_isolated_seeds=isolated,
+            num_steps=steps,
+            rng_seed=seed,
+        )
+        items += generated_corpus(base, 3)
+    items.append(CorpusItem("near-miss", lower_bound_near_miss()))
+    return items
+
+
+GOLDEN_DIGESTS = {
+    (None, "json"): "986accd84bd3f878772c77e6c2e90b1c21b062340df2b18aa7492517966cd4bd",
+    (None, "csv"): "029a831ddb48fbddeec9270633df8958c5c380de3d19cd1f6da60702053c5d22",
+    (("bounds", "lemmas"), "json"): "a3b7e38444dbe5ba5f7de2d16e80a9578b6ff61ba7d2dfbc3c2a6fcd66621a13",
+    (("bounds", "lemmas"), "csv"): "70870114320c1887bbaad29b188d0b94ded0d4e674d047705f8cbe1a85e41c00",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("checks", [None, ("bounds", "lemmas")])
+def test_report_bytes_match_golden_digests(checks, workers):
+    corpus = golden_corpus()
+    # the corpus must reach the difference budget, or its note goes unpinned
+    assert max(item.graph.n for item in corpus) > 14
+    report = run_verification(corpus, checks=checks, workers=workers)
+    for fmt in ("json", "csv"):
+        digest = hashlib.sha256(render_report(report, fmt).encode("utf-8")).hexdigest()
+        assert digest == GOLDEN_DIGESTS[checks, fmt], fmt
+
+
+# each invariant once per row
+
+ONCE_PER_ROW = (
+    ("inertia", "graph_inertia"),
+    ("inertia", "graph_inertia_oracle"),
+    ("matching", "matching_number"),
+    ("graphs", "cyclomatic_number"),
+    ("cycles", "analyze_cycles"),
+)
+
+
+def test_each_invariant_is_computed_once_per_row(monkeypatch):
+    # Wrap each function wherever another package module bound it by name,
+    # plus the row function in its own module, and count the calls each row
+    # makes on a graph equal to its own.
+    import inertia_bounds.verify as verify_mod
+
+    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "inertia_bounds"]
+    row_graph = []
+    calls = {name: 0 for _, name in ONCE_PER_ROW}
+    per_row = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if row_graph and args and args[0] == row_graph[0]:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for layer, name in ONCE_PER_ROW:
+        fn = getattr(sys.modules[f"inertia_bounds.{layer}"], name)
+        for module in package:
+            if module.__name__ != fn.__module__ and vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+
+    analyze = verify_mod.analyze_graph
+
+    def row(g, *args, **kwargs):
+        row_graph[:] = [g]
+        calls.update(dict.fromkeys(calls, 0))
+        try:
+            return analyze(g, *args, **kwargs)
+        finally:
+            per_row.append(dict(calls))
+            row_graph.clear()
+
+    monkeypatch.setattr(verify_mod, "analyze_graph", row)
+
+    corpus = list(enumerate_labeled(4))
+    for residue in (0, 1, 3):
+        base = GeneratorParams(
+            cycle_residue=residue, num_cycles=2, num_isolated_seeds=1, num_steps=3, rng_seed=residue
+        )
+        corpus += generated_corpus(base, 2)
+    corpus.append(CorpusItem("near-miss", lower_bound_near_miss()))
+    report = run_verification(corpus, checks=ALL_CHECKS, workers=1)
+    assert report.ok and len(per_row) == len(corpus)
+    worst = {name: max(counts[name] for counts in per_row) for name in calls}
+    assert all(count <= 1 for count in worst.values()), worst
+    # every row computes its own inertia both ways, so the wrappers were live
+    assert worst["graph_inertia"] == worst["graph_inertia_oracle"] == 1
