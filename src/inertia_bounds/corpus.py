@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from typing import Iterator, NamedTuple
 
-from .graphs import GRAPH6_HEADER, Graph, parse_graph6
+from .graphs import GRAPH6_HEADER, Graph, GraphParseError, parse_graph6
 from .theorems import GeneratorParams, generate_extremal
 
 EXHAUSTIVE_VERTEX_LIMIT = 6
@@ -68,14 +68,20 @@ def read_graph6_file(path: str | os.PathLike[str]) -> Iterator[CorpusItem]:
 
     A header-only line, a blank line, and any other line starting with
     '>' are skipped; a graph following the header on its line is read.
+    A line that is not ASCII or not graph6 raises :class:`GraphParseError`
+    naming the path and the line number.
     """
     name = os.path.basename(os.fspath(path))
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip().removeprefix(GRAPH6_HEADER)
-            if not line or line.startswith(">"):
-                continue
-            yield CorpusItem(f"{name}:{lineno}", parse_graph6(line))
+            try:
+                line = raw.decode("ascii").strip().removeprefix(GRAPH6_HEADER)
+                if not line or line.startswith(">"):
+                    continue
+                graph = parse_graph6(line)
+            except (UnicodeDecodeError, GraphParseError) as exc:
+                raise GraphParseError(f"{os.fspath(path)}:{lineno}: {exc}") from exc
+            yield CorpusItem(f"{name}:{lineno}", graph)
 
 
 def generated_corpus(base: GeneratorParams, count: int) -> Iterator[CorpusItem]:

@@ -9,11 +9,15 @@ Three routes, kept deliberately separate:
   Jacobs and Trevisan's linear-time diagonalisation at zero).  Peeling
   is O(n + |E|); only the core that remains, with minimum degree 2, is
   eliminated.
-* :func:`inertia_congruence` (the unreduced kernel) diagonalises any
-  symmetric rational matrix by symmetric congruence with exact
-  arithmetic, storing only the nonzero entries of each row.  By
-  Sylvester's law of inertia the signs of the diagonal count positive
-  and negative eigenvalues.
+* :func:`inertia_congruence` and :func:`unreduced_graph_inertia` (the
+  unreduced kernel) diagonalise a symmetric matrix by symmetric
+  congruence, storing only the nonzero entries of each row.  By
+  Sylvester's law of inertia the signs of the pivots count positive and
+  negative eigenvalues.  The elimination is fraction-free (Bareiss
+  1968): rational input is first scaled by the positive lcm of its
+  denominators, and every stored entry is then an integer minor of the
+  matrix (Sylvester's determinant identity), so each division is exact
+  and no rational arithmetic is needed.
 * :func:`inertia_charpoly_oracle` computes the integer characteristic
   polynomial by a Hessenberg reduction modulo a prime above twice a
   Hadamard bound on its coefficients, and reads the inertia off the
@@ -22,11 +26,11 @@ Three routes, kept deliberately separate:
 
 The lemmas ``pendant_reduction`` and ``component_additivity`` in
 :mod:`.theorems` test the very rules the peeling applies, so they take
-their subgraph inertias from the unreduced kernel; with the peeled route
-they would check the peeling against itself.  Apart from
-:func:`adjacency_matrix`, the congruence routes and the char-poly route
-share no code: their agreement is a correctness check used throughout
-the test suite.
+their subgraph inertias from :func:`unreduced_graph_inertia`; with the
+peeled route they would check the peeling against itself.  The
+congruence routes and the char-poly route share no code, not even the
+construction of the adjacency matrix: their agreement is a correctness
+check used throughout the test suite.
 """
 
 from __future__ import annotations
@@ -70,8 +74,8 @@ def adjacency_matrix(g: Graph) -> Matrix:
 # ---------------------------------------------------------------------------
 # congruence route
 
-# Sparse symmetric matrix: row i maps column j to the nonzero entry (i, j).
-Rows = list[dict[int, Fraction]]
+# Sparse symmetric integer matrix: row i maps column j to the nonzero entry (i, j).
+Rows = list[dict[int, int]]
 
 
 def _check_symmetric(m: Sequence[Sequence[Fraction]]) -> None:
@@ -89,71 +93,104 @@ def _check_symmetric(m: Sequence[Sequence[Fraction]]) -> None:
 
 
 def _eliminate(rows: Rows) -> Inertia:
-    """Inertia of a symmetric sparse matrix; consumes ``rows``.
+    """Inertia of a symmetric sparse integer matrix; consumes ``rows``.
 
-    Each step touches only the nonzeros of the pivot rows and of the
-    rows they meet.  The pivot policy is the one documented on
+    Fraction-free (Bareiss 1968).  ``det`` is the leading minor
+    det(A[P, P]) of the eliminated index set P, and row i holds
+    ``stamp[i] * S[i, j]``, where S = A/P is the Schur complement and
+    ``stamp[i]`` the value of ``det`` when row i was last updated.  By
+    Sylvester's identity every such value is a minor of A, so each
+    division below is exact.  A pivot updates only the rows it touches,
+    bringing them from their stamp to the new ``det``; the others keep
+    their stamp until a later pivot touches them.  Nonzero scaling keeps
+    the zero pattern, so the pivot sequence is the one documented on
     :func:`inertia_congruence`.
     """
+    stamp = [1] * len(rows)
     active = list(range(len(rows)))
+    det = 1
     p = n = 0
     while active:
         pivot = next((i for i in active if i in rows[i]), None)
         if pivot is not None:
+            block = (pivot,)
+        else:
+            # no diagonal left: the smallest row with an entry holds the
+            # lexicographically smallest nonzero pair, at its smallest column
+            bi = next((i for i in active if rows[i]), None)
+            if bi is None:
+                break
+            block = (bi, min(rows[bi]))
+        for b in block:
+            if stamp[b] != det:
+                s, rb = stamp[b], rows[b]
+                for j, x in rb.items():
+                    rb[j] = x * det // s
+        if pivot is not None:
             prow = rows[pivot]
             d = prow.pop(pivot)
-            if d > 0:
+            if (d > 0) == (det > 0):  # S[pivot, pivot] = d / det
                 p += 1
             else:
                 n += 1
-            # rows i, j -= (entry (i, pivot) / d) * row pivot, each
-            # symmetric pair computed once
-            col = list(prow.items())
-            for k, (i, ci) in enumerate(col):
-                f = ci / d
-                ri = rows[i]
-                del ri[pivot]
-                for j, cj in col[k:]:
-                    w = ri.get(j, 0) - f * cj
-                    if w:
-                        ri[j] = rows[j][i] = w
-                    else:
-                        del ri[j]
-                        rows[j].pop(i, None)
-            active.remove(pivot)
-            continue
-        # no diagonal left: the smallest row with an entry holds the
-        # lexicographically smallest nonzero pair, at its smallest column
-        bi = next((i for i in active if rows[i]), None)
-        if bi is None:
-            break
-        bj = min(rows[bi])
-        row_i, row_j = rows[bi], rows[bj]
-        a = row_i.pop(bj)
-        del row_j[bi]
-        p += 1
-        n += 1
-        touched = sorted(row_i.keys() | row_j.keys())
-        for k, i in enumerate(touched):
+            new_det = d
+            touched = sorted(prow)
+        else:
+            bj = block[1]
+            row_i, row_j = rows[bi], rows[bj]
+            a = row_i.pop(bj)
+            del row_j[bi]
+            p += 1
+            n += 1
+            new_det = -a * a // det
+            touched = sorted(row_i.keys() | row_j.keys())
+        # bring every touched row to det on the touched columns, where the
+        # update below reads it, and to new_det on all others
+        cols = set(touched)
+        for i in touched:
             ri = rows[i]
-            u = ri.pop(bi, 0)
-            v = ri.pop(bj, 0)
-            for j in touched[k:]:
-                w = v * row_i.get(j, 0) + u * row_j.get(j, 0)
-                if w:
-                    w = ri.get(j, 0) - w / a
+            for b in block:
+                ri.pop(b, None)
+            s = stamp[i]
+            for j, x in ri.items():
+                ri[j] = x * (det if j in cols else new_det) // s
+            stamp[i] = new_det
+        if pivot is not None:
+            # (i, j) <- (d (i, j) - (i, pivot) (pivot, j)) / det
+            col = [(i, prow[i]) for i in touched]
+            for k, (i, ci) in enumerate(col):
+                ri = rows[i]
+                for j, cj in col[k:]:
+                    w = (d * ri.get(j, 0) - ci * cj) // det
                     if w:
                         ri[j] = rows[j][i] = w
                     else:
-                        del ri[j]
+                        ri.pop(j, None)
                         rows[j].pop(i, None)
-        active.remove(bi)
-        active.remove(bj)
+        else:
+            # (i, j) <- a ((i, bi) (bj, j) + (i, bj) (bi, j) - a (i, j)) / det^2
+            sq = det * det
+            col = [(i, row_i.get(i, 0), row_j.get(i, 0)) for i in touched]
+            for k, (i, ui, vi) in enumerate(col):
+                ri = rows[i]
+                for j, uj, vj in col[k:]:
+                    x = ri.get(j, 0)
+                    t = ui * vj + vi * uj
+                    if x or t:
+                        w = a * (t - a * x) // sq
+                        if w:
+                            ri[j] = rows[j][i] = w
+                        else:
+                            ri.pop(j, None)
+                            rows[j].pop(i, None)
+        for b in block:
+            active.remove(b)
+        det = new_det
     return Inertia(p, n, len(active))
 
 
 def inertia_congruence(matrix: Sequence[Sequence[Fraction]]) -> Inertia:
-    """Inertia by symmetric congruence elimination over the rationals.
+    """Inertia of a symmetric rational matrix by congruence elimination.
 
     Pivot policy (deterministic): take the first nonzero diagonal entry in
     index order; if the remaining diagonal is entirely zero, take the
@@ -163,8 +200,11 @@ def inertia_congruence(matrix: Sequence[Sequence[Fraction]]) -> Inertia:
     remains when no pivot exists is the null space.
     """
     _check_symmetric(matrix)
+    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
+    # a positive scale keeps the inertia and clears every denominator
+    scale = math.lcm(*(x.denominator for row in rows for x in row.values()))
     return _eliminate(
-        [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
+        [{j: x.numerator * (scale // x.denominator) for j, x in row.items()} for row in rows]
     )
 
 
@@ -197,11 +237,15 @@ def graph_inertia(g: Graph) -> Inertia:
                     work.append(w)
     core = [v for v in range(g.n) if alive[v]]
     index = {v: i for i, v in enumerate(core)}
-    one = Fraction(1)
-    rows = [{index[w]: one for w in adj[v]} for v in core]
+    rows = [{index[w]: 1 for w in adj[v]} for v in core]
     dp, dn, deta = _PENDANT_PAIR
     peeled = Inertia(pairs * dp, pairs * dn, isolated + pairs * deta)
     return peeled + _eliminate(rows)
+
+
+def unreduced_graph_inertia(g: Graph) -> Inertia:
+    """Inertia of the adjacency matrix by elimination alone, without peeling."""
+    return _eliminate([dict.fromkeys(s, 1) for s in g.adj])
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +263,9 @@ def _integer_matrix(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[int
     for i, row in enumerate(matrix):
         if len(row) != k:
             raise ValueError(f"matrix is not square: row {i} has {len(row)} entries")
+        if all(type(x) is int for x in row):
+            a.append(list(row))
+            continue
         ints = []
         for x in row:
             f = Fraction(x)
@@ -358,10 +405,17 @@ def inertia_charpoly_oracle(matrix: Sequence[Sequence[Fraction | int]]) -> Inert
 # graph-level conveniences
 
 
+def _integer_adjacency(g: Graph) -> list[list[int]]:
+    a = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        a[u][v] = a[v][u] = 1
+    return a
+
+
 def graph_inertia_oracle(g: Graph) -> Inertia:
     """Inertia of the adjacency matrix (characteristic-polynomial route)."""
-    return inertia_charpoly_oracle(adjacency_matrix(g))
+    return inertia_charpoly_oracle(_integer_adjacency(g))
 
 
 def graph_char_poly(g: Graph) -> IntPolynomial:
-    return char_poly(adjacency_matrix(g))
+    return char_poly(_integer_adjacency(g))

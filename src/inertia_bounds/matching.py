@@ -156,7 +156,15 @@ def matching_bruteforce(g: Graph) -> int:
 # quantified queries, all reduced to matching numbers of modified graphs
 
 
-def edge_in_some_maximum_matching(g: Graph, edge: tuple[int, int]) -> bool:
+# Each query takes m(G) as the keyword ``m`` when the caller already knows
+# it; with None it runs the solver on G.
+
+
+def _known(g: Graph, m: int | None) -> int:
+    return matching_number(g) if m is None else m
+
+
+def edge_in_some_maximum_matching(g: Graph, edge: tuple[int, int], *, m: int | None = None) -> bool:
     """Is ``edge`` contained in at least one maximum matching?
 
     True iff forcing the edge wastes nothing:
@@ -166,29 +174,34 @@ def edge_in_some_maximum_matching(g: Graph, edge: tuple[int, int]) -> bool:
     if e not in g.edges:
         raise ValueError(f"edge {e} not present in graph")
     rest = delete_vertices(g, e).graph
-    return 1 + matching_number(rest) == matching_number(g)
+    return 1 + matching_number(rest) == _known(g, m)
 
 
-def exists_max_matching_avoiding(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
+def exists_max_matching_avoiding(
+    g: Graph, edges: Iterable[tuple[int, int]], *, m: int | None = None
+) -> bool:
     """Is there a maximum matching using none of ``edges``?
 
-    True iff deleting the edges leaves the matching number unchanged.
+    True iff deleting the edges leaves the matching number unchanged;
+    avoiding no edges at all is vacuous.
     """
     f = list(edges)
-    return matching_number(delete_edges(g, f)) == matching_number(g)
+    return not f or matching_number(delete_edges(g, f)) == _known(g, m)
 
 
-def every_max_matching_avoids(g: Graph, edges: Iterable[tuple[int, int]]) -> bool:
+def every_max_matching_avoids(
+    g: Graph, edges: Iterable[tuple[int, int]], *, m: int | None = None
+) -> bool:
     """Does every maximum matching avoid all of ``edges``?
 
     Equivalent to: no edge of the set lies in any maximum matching.
     """
-    return not any(edge_in_some_maximum_matching(g, e) for e in set(
+    return not any(edge_in_some_maximum_matching(g, e, m=m) for e in set(
         _normalize_edge(*e) for e in edges
     ))
 
 
-def every_max_matching_covers(g: Graph, v: int) -> bool:
+def every_max_matching_covers(g: Graph, v: int, *, m: int | None = None) -> bool:
     """Is vertex ``v`` matched in every maximum matching?
 
     True iff removing it drops the matching number:
@@ -196,4 +209,4 @@ def every_max_matching_covers(g: Graph, v: int) -> bool:
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return matching_number(delete_vertex(g, v)) == matching_number(g) - 1
+    return matching_number(delete_vertex(g, v)) == _known(g, m) - 1

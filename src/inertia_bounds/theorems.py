@@ -42,7 +42,7 @@ from .graphs import (
     pendant_vertices,
     quasi_pendant_vertices,
 )
-from .inertia import Inertia, adjacency_matrix, graph_inertia, inertia_congruence
+from .inertia import Inertia, graph_inertia, unreduced_graph_inertia
 from .matching import (
     edge_in_some_maximum_matching,
     every_max_matching_avoids,
@@ -61,8 +61,9 @@ class GraphFacts:
     is computed on first use, at most once, and needs pairwise disjoint
     cycles: the matching numbers of the contracted forest and of the
     graph minus its cycles, the frontier edges, and whether some maximum
-    matching avoids them.  A record belongs to one graph; nothing is
-    cached across graphs.
+    matching avoids them.  Each vertex deletion and its inertia are kept
+    per vertex (see :meth:`deleted`).  A record belongs to one graph;
+    nothing is cached across graphs.
     """
 
     def __init__(self, graph: Graph, inertia: Inertia | None = None) -> None:
@@ -71,6 +72,14 @@ class GraphFacts:
         self.m = matching_number(graph)
         self.c = cyclomatic_number(graph)
         self.cycles = analyze_cycles(graph)
+        self._deleted: dict[int, tuple[Graph, Inertia]] = {}
+
+    def deleted(self, v: int) -> tuple[Graph, Inertia]:
+        """G - v and its inertia, computed on first use."""
+        if v not in self._deleted:
+            h = delete_vertex(self.graph, v)
+            self._deleted[v] = (h, graph_inertia(h))
+        return self._deleted[v]
 
     @cached_property
     def forest_matchings(self) -> tuple[int, int]:
@@ -91,7 +100,7 @@ class GraphFacts:
 
     @cached_property
     def frontier_avoidable(self) -> bool:
-        return exists_max_matching_avoiding(self.graph, self.frontier)
+        return exists_max_matching_avoiding(self.graph, self.frontier, m=self.m)
 
 
 def _facts(g: Graph | GraphFacts) -> GraphFacts:
@@ -194,7 +203,7 @@ def classify_unicyclic(g: Graph | GraphFacts) -> tuple[int, int]:
     q = len(f.cycles.cycles[0])
     m = f.m
     if q % 4 == 0:
-        return (m - 1, m - 1) if every_max_matching_avoids(f.graph, f.frontier) else (m, m)
+        return (m - 1, m - 1) if every_max_matching_avoids(f.graph, f.frontier, m=m) else (m, m)
     # forest_matchings[1] is m(G - C)
     if q % 2 == 1 and m == f.forest_matchings[1] + (q - 1) // 2:
         return (m, m + 1) if q % 4 == 1 else (m + 1, m)
@@ -224,8 +233,8 @@ def check_deletion_corollaries(g: Graph | GraphFacts) -> bool:
     for v in sorted(f.cycles.cyclic_vertices):
         if v in quasi:
             return False
-        h = delete_vertex(g, v)
-        ph = graph_inertia(h).p
+        h, inert_h = f.deleted(v)
+        ph = inert_h.p
         mh = matching_number(h)
         ch = cyclomatic_number(h)
         if ch != c - 1:
@@ -282,11 +291,9 @@ def check_difference_bounds(g: Graph | GraphFacts) -> DifferenceBounds:
 # Verdicts: True (holds), False (counterexample!), None (premise absent).
 
 
-def _unreduced_inertia(h: Graph) -> Inertia:
-    # graph_inertia peels pendants and isolated vertices, which applies the
-    # pendant and additivity rules; the lemmas that test those rules take
-    # their subgraph inertias from the unreduced kernel instead.
-    return inertia_congruence(adjacency_matrix(h))
+# graph_inertia peels pendants and isolated vertices, which applies the
+# pendant and additivity rules; the lemmas that test those rules take their
+# subgraph inertias from unreduced_graph_inertia instead.
 
 
 def _pendant_reduction_holds(g: Graph, inert: Inertia) -> bool | None:
@@ -296,7 +303,7 @@ def _pendant_reduction_holds(g: Graph, inert: Inertia) -> bool | None:
     for u in sorted(pend):
         v = next(iter(g.adj[u]))
         rest = delete_vertices(g, (u, v)).graph
-        if _unreduced_inertia(rest) + (1, 1, 0) != inert:
+        if unreduced_graph_inertia(rest) + (1, 1, 0) != inert:
             return False
     return True
 
@@ -307,15 +314,16 @@ def _component_additivity_holds(g: Graph, inert: Inertia) -> bool | None:
         return None
     total = Inertia(0, 0, 0)
     for comp in comps:
-        total = total + _unreduced_inertia(induced_subgraph(g, comp).graph)
+        total = total + unreduced_graph_inertia(induced_subgraph(g, comp).graph)
     return total == inert
 
 
-def _interlacing_holds(g: Graph, inert: Inertia) -> bool | None:
-    if g.n == 0:
+def _interlacing_holds(f: GraphFacts) -> bool | None:
+    inert = f.inertia
+    if f.graph.n == 0:
         return None
-    for v in range(g.n):
-        sub = graph_inertia(delete_vertex(g, v))
+    for v in range(f.graph.n):
+        sub = f.deleted(v)[1]
         if not (inert.p - 1 <= sub.p <= inert.p and inert.n - 1 <= sub.n <= inert.n):
             return False
     return True
@@ -361,7 +369,7 @@ def _contraction_lemmas(f: GraphFacts) -> dict[str, bool | None]:
         out["odd_cycles_matching_equivalence"] = keeps_m == avoidable
 
     if f.inertia.p == m - f.c:
-        out["lower_bound_forces_avoidance"] = every_max_matching_avoids(g, f.frontier)
+        out["lower_bound_forces_avoidance"] = every_max_matching_avoids(g, f.frontier, m=m)
         out["attached_even_cycle"] = _attached_even_cycle_holds(g, cs, m)
     return out
 
@@ -390,8 +398,8 @@ def _attached_even_cycle_holds(g: Graph, cs: CycleStructure, m: int) -> bool | N
         k_plus_x = delete_vertices(g, cyc - {x}).graph
         checks = (
             len(cand.cycle) % 4 == 0
-            and not edge_in_some_maximum_matching(g, (x, y))
-            and every_max_matching_covers(k_sub, k_map[y])
+            and not edge_in_some_maximum_matching(g, (x, y), m=m)
+            and every_max_matching_covers(k_sub, k_map[y], m=m_k)
             and matching_number(k_plus_x) == m_k
             and m == len(cand.cycle) // 2 + m_k
         )
@@ -413,7 +421,7 @@ def lemma_suite(g: Graph | GraphFacts) -> dict[str, bool | None]:
     report: dict[str, bool | None] = {
         "pendant_reduction": _pendant_reduction_holds(g, inert),
         "component_additivity": _component_additivity_holds(g, inert),
-        "deletion_interlacing": _interlacing_holds(g, inert),
+        "deletion_interlacing": _interlacing_holds(f),
         "quasipendant_matching_drop": _quasipendant_matching_drop_holds(g, m),
         "tree_nullity_bound": check_tree_nullity(f) if tree else None,
         "leaf_stripping_drop": (

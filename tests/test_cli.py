@@ -214,3 +214,11 @@ def test_analyze_names_an_unreadable_argument(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "analyze", "no-such-graph")
     assert code == 2
     assert "'no-such-graph'" in err
+
+
+def test_verify_names_the_file_and_line_of_a_bad_graph(capsys, tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_text("Bw\nB?x\nCx\n")
+    code, _, err = run_cli(capsys, "verify", "--corpus", f"file:{path}")
+    assert code == 2
+    assert "bad.g6:2" in err

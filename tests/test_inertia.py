@@ -29,6 +29,7 @@ from inertia_bounds import (
     matching_number,
     path_graph,
     star_graph,
+    unreduced_graph_inertia,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
 from inertia_bounds.inertia import MERSENNE_EXPONENTS, _modulus
@@ -303,3 +304,88 @@ def test_engine_matches_numpy_eigvalsh(n):
             assert graph_inertia_oracle(g) == want
         checked += 1
     assert checked
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free integer kernel
+
+
+def random_symmetric(rng: random.Random, k: int, lo: int, hi: int, density: float) -> list[list[int]]:
+    m = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            if rng.random() < density:
+                m[i][j] = m[j][i] = rng.randint(lo, hi)
+    return m
+
+
+def test_integer_kernel_agrees_with_oracle_on_3000_symmetric_matrices():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        m = random_symmetric(rng, rng.randint(1, 9), -3, 3, 0.4)
+        assert inertia_congruence(m) == inertia_charpoly_oracle(m), m
+
+
+def test_rational_input_is_scaled_by_the_lcm_of_its_denominators():
+    rng = random.Random(31)
+    values = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(-1, 4), Fraction(3), 0, 0)
+    for _ in range(200):
+        k = rng.randint(1, 7)
+        m = [[Fraction(0)] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                m[i][j] = m[j][i] = Fraction(rng.choice(values))
+        scaled = [[int(x * 12) for x in row] for row in m]  # lcm(2, 3, 6, 4) = 12
+        assert inertia_congruence(m) == inertia_charpoly_oracle(scaled), m
+    assert inertia_congruence([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(-2, 3), Fraction(1, 2)]]) == Inertia(1, 1, 0)
+
+
+def test_two_by_two_pivot_turns_the_leading_minor_negative():
+    # The diagonal starts at zero, so the first pivot is the 2x2 block on
+    # (0, 1) with a = 3, and the leading minor becomes -9.  The Schur
+    # complement on {2, 3} is [[-4/3, 1], [1, 0]]: its 1x1 pivot -4/3 is
+    # stored as 12 = -9 * (-4/3) and must count as negative, and the last
+    # entry 3/4 as positive.
+    m = [
+        [0, 3, 1, 0],
+        [3, 0, 2, 0],
+        [1, 2, 0, 1],
+        [0, 0, 1, 0],
+    ]
+    assert inertia_congruence(m) == Inertia(2, 2, 0)
+    assert inertia_charpoly_oracle(m) == Inertia(2, 2, 0)
+    triangle = [row[:3] for row in m[:3]]
+    assert inertia_congruence(triangle) == Inertia(1, 2, 0)
+
+
+def test_integer_kernel_handles_minors_beyond_64_bits():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(30)
+    k = 30
+    m = random_symmetric(rng, k, -9, 9, 1.0)
+    # the full determinant is the last leading minor the kernel divides by
+    assert abs(char_poly(m)[0]) > 2**64
+    ev = np.linalg.eigvalsh(np.array(m, dtype=float))
+    assert np.min(np.abs(ev)) > 1e-6
+    want = Inertia(int(np.sum(ev > 0)), int(np.sum(ev < 0)), 0)
+    assert inertia_congruence(m) == want
+    assert inertia_charpoly_oracle(m) == want
+
+
+def test_unreduced_graph_inertia_ignores_the_pendant_rule(monkeypatch):
+    # the unreduced route must not share the peeling's pendant rule, or the
+    # lemmas that use it would check the peeling against itself
+    import inertia_bounds.inertia as inertia_mod
+
+    g = disjoint_union(cycle_with_tail(5, 2), star_graph(3), path_graph(4))
+    want = graph_inertia_oracle(g)
+    assert unreduced_graph_inertia(g) == graph_inertia(g) == want
+    monkeypatch.setattr(inertia_mod, "_PENDANT_PAIR", Inertia(1, 0, 1))
+    assert graph_inertia(g) != want
+    assert unreduced_graph_inertia(g) == want
+
+
+def test_unreduced_graph_inertia_agrees_with_the_other_routes():
+    for item in sample_random(n=11, edge_probability=0.3, count=100, seed=12):
+        assert unreduced_graph_inertia(item.graph) == all_routes(item.graph)
+    assert unreduced_graph_inertia(empty_graph(0)) == Inertia(0, 0, 0)

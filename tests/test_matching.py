@@ -132,3 +132,35 @@ def test_coverage_queries():
     p = path_graph(3)
     assert every_max_matching_covers(p, 1)
     assert not every_max_matching_covers(p, 0)
+
+
+def test_queries_with_a_known_m_answer_as_without_it(monkeypatch):
+    import inertia_bounds.matching as matching_mod
+
+    items = list(sample_random(n=7, edge_probability=0.4, count=40, seed=3))
+    for g in (item.graph for item in items):
+        m = matching_number(g)
+        edges = sorted(g.edges)
+        for e in edges:
+            assert edge_in_some_maximum_matching(g, e, m=m) == edge_in_some_maximum_matching(g, e)
+        for k in range(len(edges) + 1):
+            part = edges[:k]
+            assert exists_max_matching_avoiding(g, part, m=m) == exists_max_matching_avoiding(g, part)
+            assert every_max_matching_avoids(g, part, m=m) == every_max_matching_avoids(g, part)
+        for v in range(g.n):
+            assert every_max_matching_covers(g, v, m=m) == every_max_matching_covers(g, v)
+    # with m given, no query solves G itself again
+    original = matching_mod.maximum_matching
+    g = petersen()
+    m = matching_number(g)
+
+    def solve(h):
+        assert h != g
+        return original(h)
+
+    monkeypatch.setattr(matching_mod, "maximum_matching", solve)
+    edges = sorted(g.edges)
+    edge_in_some_maximum_matching(g, edges[0], m=m)
+    exists_max_matching_avoiding(g, edges[:3], m=m)
+    every_max_matching_avoids(g, edges[:3], m=m)
+    every_max_matching_covers(g, 0, m=m)

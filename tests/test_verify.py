@@ -9,6 +9,7 @@ import pytest
 from inertia_bounds import (
     ALL_CHECKS,
     GeneratorParams,
+    GraphParseError,
     analyze_graph,
     cycle_graph,
     emit_report,
@@ -298,3 +299,87 @@ def test_each_invariant_is_computed_once_per_row(monkeypatch):
     assert all(count <= 1 for count in worst.values()), worst
     # every row computes its own inertia both ways, so the wrappers were live
     assert worst["graph_inertia"] == worst["graph_inertia_oracle"] == 1
+
+
+def once_per_row_corpus():
+    """Labeled graphs on 4 vertices, generator outputs of every residue, the near miss."""
+    corpus = list(enumerate_labeled(4))
+    for residue in (0, 1, 3):
+        base = GeneratorParams(
+            cycle_residue=residue, num_cycles=2, num_isolated_seeds=1, num_steps=3, rng_seed=residue
+        )
+        corpus += generated_corpus(base, 2)
+    corpus.append(CorpusItem("near-miss", lower_bound_near_miss()))
+    return corpus
+
+
+def test_vertex_deletions_are_shared_between_interlacing_and_corollaries(monkeypatch):
+    # one inertia for the row graph, one per deleted vertex: the corollaries
+    # reuse the deletions that the interlacing lemma already made
+    import inertia_bounds.theorems as theorems_mod
+    import inertia_bounds.verify as verify_mod
+
+    base = GeneratorParams(
+        cycle_residue=1, num_cycles=2, num_isolated_seeds=1, num_steps=4, rng_seed=3
+    )
+    item = next(generated_corpus(base, 1))
+    g = item.graph
+    calls = []
+    original = theorems_mod.graph_inertia
+
+    def counted(h):
+        calls.append(h)
+        return original(h)
+
+    for module in (theorems_mod, verify_mod):
+        monkeypatch.setattr(module, "graph_inertia", counted)
+    row = analyze_graph(g, item.graph_id, checks=ALL_CHECKS, residue=item.residue)
+    assert row.corollaries_ok is True and row.lemmas["deletion_interlacing"] is True
+    assert len(calls) == 1 + g.n
+
+
+def test_one_blossom_per_row_on_the_row_graph(monkeypatch):
+    # the matching queries take m(G) from the row instead of solving G again;
+    # patching the module attribute counts the calls inside matching.py too
+    import inertia_bounds.matching as matching_mod
+    import inertia_bounds.verify as verify_mod
+
+    row_graph = []
+    per_row = []
+    original = matching_mod.maximum_matching
+
+    def counted(g):
+        if row_graph and g == row_graph[0]:
+            per_row[-1] += 1
+        return original(g)
+
+    monkeypatch.setattr(matching_mod, "maximum_matching", counted)
+    analyze = verify_mod.analyze_graph
+
+    def row(g, *args, **kwargs):
+        row_graph[:] = [g]
+        per_row.append(0)
+        try:
+            return analyze(g, *args, **kwargs)
+        finally:
+            row_graph.clear()
+
+    monkeypatch.setattr(verify_mod, "analyze_graph", row)
+    corpus = once_per_row_corpus()
+    report = run_verification(corpus, checks=ALL_CHECKS, workers=1)
+    assert report.ok and len(per_row) == len(corpus)
+    assert max(per_row) == 1
+
+
+def test_read_graph6_file_names_the_line_of_a_malformed_graph(tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_text("Bw\nB?x\nCx\n")
+    with pytest.raises(GraphParseError, match=r"bad\.g6:2: graph6: expected 1 payload bytes"):
+        list(read_graph6_file(path))
+
+
+def test_read_graph6_file_names_the_line_of_a_non_ascii_byte(tmp_path):
+    path = tmp_path / "latin.g6"
+    path.write_bytes(b">>graph6<<\nBw\nA\xe9_\n")
+    with pytest.raises(GraphParseError, match=r"latin\.g6:3: .*0xe9"):
+        list(read_graph6_file(path))
