@@ -36,8 +36,15 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         normalized: set[Edge] = set()
+        # _normalize_edge inlined: this loop runs once per edge of every
+        # subgraph the lemma suite deletes a vertex from
         for u, v in edges:
-            e = _normalize_edge(u, v)
+            if u < v:
+                e = (u, v)
+            elif u > v:
+                e = (v, u)
+            else:
+                raise ValueError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= e[0] and e[1] < n):
                 raise ValueError(f"edge {e} out of range for n={n}")
             normalized.add(e)

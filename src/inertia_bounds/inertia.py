@@ -22,7 +22,9 @@ Three routes, kept deliberately separate:
   polynomial by a Hessenberg reduction modulo a prime above twice a
   Hadamard bound on its coefficients, and reads the inertia off the
   coefficient signs; for a real symmetric matrix all roots are real, so
-  Descartes' rule of signs is exact, not a bound.
+  Descartes' rule of signs is exact, not a bound.  The reduction touches
+  only nonzero entries, so it costs O(k^3) only when the reduced matrix
+  fills; a sparse graph whose reduction stays sparse costs far less.
 
 The lemmas ``pendant_reduction`` and ``component_additivity`` in
 :mod:`.theorems` test the very rules the peeling applies, so they take
@@ -302,12 +304,14 @@ def _modulus(a: list[list[int]]) -> int:
     )
 
 
-def _char_poly_mod(a: list[list[int]], prime: int) -> IntPolynomial:
-    """det(xI - A) modulo ``prime``, lowest degree first (Cohen, Alg. 2.2.9).
+def _hessenberg_mod(a: list[list[int]], prime: int) -> list[list[int]]:
+    """Upper Hessenberg H similar to A modulo ``prime`` (Cohen, Alg. 2.2.9).
 
-    First a similarity transform to upper Hessenberg form H, then the
-    recurrence p_m = (x - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ...
-    h_{m,m-1}) p_{i-1} over the leading principal blocks of H.
+    Each step touches only nonzero entries: the rows below m with a
+    nonzero in the pivot column, the nonzero entries of row m, and the
+    nonzero products of the column update.  Skipping a zero term leaves
+    every residue as it was, so H is the same as with dense loops; the
+    cost follows the fill of the reduction, k^3 only when H fills.
     """
     k = len(a)
     h = [[x % prime for x in row] for row in a]
@@ -322,18 +326,37 @@ def _char_poly_mod(a: list[list[int]], prime: int) -> IntPolynomial:
                 row[piv], row[m] = row[m], row[piv]
         hm = h[m]
         inv = pow(hm[col], -1, prime)
-        us = [h[r][col] * inv % prime for r in range(m + 1, k)]
-        if not any(us):
+        us = [(r, h[r][col] * inv % prime) for r in range(m + 1, k) if h[r][col]]
+        if not us:
             continue
         # H <- L H L^-1 with L = I - sum_r u_r e_r e_m^T: row r -= u_r * row m
         # (columns left of col are zero in both), then column m += sum_r
         # u_r * column r
-        for r, u in zip(range(m + 1, k), us):
-            if u:
-                hr = h[r]
-                hr[col:] = [(x - u * y) % prime for x, y in zip(hr[col:], hm[col:])]
+        support = [(j, y) for j in range(col, k) if (y := hm[j])]
+        for r, u in us:
+            hr = h[r]
+            for j, y in support:
+                hr[j] = (hr[j] - u * y) % prime
         for row in h:
-            row[m] = (row[m] + sum(map(int.__mul__, us, row[m + 1 :]))) % prime
+            s = 0
+            for r, u in us:
+                x = row[r]
+                if x:
+                    s += u * x
+            if s:
+                row[m] = (row[m] + s) % prime
+    return h
+
+
+def _char_poly_mod(a: list[list[int]], prime: int) -> IntPolynomial:
+    """det(xI - A) modulo ``prime``, lowest degree first (Cohen, Alg. 2.2.9).
+
+    The recurrence p_m = (x - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ...
+    h_{m,m-1}) p_{i-1} over the leading principal blocks of the Hessenberg
+    form H of A.
+    """
+    k = len(a)
+    h = _hessenberg_mod(a, prime)
     polys: list[IntPolynomial] = [[1]]
     for m in range(1, k + 1):
         prev = polys[-1]
@@ -358,7 +381,10 @@ def char_poly(matrix: Sequence[Sequence[Fraction | int]]) -> IntPolynomial:
     Works for any square integer matrix: a Hessenberg reduction modulo a
     Mersenne prime P > 2B, where B bounds every coefficient (see
     :func:`_modulus`), then the symmetric lift of each residue into
-    (-P/2, P/2).  O(k^3) operations on integers below P.
+    (-P/2, P/2).  The reduction skips zero entries, so its cost follows
+    the nonzeros the reduction creates: O(k^3) operations on integers
+    below P in the worst case, when H fills, and far fewer on sparse
+    input that stays sparse.
     """
     return _lifted_char_poly(_integer_matrix(matrix))
 

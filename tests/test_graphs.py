@@ -49,6 +49,22 @@ def test_rejects_bad_edges():
         Graph(3, [(1, 1)])
 
 
+def test_constructor_error_messages():
+    with pytest.raises(ValueError) as err:
+        Graph(-1)
+    assert str(err.value) == "vertex count must be non-negative, got -1"
+    with pytest.raises(ValueError) as err:
+        Graph(3, [(0, 1), (2, 2)])
+    assert str(err.value) == "self-loop at vertex 2 is not allowed"
+    # the message names the normalised edge, smaller endpoint first
+    with pytest.raises(ValueError) as err:
+        Graph(3, [(3, 0)])
+    assert str(err.value) == "edge (0, 3) out of range for n=3"
+    with pytest.raises(ValueError) as err:
+        Graph(3, [(1, -1)])
+    assert str(err.value) == "edge (-1, 1) out of range for n=3"
+
+
 def test_graphs_are_immutable():
     g = path_graph(3)
     with pytest.raises(AttributeError):

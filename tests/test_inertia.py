@@ -17,6 +17,7 @@ from inertia_bounds import (
     adjacency_matrix,
     char_poly,
     complete_graph,
+    components,
     cycle_graph,
     disjoint_union,
     empty_graph,
@@ -32,7 +33,7 @@ from inertia_bounds import (
     unreduced_graph_inertia,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
-from inertia_bounds.inertia import MERSENNE_EXPONENTS, _modulus
+from inertia_bounds.inertia import MERSENNE_EXPONENTS, _hessenberg_mod, _modulus
 from conftest import all_trees, cycle_with_tail, random_tree
 
 
@@ -254,6 +255,110 @@ def test_char_poly_matches_sympy_on_non_symmetric_matrices_with_negative_entries
         k = rng.randint(1, 7)
         m = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
         assert char_poly(m) == sympy_char_poly(sympy, m)
+
+
+def sparse_integer_matrix(rng: random.Random, k: int, density: float) -> list[list[int]]:
+    """Non-symmetric, entries in -9..9 with about ``density`` of them nonzero."""
+    return [
+        [rng.choice((-9, -4, -2, -1, 1, 2, 3, 7)) if rng.random() < density else 0 for _ in range(k)]
+        for _ in range(k)
+    ]
+
+
+@pytest.mark.parametrize("density", [0.1, 0.2, 0.3])
+def test_char_poly_matches_sympy_on_sparse_non_symmetric_matrices(density):
+    # the reduction skips zero multipliers, zero entries of the pivot row and
+    # zero products of the column update; sparse input exercises all three
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(int(density * 100))
+    for _ in range(25):
+        m = sparse_integer_matrix(rng, rng.randint(3, 11), density)
+        assert char_poly(m) == sympy_char_poly(sympy, m), m
+
+
+def test_char_poly_when_the_pivot_column_is_zero_below_the_subdiagonal():
+    # column 0 is zero from row 1 down, so the first step finds no pivot
+    sympy = pytest.importorskip("sympy")
+    m = [
+        [2, -1, 3, 0],
+        [0, 1, 0, 4],
+        [0, -5, 0, 1],
+        [0, 2, -3, 0],
+    ]
+    assert char_poly(m) == sympy_char_poly(sympy, m)
+    rng = random.Random(61)
+    for _ in range(20):
+        k = rng.randint(3, 9)
+        m = sparse_integer_matrix(rng, k, 0.3)
+        for i in range(1, k):
+            m[i][0] = 0
+        assert char_poly(m) == sympy_char_poly(sympy, m), m
+
+
+def test_char_poly_when_a_zero_subdiagonal_splits_h_into_blocks():
+    # already upper Hessenberg with h[2][1] = 0: the recurrence's running
+    # product of subdiagonal entries turns zero, and the entries above the
+    # split still count through the diagonal blocks
+    sympy = pytest.importorskip("sympy")
+    m = [
+        [1, 2, 3, 4, -1],
+        [5, 6, 7, 8, 2],
+        [0, 0, 9, 1, -3],
+        [0, 0, 2, 3, 4],
+        [0, 0, 0, -6, 1],
+    ]
+    assert char_poly(m) == sympy_char_poly(sympy, m)
+    # the same split reached by the reduction: a block-triangular matrix
+    rng = random.Random(67)
+    for _ in range(20):
+        k = rng.randint(4, 10)
+        cut = rng.randint(1, k - 2)
+        m = sparse_integer_matrix(rng, k, 0.5)
+        for i in range(cut + 1, k):
+            for j in range(cut + 1):
+                m[i][j] = 0
+        assert char_poly(m) == sympy_char_poly(sympy, m), m
+
+
+def test_char_poly_when_the_pivot_needs_a_row_and_column_swap():
+    # h[1][0] = 0 but h[2][0] != 0: rows and columns 1 and 2 trade places
+    sympy = pytest.importorskip("sympy")
+    m = [
+        [1, 2, 3, -2],
+        [0, 4, 5, 1],
+        [6, 7, 8, 0],
+        [-3, 0, 1, 2],
+    ]
+    assert char_poly(m) == sympy_char_poly(sympy, m)
+    rng = random.Random(71)
+    for _ in range(20):
+        k = rng.randint(3, 9)
+        m = sparse_integer_matrix(rng, k, 0.3)
+        m[1][0] = 0
+        m[rng.randint(2, k - 1)][0] = rng.choice((-3, 5))
+        assert char_poly(m) == sympy_char_poly(sympy, m), m
+
+
+def test_hessenberg_reduction_clears_everything_below_the_subdiagonal():
+    # the recurrence never reads below the subdiagonal, so only the shape of
+    # H itself shows whether the reduction really zeroed the pivot column
+    rng = random.Random(73)
+    for _ in range(60):
+        k = rng.randint(3, 10)
+        m = sparse_integer_matrix(rng, k, rng.choice((0.1, 0.2, 0.3)))
+        h = _hessenberg_mod(m, _modulus(m))
+        assert all(h[i][j] == 0 for i in range(k) for j in range(i - 1)), m
+
+
+def test_three_routes_agree_on_generator_outputs_with_3_to_5_components():
+    checked = 0
+    for seed in range(40):
+        params = GeneratorParams((0, 1, 3)[seed % 3], 1 + seed % 3, 2 + seed % 3, seed % 5, seed)
+        g = generate_extremal(params)
+        if 3 <= len(components(g)) <= 5:
+            all_routes(g)
+            checked += 1
+    assert checked >= 10
 
 
 def test_modulus_moves_to_the_second_prime_just_above_2_127():
