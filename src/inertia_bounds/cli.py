@@ -100,6 +100,15 @@ def _split_kv(spec: str, what: str, required: tuple[str, ...], optional: tuple[s
     return out
 
 
+def _number(what: str, key: str, raw: str, kind: type = int) -> int | float:
+    """``raw`` converted by ``kind``; a malformed value names ``what`` and ``key``."""
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{what}: {key} must be {noun}, got {raw!r}") from None
+
+
 def parse_corpus_spec(spec: str) -> list[CorpusItem]:
     """Parse a --corpus argument into a concrete corpus.
 
@@ -111,15 +120,16 @@ def parse_corpus_spec(spec: str) -> list[CorpusItem]:
     """
     kind, _, rest = spec.partition(":")
     if kind == "exhaustive":
-        return list(enumerate_labeled(int(rest)))
+        return list(enumerate_labeled(_number("exhaustive corpus", "N", rest)))
     if kind == "random":
-        kv = _split_kv(rest, "random corpus", required=("n", "p", "count", "seed"))
+        what = "random corpus"
+        kv = _split_kv(rest, what, required=("n", "p", "count", "seed"))
         return list(
             sample_random(
-                n=int(kv["n"]),
-                edge_probability=float(kv["p"]),
-                count=int(kv["count"]),
-                seed=int(kv["seed"]),
+                n=_number(what, "n", kv["n"]),
+                edge_probability=_number(what, "p", kv["p"], float),
+                count=_number(what, "count", kv["count"]),
+                seed=_number(what, "seed", kv["seed"]),
             )
         )
     if kind == "file":
@@ -127,20 +137,21 @@ def parse_corpus_spec(spec: str) -> list[CorpusItem]:
             raise ValueError("file corpus needs a path: file:PATH")
         return list(read_graph6_file(rest))
     if kind == "generated":
+        what = "generated corpus"
         kv = _split_kv(
             rest,
-            "generated corpus",
+            what,
             required=("residue",),
             optional=("cycles", "steps", "seed", "count", "isolated"),
         )
         base = GeneratorParams(
-            cycle_residue=int(kv["residue"]),
-            num_cycles=int(kv.get("cycles", "1")),
-            num_isolated_seeds=int(kv.get("isolated", "0")),
-            num_steps=int(kv.get("steps", "0")),
-            rng_seed=int(kv.get("seed", "0")),
+            cycle_residue=_number(what, "residue", kv["residue"]),
+            num_cycles=_number(what, "cycles", kv.get("cycles", "1")),
+            num_isolated_seeds=_number(what, "isolated", kv.get("isolated", "0")),
+            num_steps=_number(what, "steps", kv.get("steps", "0")),
+            rng_seed=_number(what, "seed", kv.get("seed", "0")),
         )
-        return list(generated_corpus(base, int(kv.get("count", "1"))))
+        return list(generated_corpus(base, _number(what, "count", kv.get("count", "1"))))
     raise ValueError(
         f"unknown corpus kind {kind!r}; use exhaustive:, random:, file:, generated:"
     )

@@ -8,6 +8,7 @@ contract, so nothing here may iterate in hash order.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from typing import Iterator, NamedTuple
 
@@ -89,13 +90,7 @@ def generated_corpus(base: GeneratorParams, count: int) -> Iterator[CorpusItem]:
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     for i in range(count):
-        params = GeneratorParams(
-            cycle_residue=base.cycle_residue,
-            num_cycles=base.num_cycles,
-            num_isolated_seeds=base.num_isolated_seeds,
-            num_steps=base.num_steps,
-            rng_seed=base.rng_seed + i,
-        )
+        params = dataclasses.replace(base, rng_seed=base.rng_seed + i)
         yield CorpusItem(
             f"gen{base.cycle_residue}-seed{params.rng_seed}",
             generate_extremal(params),

@@ -10,7 +10,7 @@ operations that need it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .graphs import (
     Edge,
@@ -156,20 +156,9 @@ def analyze_cycles(g: Graph) -> CycleStructure:
     return CycleStructure(cycles, frozenset(cyclic), True)
 
 
-def vertices_on_cycles(g: Graph) -> frozenset[int]:
-    """Vertices lying on at least one simple cycle (any graph)."""
-    return analyze_cycles(g).cyclic_vertices
-
-
 def _require_disjoint(cs: CycleStructure) -> None:
     if not cs.disjoint:
         raise ValueError("operation requires pairwise vertex-disjoint cycles")
-
-
-def cycle_lengths_mod4(cs: CycleStructure) -> list[int]:
-    """Multiset (sorted list) of cycle lengths modulo 4."""
-    _require_disjoint(cs)
-    return sorted(len(c) % 4 for c in cs.cycles)
 
 
 def frontier_edges(g: Graph, cs: CycleStructure | None = None) -> frozenset[Edge]:
@@ -334,14 +323,3 @@ def enumerate_simple_cycles(g: Graph) -> CycleCounts:
         c5=by_residue[1],
         total=total,
     )
-
-
-def has_attached_disjoint_cycles(g: Graph, cs: CycleStructure | None = None) -> bool:
-    """At least one cycle, all cycles vertex-disjoint, and some cycle is
-    attached to the rest of the graph (the graph is not just a disjoint
-    union of cycles and trees)."""
-    if cs is None:
-        cs = analyze_cycles(g)
-    if not cs.disjoint or not cs.cycles:
-        return False
-    return bool(frontier_edges(g, cs))

@@ -85,20 +85,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return _normalize_edge(u, v) in self.edges
-
-    def vertices(self) -> range:
-        return range(self.n)
-
 
 # ---------------------------------------------------------------------------
 # small constructors
@@ -339,10 +325,6 @@ def is_connected(g: Graph) -> bool:
 def cyclomatic_number(g: Graph) -> int:
     """Number of independent cycles: |E| - |V| + (number of components)."""
     return g.num_edges - g.n + len(components(g))
-
-
-def is_forest(g: Graph) -> bool:
-    return cyclomatic_number(g) == 0
 
 
 def is_tree(g: Graph) -> bool:

@@ -43,8 +43,6 @@ from typing import NamedTuple, Sequence
 
 from .graphs import Graph
 
-Matrix = list[list[Fraction]]
-
 
 class Inertia(NamedTuple):
     """Counts of positive, negative, and zero adjacency eigenvalues."""
@@ -61,16 +59,6 @@ class Inertia(NamedTuple):
     @property
     def rank(self) -> int:
         return self.p + self.n
-
-
-def adjacency_matrix(g: Graph) -> Matrix:
-    """Adjacency matrix of ``g`` with exact rational entries."""
-    m = [[Fraction(0)] * g.n for _ in range(g.n)]
-    one = Fraction(1)
-    for u, v in g.edges:
-        m[u][v] = one
-        m[v][u] = one
-    return m
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,21 @@ def check_difference_bounds(g: Graph | GraphFacts) -> DifferenceBounds:
 # Each entry verifies one reduction or decomposition law on one graph.
 # Verdicts: True (holds), False (counterexample!), None (premise absent).
 
+LEMMA_NAMES = (
+    "pendant_reduction",
+    "component_additivity",
+    "deletion_interlacing",
+    "quasipendant_matching_drop",
+    "tree_nullity_bound",
+    "leaf_stripping_drop",
+    "pendant_existence",
+    "matching_decomposition",
+    "odd_cycles_matching_equivalence",
+    "attached_even_cycle",
+    "lower_bound_forces_avoidance",
+    "tight_bound_disjoint_cycles",
+)
+
 
 # graph_inertia peels pendants and isolated vertices, which applies the
 # pendant and additivity rules; the lemmas that test those rules take their
@@ -329,24 +344,18 @@ def _interlacing_holds(f: GraphFacts) -> bool | None:
     return True
 
 
-def _quasipendant_matching_drop_holds(g: Graph, m: int) -> bool | None:
-    quasi = quasi_pendant_vertices(g)
+def _quasipendant_matching_drop_holds(f: GraphFacts) -> bool | None:
+    quasi = quasi_pendant_vertices(f.graph)
     if not quasi:
         return None
-    return all(matching_number(delete_vertex(g, v)) == m - 1 for v in sorted(quasi))
+    return all(matching_number(f.deleted(v)[0]) == f.m - 1 for v in sorted(quasi))
 
 
 def _contraction_lemmas(f: GraphFacts) -> dict[str, bool | None]:
-    """Lemmas about graphs whose disjoint cycles attach to a forest rest."""
-    out: dict[str, bool | None] = {
-        "pendant_existence": None,
-        "matching_decomposition": None,
-        "odd_cycles_matching_equivalence": None,
-        "attached_even_cycle": None,
-        "lower_bound_forces_avoidance": None,
-    }
+    """Lemmas about graphs whose disjoint cycles attach to a forest rest (applicable ones only)."""
+    out: dict[str, bool | None] = {}
     g, cs, m = f.graph, f.cycles, f.m
-    # the premise of has_attached_disjoint_cycles, on the row's frontier
+    # premise: a cycle, all cycles pairwise disjoint, one attached (nonempty frontier)
     if not (cs.disjoint and cs.cycles and f.frontier):
         return out
     keeps_m = f.contraction_keeps_matching
@@ -412,22 +421,25 @@ def _attached_even_cycle_holds(g: Graph, cs: CycleStructure, m: int) -> bool | N
 def lemma_suite(g: Graph | GraphFacts) -> dict[str, bool | None]:
     """Run every structural lemma check applicable to ``g``.
 
-    Returns a fixed-key dict; values are True (verified), False
-    (counterexample), or None (the lemma's premise does not apply).
+    Returns a dict keyed by :data:`LEMMA_NAMES`, in that order; values
+    are True (verified), False (counterexample), or None (the lemma's
+    premise does not apply).
     """
     f = _facts(g)
     g, inert, m, c, cs = f.graph, f.inertia, f.m, f.c, f.cycles
     tree = is_tree(g) and g.n >= 2
-    report: dict[str, bool | None] = {
-        "pendant_reduction": _pendant_reduction_holds(g, inert),
-        "component_additivity": _component_additivity_holds(g, inert),
-        "deletion_interlacing": _interlacing_holds(f),
-        "quasipendant_matching_drop": _quasipendant_matching_drop_holds(g, m),
-        "tree_nullity_bound": check_tree_nullity(f) if tree else None,
-        "leaf_stripping_drop": (
+    report: dict[str, bool | None] = dict.fromkeys(LEMMA_NAMES)
+    report.update(
+        pendant_reduction=_pendant_reduction_holds(g, inert),
+        component_additivity=_component_additivity_holds(g, inert),
+        deletion_interlacing=_interlacing_holds(f),
+        # after interlacing, which has put every G - v in the memo
+        quasipendant_matching_drop=_quasipendant_matching_drop_holds(f),
+        tree_nullity_bound=check_tree_nullity(f) if tree else None,
+        leaf_stripping_drop=(
             matching_number(delete_vertices(g, pendant_vertices(g)).graph) < m if tree else None
         ),
-    }
+    )
     report.update(_contraction_lemmas(f))
     # tight bounds force vertex-disjoint cycles
     attains_any = inert.p in (m - c, m + c) or inert.n in (m - c, m + c)
@@ -435,22 +447,6 @@ def lemma_suite(g: Graph | GraphFacts) -> dict[str, bool | None]:
         (cs.disjoint if attains_any else None) if cs.cyclic_vertices else None
     )
     return report
-
-
-LEMMA_NAMES = (
-    "pendant_reduction",
-    "component_additivity",
-    "deletion_interlacing",
-    "quasipendant_matching_drop",
-    "tree_nullity_bound",
-    "leaf_stripping_drop",
-    "pendant_existence",
-    "matching_decomposition",
-    "odd_cycles_matching_equivalence",
-    "attached_even_cycle",
-    "lower_bound_forces_avoidance",
-    "tight_bound_disjoint_cycles",
-)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,21 @@ def test_verify_rejects_bad_corpus(capsys):
     assert "n <= 6" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("exhaustive:abc", "exhaustive corpus: N must be an integer, got 'abc'"),
+        ("random:n=x,p=0.5,count=1,seed=0", "random corpus: n must be an integer, got 'x'"),
+        ("random:n=4,p=abc,count=1,seed=0", "random corpus: p must be a number, got 'abc'"),
+        ("generated:residue=1,count=x", "generated corpus: count must be an integer, got 'x'"),
+    ],
+)
+def test_verify_names_the_key_of_a_malformed_number(capsys, spec, message):
+    code, _, err = run_cli(capsys, "verify", "--corpus", spec)
+    assert code == 2
+    assert message in err
+
+
 def test_verify_rejects_bad_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--corpus", "exhaustive:2", "--checks", "nope")
     assert code == 2

@@ -12,17 +12,15 @@ from inertia_bounds import (
     complete_graph,
     contract_cycles,
     cycle_graph,
-    cycle_lengths_mod4,
+    cyclomatic_number,
     disjoint_union,
     enumerate_simple_cycles,
     frontier_edges,
-    has_attached_disjoint_cycles,
-    is_forest,
+    lemma_suite,
     non_cyclic_forest,
     path_graph,
     pendant_cycles,
     star_graph,
-    vertices_on_cycles,
 )
 from conftest import cycle_with_tail, lower_bound_near_miss
 
@@ -90,7 +88,6 @@ def test_analyze_cycles_bowtie_not_disjoint():
     assert not cs.disjoint
     assert cs.cycles == ()  # inventory withheld when cycles overlap
     assert cs.cyclic_vertices == frozenset(range(5))
-    assert vertices_on_cycles(bowtie()) == frozenset(range(5))
 
 
 def test_analyze_cycles_chorded_cycle_not_disjoint():
@@ -105,13 +102,8 @@ def test_two_vertex_disjoint_cycles_connected_by_edge():
     cs = analyze_cycles(g)
     assert cs.disjoint  # vertex-disjoint even though an edge links them
     assert len(cs.cycles) == 2
-    assert cycle_lengths_mod4(cs) == [0, 0]
+    assert sorted(len(cyc) % 4 for cyc in cs.cycles) == [0, 0]
     assert frontier_edges(g, cs) == frozenset({(0, 4)})
-
-
-def test_cycle_lengths_requires_disjoint():
-    with pytest.raises(ValueError):
-        cycle_lengths_mod4(analyze_cycles(bowtie()))
 
 
 def test_frontier_edges():
@@ -125,7 +117,7 @@ def test_contract_cycles():
     g = cycle_with_tail(3, 2)  # triangle at {0,1,2}, tail 0-3-4
     con = contract_cycles(g)
     assert con.forest.n == 3
-    assert is_forest(con.forest)
+    assert cyclomatic_number(con.forest) == 0
     assert con.cyclic_images == frozenset({0})
     assert con.image[0] == con.image[1] == con.image[2] == 0
     assert con.image[3] == 1 and con.image[4] == 2
@@ -190,11 +182,27 @@ def test_cycle_counts_match_networkx():
         assert enumerate_simple_cycles(g) == want
 
 
+CONTRACTION_LEMMAS = (
+    "pendant_existence",
+    "matching_decomposition",
+    "odd_cycles_matching_equivalence",
+    "attached_even_cycle",
+    "lower_bound_forces_avoidance",
+)
+
+
 def test_has_attached_disjoint_cycles():
-    assert has_attached_disjoint_cycles(cycle_with_tail(5, 1))
-    assert has_attached_disjoint_cycles(lower_bound_near_miss())
-    assert not has_attached_disjoint_cycles(cycle_graph(5))  # nothing attached
-    assert not has_attached_disjoint_cycles(path_graph(4))  # no cycle
-    assert not has_attached_disjoint_cycles(bowtie())  # cycles overlap
+    """The contraction lemmas apply only to at least one cycle, all cycles
+    vertex-disjoint, and some cycle attached to the rest of the graph."""
+
+    def verdicts(g):
+        report = lemma_suite(g)
+        return [report[name] for name in CONTRACTION_LEMMAS]
+
+    assert any(v is not None for v in verdicts(cycle_with_tail(5, 1)))
+    assert any(v is not None for v in verdicts(lower_bound_near_miss()))
+    assert verdicts(cycle_graph(5)) == [None] * 5  # nothing attached
+    assert verdicts(path_graph(4)) == [None] * 5  # no cycle
+    assert verdicts(bowtie()) == [None] * 5  # cycles overlap
     # disjoint union of a cycle and a tree: no frontier, so not in the class
-    assert not has_attached_disjoint_cycles(disjoint_union(cycle_graph(4), path_graph(3)))
+    assert verdicts(disjoint_union(cycle_graph(4), path_graph(3))) == [None] * 5
