@@ -89,8 +89,10 @@ def _split_kv(spec: str, what: str, required: tuple[str, ...], optional: tuple[s
         for part in spec.split(","):
             if "=" not in part:
                 raise ValueError(f"{what}: expected key=value, got {part!r}")
-            key, value = part.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (x.strip() for x in part.split("=", 1))
+            if key in out:
+                raise ValueError(f"{what}: repeated key {key}")
+            out[key] = value
     missing = [k for k in required if k not in out]
     if missing:
         raise ValueError(f"{what}: missing {', '.join(missing)}")

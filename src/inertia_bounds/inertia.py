@@ -37,6 +37,7 @@ check used throughout the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -243,9 +244,6 @@ def unreduced_graph_inertia(g: Graph) -> Inertia:
 
 IntPolynomial = list[int]  # coefficients, lowest degree first
 
-# Exponents e of Mersenne primes 2^e - 1: moduli that need no primality test.
-MERSENNE_EXPONENTS = (127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937)
-
 
 def _integer_matrix(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     k = len(matrix)
@@ -267,7 +265,7 @@ def _integer_matrix(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[int
 
 
 def _modulus(a: list[list[int]]) -> int:
-    """Smallest listed Mersenne prime P with P > 2B.
+    """A proven prime P with P > 2B, sized to the bit length of 2B.
 
     B = prod_i (1 + ceil(||row_i||_2)).  The coefficient of x^(k-j) in
     det(xI - A) is a signed sum of the j x j principal minors, each at
@@ -282,14 +280,26 @@ def _modulus(a: list[list[int]]) -> int:
         if norm * norm < sq:
             norm += 1
         bound *= 1 + norm
-    for e in MERSENNE_EXPONENTS:
-        prime = (1 << e) - 1
-        if prime > 2 * bound:
-            return prime
-    raise OverflowError(
-        f"coefficient bound 2B has {(2 * bound).bit_length()} bits, more than "
-        f"the largest listed prime 2^{MERSENNE_EXPONENTS[-1]} - 1"
-    )
+    return _proth_prime((2 * bound).bit_length())
+
+
+@functools.cache
+def _proth_prime(bits: int) -> int:
+    """A prime N = k 2^e + 1 > 2^bits, k odd, k < 2^e, e = bits // 2 + 1.
+
+    Proth (1878): such an N is prime iff some a has a^((N-1)/2) = -1
+    (mod N); any residue but +-1 proves N composite.
+    """
+    e = bits // 2 + 1
+    for k in range((1 << bits >> e) | 1, 1 << e, 2):
+        n = k << e | 1
+        for a in (3, 5, 7, 11, 13):
+            r = pow(a, n >> 1, n)
+            if r == n - 1:
+                return n
+            if r != 1:
+                break
+    raise AssertionError(f"no Proth prime found above 2^{bits}")
 
 
 def _hessenberg_mod(a: list[list[int]], prime: int) -> list[list[int]]:
@@ -367,10 +377,10 @@ def char_poly(matrix: Sequence[Sequence[Fraction | int]]) -> IntPolynomial:
     """Coefficients of det(xI - M), lowest degree first, exact integers.
 
     Works for any square integer matrix: a Hessenberg reduction modulo a
-    Mersenne prime P > 2B, where B bounds every coefficient (see
-    :func:`_modulus`), then the symmetric lift of each residue into
-    (-P/2, P/2).  The reduction skips zero entries, so its cost follows
-    the nonzeros the reduction creates: O(k^3) operations on integers
+    Proth-certified prime P > 2B, about as many bits as 2B, where B bounds
+    every coefficient (see :func:`_modulus`), then the symmetric lift of
+    each residue into (-P/2, P/2).  The reduction skips zero entries, so
+    its cost follows the nonzeros it creates: O(k^3) operations on integers
     below P in the worst case, when H fills, and far fewer on sparse
     input that stays sparse.
     """

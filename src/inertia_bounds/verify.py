@@ -324,9 +324,9 @@ def run_verification(
 ) -> RunReport:
     """Evaluate the selected checks on every corpus graph, in order.
 
-    ``workers`` > 1 fans rows out to a process pool; results are
-    reassembled in corpus order, so worker count cannot change the
-    report.  Budget-skipped checks produce "n/a" notes.
+    ``workers`` > 1 fans rows out to a pool of at most one process per
+    row; results come back in corpus order, so worker count cannot
+    change the report.  Budget-skipped checks produce "n/a" notes.
     """
     selected = _normalize_checks(checks)
     start = time.perf_counter()
@@ -335,7 +335,7 @@ def run_verification(
     if workers > 1 and len(items) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, len(items))) as pool:
             rows = tuple(pool.imap(row, items, chunksize=64))
     else:
         rows = tuple(map(row, items))

@@ -127,6 +127,8 @@ def test_verify_rejects_bad_corpus(capsys):
         ("random:n=x,p=0.5,count=1,seed=0", "random corpus: n must be an integer, got 'x'"),
         ("random:n=4,p=abc,count=1,seed=0", "random corpus: p must be a number, got 'abc'"),
         ("generated:residue=1,count=x", "generated corpus: count must be an integer, got 'x'"),
+        ("random:n=4,n=5,p=0.5,count=2,seed=0", "random corpus: repeated key n"),
+        ("generated:residue=1,residue=3", "generated corpus: repeated key residue"),
     ],
 )
 def test_verify_names_the_key_of_a_malformed_number(capsys, spec, message):

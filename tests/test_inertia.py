@@ -32,7 +32,7 @@ from inertia_bounds import (
     unreduced_graph_inertia,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
-from inertia_bounds.inertia import MERSENNE_EXPONENTS, _hessenberg_mod, _modulus
+from inertia_bounds.inertia import _hessenberg_mod, _modulus, _proth_prime
 from conftest import all_trees, cycle_with_tail, random_tree
 
 
@@ -351,23 +351,42 @@ def test_three_routes_agree_on_generator_outputs_with_3_to_5_components():
     assert checked >= 10
 
 
-def test_modulus_moves_to_the_second_prime_just_above_2_127():
-    first, second = ((1 << e) - 1 for e in MERSENNE_EXPONENTS[:2])
-    # B = 1 + |a| for a 1x1 matrix; the first prime needs 2B < 2^127 - 1
-    assert _modulus([[2**126 - 2]]) == first
-    assert _modulus([[-(2**126 - 1)]]) == second
+def test_proth_prime_is_a_certified_prime_just_above_its_bit_length():
+    sympy = pytest.importorskip("sympy")
+    for bits in range(2, 401):
+        prime = _proth_prime(bits)
+        assert prime > 1 << bits, bits
+        assert sympy.isprime(prime), bits
+        # Proth's certificate: a small a with a^((N-1)/2) = -1 (mod N)
+        assert any(pow(a, prime >> 1, prime) == prime - 1 for a in (3, 5, 7, 11, 13)), bits
+        e = bits // 2 + 1
+        k, rest = divmod(prime - 1, 1 << e)
+        assert rest == 0 and k % 2 == 1 and k < 1 << e, bits
+
+
+def test_modulus_steps_up_across_a_bit_boundary():
+    # B = 1 + |a| for a 1x1 matrix, so 2B = 2 + 2|a|
+    for below, above in (([[2**63 - 2]], [[2**63 - 1]]), ([[2**126 - 2]], [[-(2**126 - 1)]])):
+        low, high = _modulus(below), _modulus(above)
+        assert low > 2 + 2 * abs(below[0][0]) and high > 2 + 2 * abs(above[0][0])
+        assert high.bit_length() > low.bit_length()
     assert char_poly([[2**126 - 1]]) == [-(2**126 - 1), 1]
     # (x - 2^63)^2: 2B lies just above 2^127, and the constant 2^126
-    # would lift to a wrong, negative value modulo the first prime
+    # would lift to a wrong, negative value modulo a prime below 2^127
     big = 2**63
-    assert _modulus([[big, 0], [0, big]]) == second
+    assert _modulus([[big, 0], [0, big]]) > 2**128
     assert char_poly([[big, 0], [0, big]]) == [2**126, -(2**64), 1]
     assert char_poly([[-big, big], [big, -big]]) == [0, 2**64, 1]
 
 
-def test_char_poly_refuses_a_bound_beyond_the_largest_prime():
-    with pytest.raises(OverflowError):
-        char_poly([[2**MERSENNE_EXPONENTS[-1]]])
+def test_char_poly_matches_sympy_on_200_bit_entries():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(79)
+    for k in (2, 3):
+        m = [[rng.randrange(-(2**200), 2**200) for _ in range(k)] for _ in range(k)]
+        assert char_poly(m) == sympy_char_poly(sympy, m), k
+        sym = [[m[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+        assert char_poly(sym) == sympy_char_poly(sympy, sym), k
 
 
 # ---------------------------------------------------------------------------

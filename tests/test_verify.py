@@ -190,6 +190,34 @@ def test_parallel_equals_serial():
     assert render_report(serial, "json") == render_report(parallel, "json")
 
 
+def test_pool_never_outnumbers_the_rows(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    corpus = list(enumerate_labeled(2))
+    serial = run_verification(corpus, workers=1)
+    pooled = run_verification(corpus, workers=64)
+    assert sizes == [2]
+    assert render_report(serial, "json") == render_report(pooled, "json")
+    run_verification(list(enumerate_labeled(3)), workers=3)
+    assert sizes == [2, 3]
+
+
 def test_summarize_mentions_scale_and_outcome():
     report = run_verification(corpus_for_report())
     text = summarize(report)
