@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graphs import (
-    Edge,
-    Graph,
-    _normalize_edge,
-    cyclomatic_number,
-    delete_vertices,
-)
+from .graphs import Edge, Graph, _normalize_edge, cyclomatic_number
 
 SIMPLE_CYCLE_VERTEX_BUDGET = 14
 
@@ -115,15 +109,10 @@ def _cycle_order(block: frozenset[Edge]) -> tuple[int, ...]:
         nbrs.setdefault(v, []).append(u)
     start = min(nbrs)
     order = [start]
-    prev, cur = -1, start
-    while True:
-        nxt = min(w for w in nbrs[cur] if w != prev) if prev == -1 else next(
-            w for w in nbrs[cur] if w != prev
-        )
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
+    prev, cur = start, min(nbrs[start])
+    while cur != start:
+        order.append(cur)
+        prev, cur = cur, next(w for w in nbrs[cur] if w != prev)
     return tuple(order)
 
 
@@ -136,23 +125,14 @@ def analyze_cycles(g: Graph) -> CycleStructure:
         if len(block) == 1:
             continue
         verts = _block_vertices(block)
+        # a plain cycle has as many edges as vertices (no chord) and meets
+        # no earlier block
+        disjoint = disjoint and len(block) == len(verts) and cyclic.isdisjoint(verts)
         cyclic.update(verts)
-        if len(block) != len(verts):
-            # block carries a chord or shares structure: not a plain cycle
-            disjoint = False
-        else:
-            cycle_blocks.append(block)
-    if disjoint:
-        seen: set[int] = set()
-        for block in cycle_blocks:
-            verts = _block_vertices(block)
-            if seen & verts:
-                disjoint = False
-                break
-            seen.update(verts)
+        cycle_blocks.append(block)
     if not disjoint:
         return CycleStructure((), frozenset(cyclic), False)
-    cycles = tuple(sorted((_cycle_order(b) for b in cycle_blocks)))
+    cycles = tuple(sorted(_cycle_order(b) for b in cycle_blocks))
     return CycleStructure(cycles, frozenset(cyclic), True)
 
 
@@ -183,21 +163,7 @@ def frontier_edges(g: Graph, cs: CycleStructure | None = None) -> frozenset[Edge
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class Contraction:
-    """Result of shrinking each cycle to a single vertex.
-
-    ``image`` maps every original vertex to its vertex in ``forest``;
-    all vertices of one cycle share an image.  ``cyclic_images`` are the
-    forest vertices that stand for contracted cycles.
-    """
-
-    forest: Graph
-    image: dict[int, int]
-    cyclic_images: frozenset[int]
-
-
-def contract_cycles(g: Graph, cs: CycleStructure | None = None) -> Contraction:
+def contract_cycles(g: Graph, cs: CycleStructure | None = None) -> Graph:
     """Contract every cycle to one vertex; the result must be a forest.
 
     New labels follow the order of the smallest original member of each
@@ -208,23 +174,13 @@ def contract_cycles(g: Graph, cs: CycleStructure | None = None) -> Contraction:
     if cs is None:
         cs = analyze_cycles(g)
     _require_disjoint(cs)
-    cycle_of: dict[int, tuple[int, ...]] = {}
-    for cyc in cs.cycles:
-        for v in cyc:
-            cycle_of[v] = cyc
+    cycle_of = {v: cyc for cyc in cs.cycles for v in cyc}
     image: dict[int, int] = {}
-    cyclic_images = []
-    next_id = 0
+    units = 0
     for v in range(g.n):
-        if v in image:
-            continue
-        if v in cycle_of:
-            for w in cycle_of[v]:
-                image[w] = next_id
-            cyclic_images.append(next_id)
-        else:
-            image[v] = next_id
-        next_id += 1
+        if v not in image:
+            image.update(dict.fromkeys(cycle_of.get(v, (v,)), units))
+            units += 1
     forest_edges: set[Edge] = set()
     for u, v in g.edges:
         iu, iv = image[u], image[v]
@@ -237,18 +193,13 @@ def contract_cycles(g: Graph, cs: CycleStructure | None = None) -> Contraction:
                 f"multi-edge at {e}; cycle analysis and contraction disagree"
             )
         forest_edges.add(e)
-    forest = Graph(next_id, forest_edges)
+    forest = Graph(units, forest_edges)
     if cyclomatic_number(forest) != 0:
         raise RuntimeError(
             "internal invariant violated: cycle contraction left a cycle; "
             "cycle analysis and contraction disagree"
         )
-    return Contraction(forest, image, frozenset(cyclic_images))
-
-
-def non_cyclic_forest(contraction: Contraction) -> Graph:
-    """Forest induced on the non-cycle vertices of the contraction."""
-    return delete_vertices(contraction.forest, contraction.cyclic_images).graph
+    return forest
 
 
 class PendantCycle(NamedTuple):

@@ -12,8 +12,9 @@ from typing import Iterable, NamedTuple
 
 Edge = tuple[int, int]
 
-# graph6 encodes the vertex count in at most 18 bits here; this cap keeps
-# payload allocation sane and rejects absurd headers early.
+# graph6 encodes the vertex count in at most 18 bits here; this cap, which
+# the edge-list parser shares, keeps allocation sane and rejects absurd
+# headers early.
 MAX_GRAPH6_VERTICES = 64000
 
 
@@ -262,10 +263,10 @@ def parse_edge_list(text: str) -> Graph:
                     f"edge list line {lineno}: vertex count is not an "
                     f"integer: {tokens[0]!r}"
                 ) from None
-            if n < 0:
+            if not 0 <= n <= MAX_GRAPH6_VERTICES:
                 raise GraphParseError(
-                    f"edge list line {lineno}: vertex count must be "
-                    f"non-negative, got {n}"
+                    f"edge list line {lineno}: vertex count {n} is outside "
+                    f"the supported range 0..{MAX_GRAPH6_VERTICES}"
                 )
             continue
         if len(tokens) != 2:

@@ -26,7 +26,6 @@ from .cycles import (
     contract_cycles,
     enumerate_simple_cycles,
     frontier_edges,
-    non_cyclic_forest,
     pendant_cycles,
 )
 from .graphs import (
@@ -83,11 +82,22 @@ class GraphFacts:
 
     @cached_property
     def forest_matchings(self) -> tuple[int, int]:
-        """(m of the contracted forest, m of its non-cyclic part, i.e. of G minus its cycles)."""
+        """(m of the contracted forest, m of G minus its cycle vertices)."""
         if not self.cycles.cycles:  # nothing to contract: both forests are the graph
             return self.m, self.m
-        contraction = contract_cycles(self.graph, self.cycles)
-        return matching_number(contraction.forest), matching_number(non_cyclic_forest(contraction))
+        forest = contract_cycles(self.graph, self.cycles)
+        off_cycles = delete_vertices(self.graph, self.cycles.cyclic_vertices).graph
+        return matching_number(forest), matching_number(off_cycles)
+
+    @property
+    def unicyclic(self) -> bool:
+        """Connected with exactly one cycle (c = 1)."""
+        return is_connected(self.graph) and self.c == 1
+
+    @property
+    def p_at_bound(self) -> bool:
+        """Is p = m + c or p = m - c?"""
+        return self.inertia.p in (self.m + self.c, self.m - self.c)
 
     @property
     def contraction_keeps_matching(self) -> bool:
@@ -198,7 +208,7 @@ def classify_unicyclic(g: Graph | GraphFacts) -> tuple[int, int]:
     (m+1, m) when q = 3 mod 4 under the same equation; (m, m) otherwise.
     """
     f = _facts(g)
-    if not is_connected(f.graph) or f.c != 1:
+    if not f.unicyclic:
         raise ValueError("unicyclic classification needs a connected graph with exactly one cycle")
     q = len(f.cycles.cycles[0])
     m = f.m
@@ -224,11 +234,11 @@ def check_deletion_corollaries(g: Graph | GraphFacts) -> bool:
     g = f.graph
     if not f.cycles.cyclic_vertices:
         raise ValueError("deletion corollaries need at least one cycle")
+    if not f.p_at_bound:
+        raise ValueError("deletion corollaries apply only when p = m + c or p = m - c")
     p, m, c = f.inertia.p, f.m, f.c
     upper = p == m + c
     lower = p == m - c
-    if not (upper or lower):
-        raise ValueError("deletion corollaries apply only when p = m + c or p = m - c")
     quasi = quasi_pendant_vertices(g)
     for v in sorted(f.cycles.cyclic_vertices):
         if v in quasi:

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .corpus import CorpusItem
 from .cycles import SIMPLE_CYCLE_VERTEX_BUDGET
-from .graphs import Graph, is_connected, to_graph6
+from .graphs import Graph, to_graph6
 from .inertia import graph_inertia, graph_inertia_oracle
 from .theorems import (
     DifferenceBounds,
@@ -205,7 +205,7 @@ CHECKS: tuple[Check, ...] = (
         notes=lambda r, residue: [] if r.unicyclic_ok else [
             f"unicyclic prediction {r.unicyclic_prediction} != computed {(r.n, r.p)}"
         ],
-        applies=lambda f, residue: is_connected(f.graph) and f.c == 1,
+        applies=lambda f, residue: f.unicyclic,
         na_note="unicyclic: n/a (not connected unicyclic)",
     ),
     Check(
@@ -214,8 +214,7 @@ CHECKS: tuple[Check, ...] = (
         columns=(_column("corollaries_ok"),),
         failed=lambda r: r.corollaries_ok is False,
         notes=lambda r, residue: [] if r.corollaries_ok else ["deletion corollaries failed"],
-        applies=lambda f, residue: bool(f.cycles.cyclic_vertices)
-        and f.inertia.p in (f.m + f.c, f.m - f.c),
+        applies=lambda f, residue: bool(f.cycles.cyclic_vertices) and f.p_at_bound,
         na_note="corollaries: n/a (no cycle or bound not attained)",
     ),
     Check(

@@ -7,6 +7,7 @@ import pytest
 from inertia_bounds import (
     CycleBudgetError,
     Graph,
+    GeneratorParams,
     analyze_cycles,
     biconnected_blocks,
     complete_graph,
@@ -17,11 +18,11 @@ from inertia_bounds import (
     enumerate_simple_cycles,
     frontier_edges,
     lemma_suite,
-    non_cyclic_forest,
     path_graph,
     pendant_cycles,
     star_graph,
 )
+from inertia_bounds.corpus import generated_corpus
 from conftest import cycle_with_tail, lower_bound_near_miss
 
 
@@ -115,21 +116,41 @@ def test_frontier_edges():
 
 def test_contract_cycles():
     g = cycle_with_tail(3, 2)  # triangle at {0,1,2}, tail 0-3-4
-    con = contract_cycles(g)
-    assert con.forest.n == 3
-    assert cyclomatic_number(con.forest) == 0
-    assert con.cyclic_images == frozenset({0})
-    assert con.image[0] == con.image[1] == con.image[2] == 0
-    assert con.image[3] == 1 and con.image[4] == 2
-    assert con.forest.edges == frozenset({(0, 1), (1, 2)})
-    assert non_cyclic_forest(con) == path_graph(2)
+    forest = contract_cycles(g)
+    assert forest.n == 3
+    assert cyclomatic_number(forest) == 0
+    assert forest.edges == frozenset({(0, 1), (1, 2)})
 
 
 def test_contract_cycles_on_forest_is_identity_shape():
     g = path_graph(5)
-    con = contract_cycles(g)
-    assert con.forest == g
-    assert con.cyclic_images == frozenset()
+    assert contract_cycles(g) == g
+
+
+def test_contract_cycles_matches_networkx_quotient():
+    nx = pytest.importorskip("networkx")
+    # generator output with cycles of residue 0, 1 and 3, four seeds each
+    graphs = [lower_bound_near_miss()]
+    for residue in (0, 1, 3):
+        params = GeneratorParams(
+            cycle_residue=residue, num_cycles=2, num_isolated_seeds=1, num_steps=4, rng_seed=0
+        )
+        graphs += [item.graph for item in generated_corpus(params, 4)]
+    for g in graphs:
+        cs = analyze_cycles(g)
+        assert cs.cycles and cs.disjoint
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        units = [frozenset(cyc) for cyc in cs.cycles]
+        units += [frozenset({v}) for v in range(g.n) if v not in cs.cyclic_vertices]
+        quotient = nx.quotient_graph(h, units)
+        rank = {unit: i for i, unit in enumerate(sorted(quotient, key=min))}
+        quotient = nx.relabel_nodes(quotient, rank)
+        assert nx.is_forest(quotient)
+        forest = contract_cycles(g, cs)
+        assert forest.n == quotient.number_of_nodes()
+        assert forest.edges == frozenset(tuple(sorted(e)) for e in quotient.edges())
 
 
 def test_contract_rejects_overlapping_cycles():

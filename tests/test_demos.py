@@ -1,6 +1,8 @@
 """The documented surface: every narrative script under demos/ runs to
-completion, and every name the package exports resolves."""
+completion, every name the package exports resolves, and no package
+module keeps an import it never uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +38,20 @@ def test_all_is_consistent():
     namespace: dict = {}
     exec("from inertia_bounds import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_no_module_keeps_an_unused_import():
+    # __init__.py imports names to re-export them, so it is left out
+    for path in sorted((ROOT / "src" / "inertia_bounds").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"

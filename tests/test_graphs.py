@@ -28,6 +28,7 @@ from inertia_bounds import (
     to_graph6,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
+from inertia_bounds.graphs import MAX_GRAPH6_VERTICES
 
 
 def test_basic_construction():
@@ -215,6 +216,15 @@ def test_graph6_errors_carry_byte_offsets():
         parse_graph6("A" + chr(63 + 0b011111))  # nonzero pad bits
 
 
+def test_graph6_rejects_vertex_counts_above_the_cap():
+    n = MAX_GRAPH6_VERTICES + 1
+    header = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+    with pytest.raises(GraphParseError, match=f"vertex count {n} exceeds the supported maximum of 64000"):
+        parse_graph6(header)
+    with pytest.raises(GraphParseError, match="8-byte size header at offset 0 exceeds"):
+        parse_graph6("~~" + "?" * 6)
+
+
 def test_graph6_matches_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(11)
@@ -249,3 +259,12 @@ def test_parse_edge_list_errors_carry_line_numbers():
         parse_edge_list("")
     with pytest.raises(ValueError):
         parse_edge_list("not a number\n")
+
+
+def test_parse_edge_list_caps_the_vertex_count():
+    # the count is the only thing on the line, yet it would allocate one adjacency set per vertex
+    assert parse_edge_list(f"{MAX_GRAPH6_VERTICES}\n").n == MAX_GRAPH6_VERTICES
+    with pytest.raises(GraphParseError, match=r"line 2: vertex count 64001 is outside the supported range 0\.\.64000"):
+        parse_edge_list("# header\n64001\n")
+    with pytest.raises(GraphParseError, match="line 1: vertex count -1 is outside"):
+        parse_edge_list("-1\n")

@@ -8,9 +8,14 @@ import pytest
 
 from inertia_bounds import (
     ALL_CHECKS,
+    CycleBudgetError,
     GeneratorParams,
+    GraphFacts,
     GraphParseError,
     analyze_graph,
+    check_deletion_corollaries,
+    check_difference_bounds,
+    classify_unicyclic,
     cycle_graph,
     emit_report,
     parse_graph6,
@@ -26,7 +31,7 @@ from inertia_bounds.corpus import (
     read_graph6_file,
     sample_random,
 )
-from inertia_bounds.verify import REPORT_FIELDS, report_row_dict, summarize
+from inertia_bounds.verify import CHECKS, REPORT_FIELDS, report_row_dict, summarize
 from conftest import lower_bound_near_miss
 
 
@@ -263,6 +268,33 @@ def test_report_bytes_match_golden_digests(checks, workers):
     for fmt in ("json", "csv"):
         digest = hashlib.sha256(render_report(report, fmt).encode("utf-8")).hexdigest()
         assert digest == GOLDEN_DIGESTS[checks, fmt], fmt
+
+
+# a check applies exactly when its theorem function accepts the graph
+
+GUARDED_CHECKS = {
+    "unicyclic": classify_unicyclic,
+    "corollaries": check_deletion_corollaries,
+    "difference": check_difference_bounds,
+}
+
+
+def test_check_applies_exactly_when_its_theorem_accepts_the_graph():
+    checks = {check.name: check for check in CHECKS if check.name in GUARDED_CHECKS}
+    seen = {(name, applies): 0 for name in GUARDED_CHECKS for applies in (False, True)}
+    for item in golden_corpus():
+        facts = GraphFacts(item.graph)
+        for name, theorem in GUARDED_CHECKS.items():
+            applies = checks[name].applies(facts, item.residue)
+            try:
+                theorem(facts)
+                accepted = True
+            except (ValueError, CycleBudgetError):
+                accepted = False
+            assert applies == accepted, (name, item.graph_id)
+            seen[name, applies] += 1
+    # every check is both applicable and n/a somewhere in the corpus
+    assert all(seen.values()), seen
 
 
 # each invariant once per row
