@@ -81,19 +81,15 @@ def biconnected_blocks(g: Graph) -> list[frozenset[Edge]]:
     return blocks
 
 
-def _block_vertices(block: frozenset[Edge]) -> frozenset[int]:
-    return frozenset(v for e in block for v in e)
-
-
 @dataclass(frozen=True)
 class CycleStructure:
     """Cycle inventory of a graph.
 
     ``disjoint`` is true when every block is a single edge or a chordless
     cycle and no vertex lies on two cycles; only then is ``cycles`` the
-    explicit list of all simple cycles (vertex orders, each starting at
-    its smallest vertex), sorted by smallest vertex.  ``cyclic_vertices``
-    always holds every vertex lying on at least one simple cycle.
+    explicit list of all simple cycles, each as its sorted vertex tuple,
+    sorted by smallest vertex.  ``cyclic_vertices`` always holds every
+    vertex lying on at least one simple cycle.
     """
 
     cycles: tuple[tuple[int, ...], ...]
@@ -101,39 +97,23 @@ class CycleStructure:
     disjoint: bool
 
 
-def _cycle_order(block: frozenset[Edge]) -> tuple[int, ...]:
-    # walk a block known to be a simple cycle, deterministically
-    nbrs: dict[int, list[int]] = {}
-    for u, v in block:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    start = min(nbrs)
-    order = [start]
-    prev, cur = start, min(nbrs[start])
-    while cur != start:
-        order.append(cur)
-        prev, cur = cur, next(w for w in nbrs[cur] if w != prev)
-    return tuple(order)
-
-
 def analyze_cycles(g: Graph) -> CycleStructure:
     """Classify the cycle layout of ``g``; see :class:`CycleStructure`."""
     cyclic: set[int] = set()
-    cycle_blocks: list[frozenset[Edge]] = []
+    cycles: list[tuple[int, ...]] = []
     disjoint = True
     for block in biconnected_blocks(g):
         if len(block) == 1:
             continue
-        verts = _block_vertices(block)
+        verts = {v for e in block for v in e}
         # a plain cycle has as many edges as vertices (no chord) and meets
         # no earlier block
         disjoint = disjoint and len(block) == len(verts) and cyclic.isdisjoint(verts)
         cyclic.update(verts)
-        cycle_blocks.append(block)
+        cycles.append(tuple(sorted(verts)))
     if not disjoint:
         return CycleStructure((), frozenset(cyclic), False)
-    cycles = tuple(sorted(_cycle_order(b) for b in cycle_blocks))
-    return CycleStructure(cycles, frozenset(cyclic), True)
+    return CycleStructure(tuple(sorted(cycles)), frozenset(cyclic), True)
 
 
 def _require_disjoint(cs: CycleStructure) -> None:

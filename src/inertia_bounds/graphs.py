@@ -8,7 +8,7 @@ graph6 interchange format and a plain edge-list text format.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -350,35 +350,27 @@ def quasi_pendant_vertices(g: Graph) -> frozenset[int]:
     )
 
 
-class InducedSubgraph(NamedTuple):
-    graph: Graph
-    index_map: dict[int, int]  # old vertex id -> new vertex id
+def delete_vertices(g: Graph, vs: Iterable[int]) -> Graph:
+    """Remove ``vs`` and their incident edges.
 
-
-def delete_vertices(g: Graph, vs: Iterable[int]) -> InducedSubgraph:
-    """Remove ``vs`` and their incident edges; relabel survivors contiguously.
-
-    Returns the new graph plus the old->new index map for kept vertices.
+    Survivors keep their order: a kept vertex ``v`` becomes ``v`` minus
+    the number of deleted vertices below it.
     """
     drop = set(vs)
-    bad = drop - set(range(g.n))
+    bad = [v for v in drop if v not in range(g.n)]
     if bad:
         raise ValueError(f"vertices {sorted(bad)} out of range for n={g.n}")
-    index_map: dict[int, int] = {}
+    label: list[int] = []
+    kept = 0
     for v in range(g.n):
-        if v not in drop:
-            index_map[v] = len(index_map)
+        label.append(kept)
+        kept += v not in drop
     edges = [
-        (index_map[u], index_map[v])
+        (label[u], label[v])
         for u, v in g.edges
         if u not in drop and v not in drop
     ]
-    return InducedSubgraph(Graph(len(index_map), edges), index_map)
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Convenience wrapper: remove one vertex, discard the index map."""
-    return delete_vertices(g, (v,)).graph
+    return Graph(kept, edges)
 
 
 def delete_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -391,8 +383,3 @@ def delete_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
         drop.add(e)
     return Graph(g.n, g.edges - drop)
 
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> InducedSubgraph:
-    """Induced subgraph on ``keep``; complement of :func:`delete_vertices`."""
-    keep_set = set(keep)
-    return delete_vertices(g, set(range(g.n)) - keep_set)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .graphs import Edge, Graph, _normalize_edge, delete_edges, delete_vertex, delete_vertices
+from .graphs import Edge, Graph, _normalize_edge, delete_edges, delete_vertices
 
 # branch-on-edge recursion is fine up to this many edges (or few vertices)
 BRUTE_FORCE_EDGE_BUDGET = 24
@@ -173,7 +173,7 @@ def edge_in_some_maximum_matching(g: Graph, edge: tuple[int, int], *, m: int | N
     e = _normalize_edge(*edge)
     if e not in g.edges:
         raise ValueError(f"edge {e} not present in graph")
-    rest = delete_vertices(g, e).graph
+    rest = delete_vertices(g, e)
     return 1 + matching_number(rest) == _known(g, m)
 
 
@@ -209,4 +209,4 @@ def every_max_matching_covers(g: Graph, v: int, *, m: int | None = None) -> bool
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return matching_number(delete_vertex(g, v)) == _known(g, m) - 1
+    return matching_number(delete_vertices(g, (v,))) == _known(g, m) - 1

@@ -33,9 +33,7 @@ from .graphs import (
     Graph,
     components,
     cyclomatic_number,
-    delete_vertex,
     delete_vertices,
-    induced_subgraph,
     is_connected,
     is_tree,
     pendant_vertices,
@@ -76,23 +74,28 @@ class GraphFacts:
     def deleted(self, v: int) -> tuple[Graph, Inertia]:
         """G - v and its inertia, computed on first use."""
         if v not in self._deleted:
-            h = delete_vertex(self.graph, v)
+            h = delete_vertices(self.graph, (v,))
             self._deleted[v] = (h, graph_inertia(h))
         return self._deleted[v]
 
     @cached_property
     def forest_matchings(self) -> tuple[int, int]:
-        """(m of the contracted forest, m of G minus its cycle vertices)."""
+        """(m of the contracted forest, m of G minus its cycle vertices).
+
+        Raises ``ValueError`` when cycles overlap: there is no forest then.
+        """
+        if not self.cycles.disjoint:
+            raise ValueError("forest matchings need pairwise vertex-disjoint cycles")
         if not self.cycles.cycles:  # nothing to contract: both forests are the graph
             return self.m, self.m
         forest = contract_cycles(self.graph, self.cycles)
-        off_cycles = delete_vertices(self.graph, self.cycles.cyclic_vertices).graph
+        off_cycles = delete_vertices(self.graph, self.cycles.cyclic_vertices)
         return matching_number(forest), matching_number(off_cycles)
 
-    @property
+    @cached_property
     def unicyclic(self) -> bool:
         """Connected with exactly one cycle (c = 1)."""
-        return is_connected(self.graph) and self.c == 1
+        return self.c == 1 and is_connected(self.graph)
 
     @property
     def p_at_bound(self) -> bool:
@@ -327,7 +330,7 @@ def _pendant_reduction_holds(g: Graph, inert: Inertia) -> bool | None:
         return None
     for u in sorted(pend):
         v = next(iter(g.adj[u]))
-        rest = delete_vertices(g, (u, v)).graph
+        rest = delete_vertices(g, (u, v))
         if unreduced_graph_inertia(rest) + (1, 1, 0) != inert:
             return False
     return True
@@ -339,7 +342,7 @@ def _component_additivity_holds(g: Graph, inert: Inertia) -> bool | None:
         return None
     total = Inertia(0, 0, 0)
     for comp in comps:
-        total = total + unreduced_graph_inertia(induced_subgraph(g, comp).graph)
+        total = total + unreduced_graph_inertia(delete_vertices(g, set(range(g.n)) - comp))
     return total == inert
 
 
@@ -397,8 +400,9 @@ def _attached_even_cycle_holds(g: Graph, cs: CycleStructure, m: int) -> bool | N
     """Properties forced on a cycle hanging by one bridge when p = m - c.
 
     Premise: some cycle C meets the rest of the graph in exactly one
-    vertex x with exactly one outside edge xy, and the rest K has
-    pairwise disjoint cycles.  Conclusions checked: |C| = 0 mod 4, the
+    vertex x with exactly one outside edge xy.  The rest K = G - V(C)
+    is an induced subgraph of G, so its cycles are pairwise disjoint
+    because G's are.  Conclusions checked: |C| = 0 mod 4, the
     bridge lies in no maximum matching, every maximum matching of K
     covers y, adding x to K does not raise its matching number, and
     m(G) = m(C) + m(K).
@@ -410,15 +414,13 @@ def _attached_even_cycle_holds(g: Graph, cs: CycleStructure, m: int) -> bool | N
         if len(outside) != 1:
             continue
         x, y = cand.gateway, cand.outside
-        k_sub, k_map = delete_vertices(g, cand.cycle)
-        if not analyze_cycles(k_sub).disjoint:
-            continue
+        k_sub = delete_vertices(g, cyc)
         m_k = matching_number(k_sub)
-        k_plus_x = delete_vertices(g, cyc - {x}).graph
+        k_plus_x = delete_vertices(g, cyc - {x})
         checks = (
             len(cand.cycle) % 4 == 0
             and not edge_in_some_maximum_matching(g, (x, y), m=m)
-            and every_max_matching_covers(k_sub, k_map[y], m=m_k)
+            and every_max_matching_covers(k_sub, y - sum(v < y for v in cyc), m=m_k)
             and matching_number(k_plus_x) == m_k
             and m == len(cand.cycle) // 2 + m_k
         )
@@ -447,7 +449,7 @@ def lemma_suite(g: Graph | GraphFacts) -> dict[str, bool | None]:
         quasipendant_matching_drop=_quasipendant_matching_drop_holds(f),
         tree_nullity_bound=check_tree_nullity(f) if tree else None,
         leaf_stripping_drop=(
-            matching_number(delete_vertices(g, pendant_vertices(g)).graph) < m if tree else None
+            matching_number(delete_vertices(g, pendant_vertices(g))) < m if tree else None
         ),
     )
     report.update(_contraction_lemmas(f))

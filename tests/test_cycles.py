@@ -8,6 +8,7 @@ from inertia_bounds import (
     CycleBudgetError,
     Graph,
     GeneratorParams,
+    GraphFacts,
     analyze_cycles,
     biconnected_blocks,
     complete_graph,
@@ -75,6 +76,12 @@ def test_analyze_cycles_cycle_order_is_canonical():
     g = Graph(4, [(2, 3), (0, 3), (1, 2), (0, 1)])
     cs = analyze_cycles(g)
     assert cs.cycles == ((0, 1, 2, 3),)
+
+
+def test_analyze_cycles_holds_each_cycle_as_its_sorted_vertex_tuple():
+    # the walk around this 4-cycle from 0 is 0, 2, 1, 3
+    g = Graph(4, [(0, 2), (1, 2), (1, 3), (0, 3)])
+    assert analyze_cycles(g).cycles == ((0, 1, 2, 3),)
 
 
 def test_analyze_cycles_forest():
@@ -156,6 +163,15 @@ def test_contract_cycles_matches_networkx_quotient():
 def test_contract_rejects_overlapping_cycles():
     with pytest.raises(ValueError):
         contract_cycles(bowtie())
+
+
+def test_graph_facts_refuse_forest_matchings_when_cycles_overlap():
+    for g in (bowtie(), complete_graph(4)):
+        facts = GraphFacts(g)
+        with pytest.raises(ValueError, match="disjoint"):
+            facts.forest_matchings
+        with pytest.raises(ValueError, match="disjoint"):
+            facts.contraction_keeps_matching
 
 
 def test_pendant_cycles():

@@ -13,11 +13,9 @@ from inertia_bounds import (
     cycle_graph,
     cyclomatic_number,
     delete_edges,
-    delete_vertex,
     delete_vertices,
     disjoint_union,
     empty_graph,
-    induced_subgraph,
     is_connected,
     is_tree,
     parse_edge_list,
@@ -136,14 +134,16 @@ def test_components_and_forest_predicates():
     assert cyclomatic_number(cycle_graph(4)) == 1
 
 
-def test_delete_vertices_index_map():
-    g = cycle_graph(5)
-    sub = delete_vertices(g, [1, 3])
-    assert sub.graph.n == 3
-    assert sub.index_map == {0: 0, 2: 1, 4: 2}
-    # only the 4-0 edge survives among kept vertices
-    assert sub.graph.edges == frozenset({(0, 2)})
-    assert delete_vertex(g, 0) == delete_vertices(g, [0]).graph
+def test_delete_vertices_relabels_survivors_in_order():
+    # 0, 2, 4 become 0, 1, 2; only the 4-0 edge survives among them
+    sub = delete_vertices(cycle_graph(5), [1, 3])
+    assert sub.n == 3
+    assert sub.edges == frozenset({(0, 2)})
+
+
+def test_delete_vertices_rejects_out_of_range_vertices():
+    with pytest.raises(ValueError, match=r"vertices \[-1, 5\] out of range for n=5"):
+        delete_vertices(cycle_graph(5), [5, 0, -1])
 
 
 def test_delete_edges():
@@ -155,9 +155,7 @@ def test_delete_edges():
 
 
 def test_induced_subgraph():
-    g = complete_graph(5)
-    sub = induced_subgraph(g, [0, 2, 4])
-    assert sub.graph == complete_graph(3)
+    assert delete_vertices(complete_graph(5), [1, 3]) == complete_graph(3)
 
 
 # graph6 codec

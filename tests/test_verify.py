@@ -346,13 +346,7 @@ def test_each_invariant_is_computed_once_per_row(monkeypatch):
 
     monkeypatch.setattr(verify_mod, "analyze_graph", row)
 
-    corpus = list(enumerate_labeled(4))
-    for residue in (0, 1, 3):
-        base = GeneratorParams(
-            cycle_residue=residue, num_cycles=2, num_isolated_seeds=1, num_steps=3, rng_seed=residue
-        )
-        corpus += generated_corpus(base, 2)
-    corpus.append(CorpusItem("near-miss", lower_bound_near_miss()))
+    corpus = once_per_row_corpus()
     report = run_verification(corpus, checks=ALL_CHECKS, workers=1)
     assert report.ok and len(per_row) == len(corpus)
     worst = {name: max(counts[name] for counts in per_row) for name in calls}
@@ -371,6 +365,23 @@ def once_per_row_corpus():
         corpus += generated_corpus(base, 2)
     corpus.append(CorpusItem("near-miss", lower_bound_near_miss()))
     return corpus
+
+
+def test_cycle_structure_is_analysed_once_per_row_and_never_on_a_subgraph(monkeypatch):
+    import inertia_bounds.theorems as theorems_mod
+
+    calls = []
+    original = theorems_mod.analyze_cycles
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(theorems_mod, "analyze_cycles", counted)
+    corpus = once_per_row_corpus()
+    report = run_verification(corpus, checks=ALL_CHECKS, workers=1)
+    assert report.ok
+    assert calls == [item.graph for item in corpus]
 
 
 def test_vertex_deletions_are_shared_between_interlacing_and_corollaries(monkeypatch):
