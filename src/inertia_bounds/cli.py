@@ -75,10 +75,12 @@ def _analyze_input_graph(spec: str, fmt: str):
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
+    stripped = text.strip()
     if fmt == "auto":
-        fmt = "edgelist" if any(ch in text.strip() for ch in " \t\n") else "graph6"
+        # graph6 holds no whitespace, and the one edge list without it is a bare vertex count
+        fmt = "edgelist" if stripped.isdigit() or any(ch in stripped for ch in " \t\n") else "graph6"
     try:
-        return parse_graph6(text.strip()) if fmt == "graph6" else parse_edge_list(text)
+        return parse_graph6(stripped) if fmt == "graph6" else parse_edge_list(text)
     except GraphParseError as exc:
         raise ValueError(f"{spec!r} is not a graph6 string or a readable graph file: {exc}") from None
 
@@ -182,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=("auto", "graph6", "edgelist"),
         default="auto",
-        help="input format (auto: whitespace means edge list)",
+        help="input format (auto: whitespace or a bare vertex count means edge list)",
     )
 
     p_verify = sub.add_parser("verify", help="run checks over a corpus")
@@ -241,10 +243,10 @@ def _run(argv: Sequence[str] | None) -> int:
             checks = None if args.checks == "all" else args.checks.split(",")
             workers = args.workers if args.workers is not None else _default_workers()
             report = run_verification(corpus, checks=checks, workers=workers)
+            if args.out:
+                emit_report(report, args.out, args.format)
         except (ValueError, KeyError, OSError, GraphParseError) as exc:
             parser.error(str(exc))
-        if args.out:
-            emit_report(report, args.out, args.format)
         print(summarize(report))
         return 0 if report.ok else 1
 

@@ -1,11 +1,12 @@
 """Per-graph verdict rows, corpus verification runs, report emission.
 
-:data:`CHECKS` is the one ordered table of checks.  Each entry gives
-its name, when it applies (and its n/a note), how it computes its
-verdicts from the row's one :class:`~.theorems.GraphFacts`, its report
-columns, its counterexample rule and its mismatch notes; the check
-names, ``REPORT_FIELDS``, the row dict, the notes and the
-counterexample test all derive from it.
+:data:`CHECKS` is the one ordered table of checks.  Each :class:`Check`
+has a ``name``, an ``applies`` guard with the ``na_note`` a row gets
+when it does not apply, one ``run`` rule that turns the row's
+:class:`~.theorems.GraphFacts` into the check's row fields, its notes
+and its verdict, and the report ``columns`` it fills.  The check names,
+``REPORT_FIELDS``, the row dict, the notes and each row's
+``counterexample`` flag all derive from it.
 
 A run maps every corpus graph to one :class:`GraphReport` row, collects
 counterexamples, and can emit the rows as JSON or CSV with a stable
@@ -20,7 +21,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
@@ -52,7 +53,9 @@ class GraphReport:
     Tri-state flags: True (verified), False (counterexample), None
     (check not requested, not applicable, or over budget; the notes say
     which).  ``conjecture_ok`` is informational only and never makes a
-    row a counterexample.
+    row a counterexample.  ``counterexample`` is decided when the row is
+    built: an oracle mismatch or a check whose ``run`` found one, and
+    ``notes`` then names the failure.
     """
 
     graph_id: str
@@ -64,6 +67,7 @@ class GraphReport:
     c: int
     oracle_ok: bool
     notes: str = ""
+    counterexample: bool = False
     bounds_ok: bool | None = None
     p_upper: UpperClassification | None = None
     n_upper: UpperClassification | None = None
@@ -86,7 +90,7 @@ class GraphReport:
         return all(verdicts)
 
     def is_counterexample(self) -> bool:
-        return not self.oracle_ok or any(check.failed(self) for check in CHECKS)
+        return self.counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +108,24 @@ def _column(name: str, field: str | None = None, part: str | int | None = None):
     return name, get
 
 
+Outcome = tuple[dict[str, object], list[str], bool]
+
+
 class Check(NamedTuple):
     name: str
-    # the GraphReport fields this check fills, from the row's facts and residue
-    compute: Callable[[GraphFacts, int | None], dict[str, object]]
+    # the GraphReport fields this check fills, its notes, and whether it
+    # found a counterexample, from the row's facts and residue
+    run: Callable[[GraphFacts, int | None], Outcome]
     columns: tuple[tuple[str, Callable[[GraphReport], object]], ...]
-    # counterexample rule; it sees None fields when the check did not run
-    failed: Callable[[GraphReport], bool]
-    # notes on a row where the check ran, given the row and its residue
-    notes: Callable[[GraphReport, int | None], list[str]] = lambda r, residue: []
     applies: Callable[[GraphFacts, int | None], bool] = lambda f, residue: True
     na_note: str = ""
 
 
-def _mismatched(cls: UpperClassification | LowerClassification) -> bool:
-    # the attained flag and every condition form must agree
-    return len(set(cls)) > 1
+def _bounds(f: GraphFacts, residue: int | None) -> Outcome:
+    ok = check_bounds(f)
+    pn, window = (f.inertia.p, f.inertia.n), [f.m - f.c, f.m + f.c]
+    notes = [] if ok else [f"bounds: (p, n)={pn} outside [m-c, m+c]={window}"]
+    return {"bounds_ok": ok}, notes, not ok
 
 
 _CLASSIFICATIONS = (
@@ -130,7 +136,7 @@ _CLASSIFICATIONS = (
 )
 
 
-def _classify(f: GraphFacts, residue: int | None) -> dict[str, object]:
+def _classifications(f: GraphFacts) -> dict[str, UpperClassification | LowerClassification]:
     return {
         "p_upper": classify_p_upper(f),
         "n_upper": classify_n_upper(f),
@@ -139,113 +145,101 @@ def _classify(f: GraphFacts, residue: int | None) -> dict[str, object]:
     }
 
 
-def _unicyclic(f: GraphFacts, residue: int | None) -> dict[str, object]:
+def _classifiers(f: GraphFacts, residue: int | None) -> Outcome:
+    fields = _classifications(f)
+    # the attained flag and every condition form must agree
+    notes = [
+        f"classifier {field} mismatch: {cls}" for field, cls in fields.items() if len(set(cls)) > 1
+    ]
+    return fields, notes, bool(notes)
+
+
+def _unicyclic(f: GraphFacts, residue: int | None) -> Outcome:
     prediction = classify_unicyclic(f)
-    return {
-        "unicyclic_prediction": prediction,
-        "unicyclic_ok": prediction == (f.inertia.n, f.inertia.p),
-    }
+    computed = (f.inertia.n, f.inertia.p)
+    ok = prediction == computed
+    notes = [] if ok else [f"unicyclic prediction {prediction} != computed {computed}"]
+    return {"unicyclic_prediction": prediction, "unicyclic_ok": ok}, notes, not ok
 
 
-def _difference_notes(r: GraphReport, residue: int | None) -> list[str]:
-    d = r.difference
+def _corollaries(f: GraphFacts, residue: int | None) -> Outcome:
+    ok = check_deletion_corollaries(f)
+    return {"corollaries_ok": ok}, [] if ok else ["deletion corollaries failed"], not ok
+
+
+def _lemmas(f: GraphFacts, residue: int | None) -> Outcome:
+    lemmas = lemma_suite(f)
+    failed = sorted(name for name, ok in lemmas.items() if ok is False)
+    notes = ["lemmas failed: " + ", ".join(failed)] if failed else []
+    return {"lemmas": lemmas}, notes, bool(failed)
+
+
+def _difference(f: GraphFacts, residue: int | None) -> Outcome:
+    d = check_difference_bounds(f)
     notes = []
     if not d.c1_ok:
         notes.append(f"|p-n|={abs(d.diff)} exceeds odd cycle count {d.c1}")
     if not d.conjecture_ok:
         notes.append(f"conjecture: p-n={d.diff} outside [-c3, c5]=[-{d.c3}, {d.c5}]")
-    return notes
+    return {"difference": d}, notes, not d.c1_ok
 
 
 # the classifiers behind each generator recipe; each must hold in every form
 _GENERATOR_CLASSIFIERS = {1: ("p_upper",), 3: ("n_upper",), 0: ("p_lower", "n_lower")}
 
 
-def _generator_identity_holds(f: GraphFacts, residue: int) -> bool:
+def _generator(f: GraphFacts, residue: int | None) -> Outcome:
     """Extremal identity plus classifier conditions for a generated graph."""
-    classified = _classify(f, residue)
-    return all(all(classified[name]) for name in _GENERATOR_CLASSIFIERS[residue])
+    classified = _classifications(f)
+    ok = all(all(classified[name]) for name in _GENERATOR_CLASSIFIERS[residue])
+    notes = [] if ok else [f"generator identity failed for residue {residue}"]
+    return {"generator_ok": ok}, notes, not ok
 
 
 CHECKS: tuple[Check, ...] = (
-    Check(
-        "bounds",
-        compute=lambda f, residue: {"bounds_ok": check_bounds(f)},
-        columns=(_column("bounds_ok"),),
-        failed=lambda r: r.bounds_ok is False,
-    ),
+    Check("bounds", _bounds, columns=(_column("bounds_ok"),)),
     Check(
         "classifiers",
-        compute=_classify,
+        _classifiers,
         columns=tuple(
             _column(f"{field}_{part}", field, part)
             for field, kind in _CLASSIFICATIONS
             for part in kind._fields
         ),
-        failed=lambda r: r.p_upper is not None
-        and (
-            any(_mismatched(getattr(r, field)) for field, _ in _CLASSIFICATIONS)
-            or r.p_lower.attained != r.n_lower.attained
-        ),
-        notes=lambda r, residue: [
-            f"classifier {field} mismatch: {getattr(r, field)}"
-            for field, _ in _CLASSIFICATIONS
-            if _mismatched(getattr(r, field))
-        ],
     ),
     Check(
         "unicyclic",
-        compute=_unicyclic,
+        _unicyclic,
         columns=(
             _column("unicyclic_pred_n", "unicyclic_prediction", 0),
             _column("unicyclic_pred_p", "unicyclic_prediction", 1),
             _column("unicyclic_ok"),
         ),
-        failed=lambda r: r.unicyclic_ok is False,
-        notes=lambda r, residue: [] if r.unicyclic_ok else [
-            f"unicyclic prediction {r.unicyclic_prediction} != computed {(r.n, r.p)}"
-        ],
         applies=lambda f, residue: f.unicyclic,
         na_note="unicyclic: n/a (not connected unicyclic)",
     ),
     Check(
         "corollaries",
-        compute=lambda f, residue: {"corollaries_ok": check_deletion_corollaries(f)},
+        _corollaries,
         columns=(_column("corollaries_ok"),),
-        failed=lambda r: r.corollaries_ok is False,
-        notes=lambda r, residue: [] if r.corollaries_ok else ["deletion corollaries failed"],
         applies=lambda f, residue: bool(f.cycles.cyclic_vertices) and f.p_at_bound,
         na_note="corollaries: n/a (no cycle or bound not attained)",
     ),
-    Check(
-        "lemmas",
-        compute=lambda f, residue: {"lemmas": lemma_suite(f)},
-        columns=(_column("lemmas_ok"),),
-        failed=lambda r: r.lemmas_ok is False,
-        notes=lambda r, residue: [] if r.lemmas_ok is not False else [
-            "lemmas failed: " + ", ".join(sorted(k for k, v in r.lemmas.items() if v is False))
-        ],
-    ),
+    Check("lemmas", _lemmas, columns=(_column("lemmas_ok"),)),
     Check(
         "difference",
-        compute=lambda f, residue: {"difference": check_difference_bounds(f)},
+        _difference,
         columns=(
             _column("c1_ok", "difference", "c1_ok"),
             _column("conjecture_ok", "difference", "conjecture_ok"),
         ),
-        failed=lambda r: r.difference is not None and not r.difference.c1_ok,
-        notes=_difference_notes,
         applies=lambda f, residue: f.graph.n <= SIMPLE_CYCLE_VERTEX_BUDGET,
         na_note="difference: n/a (budget)",
     ),
     Check(
         "generator",
-        compute=lambda f, residue: {"generator_ok": _generator_identity_holds(f, residue)},
+        _generator,
         columns=(_column("generator_ok"),),
-        failed=lambda r: r.generator_ok is False,
-        notes=lambda r, residue: [] if r.generator_ok else [
-            f"generator identity failed for residue {residue}"
-        ],
         applies=lambda f, residue: residue is not None,
         na_note="generator: n/a (corpus not generator-produced)",
     ),
@@ -278,22 +272,24 @@ def analyze_graph(
     inert = graph_inertia(g)
     oracle = graph_inertia_oracle(g)
     facts = GraphFacts(g, inert)
+    oracle_ok = inert == oracle
     fields: dict[str, object] = {}
-    ran = []  # (check, whether it applied) for each selected check
-    for check in (c for c in CHECKS if c.name in selected):
-        applies = check.applies(facts, residue)
-        if applies:
-            fields.update(check.compute(facts, residue))
-        ran.append((check, applies))
-    row = GraphReport(
-        graph_id, to_graph6(g), *inert, facts.m, facts.c, oracle_ok=inert == oracle, **fields
-    )
-    notes = [] if row.oracle_ok else [
+    notes = [] if oracle_ok else [
         f"oracle mismatch: congruence {tuple(inert)} vs char-poly {tuple(oracle)}"
     ]
-    for check, applies in ran:
-        notes.extend(check.notes(row, residue) if applies else [check.na_note])
-    return replace(row, notes="; ".join(notes))
+    counterexample = not oracle_ok
+    for check in (c for c in CHECKS if c.name in selected):
+        if not check.applies(facts, residue):
+            notes.append(check.na_note)
+            continue
+        check_fields, check_notes, failed = check.run(facts, residue)
+        fields.update(check_fields)
+        notes.extend(check_notes)
+        counterexample = counterexample or failed
+    return GraphReport(
+        graph_id, to_graph6(g), *inert, facts.m, facts.c, oracle_ok=oracle_ok,
+        notes="; ".join(notes), counterexample=counterexample, **fields,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +336,7 @@ def run_verification(
         rows = tuple(map(row, items))
     elapsed = time.perf_counter() - start
     counterexamples = tuple(
-        f"{r.graph_id} {r.graph6}" for r in rows if r.is_counterexample()
+        f"{r.graph_id} {r.graph6}" for r in rows if r.counterexample
     )
     return RunReport(
         rows=rows,
@@ -366,7 +362,7 @@ def report_row_dict(r: GraphReport) -> dict[str, object]:
     """Flatten one row into the documented field order (None = n/a)."""
     row = {field: getattr(r, field) for field in _MEASURED_FIELDS}
     row.update((name, get(r)) for check in CHECKS for name, get in check.columns)
-    row.update(oracle_ok=r.oracle_ok, counterexample=r.is_counterexample(), notes=r.notes)
+    row.update(oracle_ok=r.oracle_ok, counterexample=r.counterexample, notes=r.notes)
     return row
 
 

@@ -197,21 +197,37 @@ def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
 
 
-def test_cli_counterexample_exit_path(capsys, tmp_path, monkeypatch):
+def test_cli_counterexample_exit_path(capsys, monkeypatch):
     # force a fake counterexample to pin the exit code contract
-    import inertia_bounds.cli as cli_mod
+    import inertia_bounds.verify as verify_mod
 
-    real = cli_mod.analyze_graph
-
-    def poisoned(g, *args, **kwargs):
-        row = real(g, *args, **kwargs)
-        object.__setattr__(row, "bounds_ok", False)
-        return row
-
-    monkeypatch.setattr(cli_mod, "analyze_graph", poisoned)
+    monkeypatch.setattr(verify_mod, "check_bounds", lambda f: False)
     code, out, _ = run_cli(capsys, "analyze", to_graph6(cycle_graph(3)))
     assert code == 1
     assert json.loads(out)["counterexample"] is True
+
+
+def test_verify_names_an_unwritable_report_path(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "report.json"
+    code, _, err = run_cli(capsys, "verify", "--corpus", "exhaustive:2", "--out", str(out_path))
+    assert code == 2
+    assert str(out_path) in err
+
+
+def test_analyze_reads_a_bare_vertex_count_file_as_an_edge_list(capsys, tmp_path):
+    for text, (graph6, eta) in {"1\n": ("@", 1), "0": ("?", 0)}.items():
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0, text
+        row = json.loads(out)
+        assert (row["graph6"], row["p"], row["n"], row["eta"]) == (graph6, 0, 0, eta)
+    # a graph6 header holds a digit, so the rule must not catch it
+    path = tmp_path / "h.g6"
+    path.write_text(">>graph6<<Bw\n")
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["graph6"] == "Bw"
 
 
 def test_analyze_reads_valid_graph6_before_a_file_of_that_name(capsys, tmp_path, monkeypatch):

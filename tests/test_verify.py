@@ -9,9 +9,11 @@ import pytest
 from inertia_bounds import (
     ALL_CHECKS,
     CycleBudgetError,
+    DifferenceBounds,
     GeneratorParams,
     GraphFacts,
     GraphParseError,
+    UpperClassification,
     analyze_graph,
     check_deletion_corollaries,
     check_difference_bounds,
@@ -124,6 +126,36 @@ def test_near_miss_graph_is_not_a_counterexample():
     row = analyze_graph(lower_bound_near_miss(), "near-miss")
     assert not row.p_lower.attained and not row.p_lower.conditions
     assert not row.is_counterexample()
+
+
+# each check's own failure makes the row a counterexample and names itself
+
+FORCED_FAILURES = {
+    "bounds": ("check_bounds", lambda f: False),
+    "classifiers": ("classify_p_upper", lambda f: UpperClassification(True, False, False)),
+    "unicyclic": ("classify_unicyclic", lambda f: (0, 0)),
+    "corollaries": ("check_deletion_corollaries", lambda f: False),
+    "lemmas": ("lemma_suite", lambda f: {"forced": False}),
+    "difference": (
+        "check_difference_bounds", lambda f: DifferenceBounds(3, 1, 0, 1, False, False)
+    ),
+    "generator": ("classify_p_upper", lambda f: UpperClassification(True, False, False)),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.name)
+def test_a_failing_check_makes_a_counterexample_with_a_note(check, monkeypatch):
+    import inertia_bounds.verify as verify_mod
+
+    g, residue = cycle_graph(5), 1  # C5 is extremal for p with c = 1, so every check applies
+    assert check.applies(GraphFacts(g), residue)
+    clean = analyze_graph(g, "c5", checks=(check.name,), residue=residue)
+    assert not clean.is_counterexample()
+    monkeypatch.setattr(verify_mod, *FORCED_FAILURES[check.name])
+    row = analyze_graph(g, "c5", checks=(check.name,), residue=residue)
+    assert row.is_counterexample()
+    assert report_row_dict(row)["counterexample"] is True
+    assert set(row.notes.split("; ")) - set(clean.notes.split("; "))
 
 
 # reports
