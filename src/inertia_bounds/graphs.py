@@ -1,8 +1,10 @@
 """Simple undirected graphs with exact, deterministic primitives.
 
 Vertices are the integers ``0..n-1``.  Graphs are immutable: every
-operation that changes a graph returns a new one.  Parsing supports the
-graph6 interchange format and a plain edge-list text format.
+operation that changes a graph returns a new one.  A graph holds only
+``n`` and ``adj``, its neighbour sets; ``edges`` builds a new frozenset
+on each access, so a caller reads it once, not in a loop.  Parsing
+supports the graph6 interchange format and a plain edge-list format.
 """
 
 from __future__ import annotations
@@ -31,30 +33,20 @@ def _normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        normalized: set[Edge] = set()
-        # _normalize_edge inlined: this loop runs once per edge of every
-        # subgraph the lemma suite deletes a vertex from
-        for u, v in edges:
-            if u < v:
-                e = (u, v)
-            elif u > v:
-                e = (v, u)
-            else:
-                raise ValueError(f"self-loop at vertex {u} is not allowed")
-            if not (0 <= e[0] and e[1] < n):
-                raise ValueError(f"edge {e} out of range for n={n}")
-            normalized.add(e)
         adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in normalized:
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u} is not allowed")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {_normalize_edge(u, v)} out of range for n={n}")
             adj[u].add(v)
             adj[v].add(u)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(normalized))
         # tuple() of a list, not of a generator: growing a tuple from an
         # iterator reallocates it, and over many graphs that fragments the
         # heap (peak RSS kept rising over repeated analyze passes)
@@ -74,17 +66,22 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
     @property
+    def edges(self) -> frozenset[Edge]:
+        """The ``(u, v)`` pairs with ``u < v``, built anew on each access."""
+        return frozenset((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if u < v)
+
+    @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +221,7 @@ def to_graph6(g: Graph) -> str:
     acc = 0
     filled = 0
     for (i, j) in _g6_triangle_order(n):
-        acc = (acc << 1) | (1 if (i, j) in g.edges else 0)
+        acc = (acc << 1) | (1 if j in g.adj[i] else 0)
         filled += 1
         if filled == 6:
             out.append(63 + acc)
@@ -367,19 +364,20 @@ def delete_vertices(g: Graph, vs: Iterable[int]) -> Graph:
         kept += v not in drop
     edges = [
         (label[u], label[v])
-        for u, v in g.edges
-        if u not in drop and v not in drop
+        for u, nbrs in enumerate(g.adj) if u not in drop
+        for v in nbrs if u < v and v not in drop
     ]
     return Graph(kept, edges)
 
 
 def delete_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     """Remove the given edges, keeping all vertices.  Absent edge is an error."""
+    present = g.edges
     drop: set[Edge] = set()
     for u, v in edges:
         e = _normalize_edge(u, v)
-        if e not in g.edges:
+        if e not in present:
             raise ValueError(f"edge {e} not present in graph")
         drop.add(e)
-    return Graph(g.n, g.edges - drop)
+    return Graph(g.n, present - drop)
 

@@ -170,8 +170,8 @@ def edge_in_some_maximum_matching(g: Graph, edge: tuple[int, int], *, m: int | N
     True iff forcing the edge wastes nothing:
     1 + m(G - {u, v}) == m(G).
     """
-    e = _normalize_edge(*edge)
-    if e not in g.edges:
+    u, v = e = _normalize_edge(*edge)
+    if not (0 <= u and v < g.n and v in g.adj[u]):
         raise ValueError(f"edge {e} not present in graph")
     rest = delete_vertices(g, e)
     return 1 + matching_number(rest) == _known(g, m)
@@ -196,9 +196,8 @@ def every_max_matching_avoids(
 
     Equivalent to: no edge of the set lies in any maximum matching.
     """
-    return not any(edge_in_some_maximum_matching(g, e, m=m) for e in set(
-        _normalize_edge(*e) for e in edges
-    ))
+    edges = {_normalize_edge(*e) for e in edges}
+    return not any(edge_in_some_maximum_matching(g, e, m=m) for e in edges)
 
 
 def every_max_matching_covers(g: Graph, v: int, *, m: int | None = None) -> bool:

@@ -269,6 +269,8 @@ def analyze_graph(
 ) -> GraphReport:
     """Build the full verdict row for one graph."""
     selected = _normalize_checks(checks)
+    if residue is not None and residue not in _GENERATOR_CLASSIFIERS:
+        raise ValueError(f"residue {residue!r} is not one of {(None, *sorted(_GENERATOR_CLASSIFIERS))}")
     inert = graph_inertia(g)
     oracle = graph_inertia_oracle(g)
     facts = GraphFacts(g, inert)

@@ -40,7 +40,7 @@ def random_unicyclic(rng: random.Random, lo: int = 7, hi: int = 10) -> Graph:
     n = rng.randint(lo, hi)
     t = random_tree(n, rng)
     non_edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in t.edges
+        (u, v) for u in range(n) for v in range(u + 1, n) if v not in t.adj[u]
     ]
     extra = rng.choice(non_edges)
     return Graph(n, list(t.edges) + [extra])

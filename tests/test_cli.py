@@ -37,6 +37,13 @@ def test_parse_corpus_spec_errors():
     ]:
         with pytest.raises(ValueError):
             list(parse_corpus_spec(bad))
+    for bad, message in [
+        ("random:n=4,p", "random corpus: expected key=value, got 'p'"),
+        ("file:", "file corpus needs a path: file:PATH"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            list(parse_corpus_spec(bad))
+        assert str(err.value) == message
 
 
 def test_parse_corpus_spec_file(tmp_path):

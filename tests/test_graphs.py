@@ -61,6 +61,9 @@ def test_constructor_error_messages():
     with pytest.raises(ValueError) as err:
         Graph(3, [(1, -1)])
     assert str(err.value) == "edge (-1, 1) out of range for n=3"
+    with pytest.raises(ValueError) as err:
+        cycle_graph(2)
+    assert str(err.value) == "a cycle needs at least 3 vertices, got 2"
 
 
 def test_graphs_are_immutable():
@@ -212,6 +215,8 @@ def test_graph6_errors_carry_byte_offsets():
         parse_graph6("D")  # needs 2 data bytes for n=5
     with pytest.raises(GraphParseError, match="padding"):
         parse_graph6("A" + chr(63 + 0b011111))  # nonzero pad bits
+    with pytest.raises(GraphParseError, match="truncated 4-byte size header at offset 0"):
+        parse_graph6("~??")
 
 
 def test_graph6_rejects_vertex_counts_above_the_cap():
@@ -257,6 +262,10 @@ def test_parse_edge_list_errors_carry_line_numbers():
         parse_edge_list("")
     with pytest.raises(ValueError):
         parse_edge_list("not a number\n")
+    with pytest.raises(GraphParseError, match="line 1: vertex count is not an integer: 'x'"):
+        parse_edge_list("x\n")
+    with pytest.raises(GraphParseError, match="line 2: endpoints must be integers: '0 a'"):
+        parse_edge_list("3\n0 a\n")
 
 
 def test_parse_edge_list_caps_the_vertex_count():

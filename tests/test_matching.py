@@ -48,7 +48,7 @@ def test_matching_is_valid_and_maximal():
     assert len(matched) == 5  # perfect matching
     used = [v for e in matched for v in e]
     assert len(used) == len(set(used))  # pairwise disjoint
-    assert all(e in g.edges for e in matched)
+    assert set(matched) <= g.edges
 
 
 def test_blossom_handles_odd_structures():
@@ -104,6 +104,9 @@ def test_edge_in_some_maximum_matching():
     assert all(edge_in_some_maximum_matching(c, e) for e in c.edges)
     with pytest.raises(ValueError):
         edge_in_some_maximum_matching(g, (0, 3))  # not an edge
+    for e in [(2, -1), (3, 4)]:  # out of range; -1 must not wrap round to vertex 3
+        with pytest.raises(ValueError, match="not present in graph"):
+            edge_in_some_maximum_matching(g, e)
 
 
 def test_avoidance_queries():
@@ -132,6 +135,8 @@ def test_coverage_queries():
     p = path_graph(3)
     assert every_max_matching_covers(p, 1)
     assert not every_max_matching_covers(p, 0)
+    with pytest.raises(ValueError, match="vertex 3 out of range for n=3"):
+        every_max_matching_covers(p, 3)
 
 
 def test_queries_with_a_known_m_answer_as_without_it(monkeypatch):

@@ -33,6 +33,7 @@ from inertia_bounds.corpus import (
     read_graph6_file,
     sample_random,
 )
+from inertia_bounds.theorems import LEMMA_NAMES
 from inertia_bounds.verify import CHECKS, REPORT_FIELDS, report_row_dict, summarize
 from conftest import lower_bound_near_miss
 
@@ -61,6 +62,21 @@ def test_sample_random_is_seed_deterministic():
     c = [i.graph for i in sample_random(8, 0.4, 30, seed=6)]
     assert a == b
     assert a != c
+
+
+def test_corpus_streams_reject_bad_parameters():
+    base = GeneratorParams(
+        cycle_residue=1, num_cycles=1, num_isolated_seeds=0, num_steps=2, rng_seed=10
+    )
+    for stream, message in [
+        (lambda: sample_random(13, 0.5, 1, seed=0), "random sampling is limited to n <= 12, got 13"),
+        (lambda: sample_random(4, 1.5, 1, seed=0), "edge probability must be in [0, 1], got 1.5"),
+        (lambda: sample_random(4, 0.5, -1, seed=0), "count must be non-negative, got -1"),
+        (lambda: generated_corpus(base, -1), "count must be non-negative, got -1"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            list(stream())
+        assert str(err.value) == message
 
 
 def test_read_graph6_file(tmp_path):
@@ -120,6 +136,31 @@ def test_analyze_graph_check_subset():
     assert row.difference is None
     with pytest.raises(ValueError):
         analyze_graph(cycle_graph(3), "x", checks=("nonsense",))
+
+
+@pytest.mark.parametrize("checks", [None, ("bounds",)])
+@pytest.mark.parametrize("residue", [2, -1, 5])
+def test_analyze_graph_rejects_a_residue_outside_the_generator_classes(residue, checks):
+    message = f"residue {residue} is not one of (None, 0, 1, 3)"
+    with pytest.raises(ValueError) as err:
+        analyze_graph(cycle_graph(5), "c5", checks=checks, residue=residue)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        run_verification([CorpusItem("x", cycle_graph(5), residue)], checks=checks)
+    assert str(err.value) == message
+
+
+def test_analyze_graph_accepts_every_residue_the_generator_accepts():
+    accepted = [None]
+    for residue in range(-2, 8):
+        try:
+            GeneratorParams(cycle_residue=residue, num_cycles=1, num_isolated_seeds=0, num_steps=0, rng_seed=0)
+        except ValueError:
+            continue
+        accepted.append(residue)
+    assert accepted == [None, 0, 1, 3]
+    for residue in accepted:
+        assert analyze_graph(cycle_graph(5), "c5", residue=residue).graph_id == "c5"
 
 
 def test_near_miss_graph_is_not_a_counterexample():
@@ -255,12 +296,17 @@ def test_pool_never_outnumbers_the_rows(monkeypatch):
     assert sizes == [2, 3]
 
 
-def test_summarize_mentions_scale_and_outcome():
+def test_summarize_mentions_scale_and_outcome(monkeypatch):
+    import inertia_bounds.verify as verify_mod
+
     report = run_verification(corpus_for_report())
     text = summarize(report)
     assert "3" in text
     assert "counterexample" in text.lower()
     assert "conjecture" in text.lower()
+    monkeypatch.setattr(verify_mod, "check_bounds", lambda f: False)
+    text = summarize(run_verification([CorpusItem("a", cycle_graph(5))]))
+    assert text.splitlines()[-1] == "COUNTEREXAMPLE a Dhc"
 
 
 # report bytes pinned across refactors
@@ -300,6 +346,37 @@ def test_report_bytes_match_golden_digests(checks, workers):
     for fmt in ("json", "csv"):
         digest = hashlib.sha256(render_report(report, fmt).encode("utf-8")).hexdigest()
         assert digest == GOLDEN_DIGESTS[checks, fmt], fmt
+
+
+# what the golden corpus exercises: the digests pin only lemmas_ok, so a
+# lemma that silently stops running would otherwise go unseen
+
+GOLDEN_LEMMA_VERDICTS = {  # name: (True, False, None) row counts
+    "pendant_reduction": (719, 0, 315),
+    "component_additivity": (301, 0, 733),
+    "deletion_interlacing": (1034, 0, 0),
+    "quasipendant_matching_drop": (684, 0, 350),
+    "tree_nullity_bound": (125, 0, 909),
+    "leaf_stripping_drop": (125, 0, 909),
+    "pendant_existence": (69, 0, 965),
+    "matching_decomposition": (130, 0, 904),
+    "odd_cycles_matching_equivalence": (216, 0, 818),
+    "attached_even_cycle": (2, 0, 1032),
+    "lower_bound_forces_avoidance": (3, 0, 1031),
+    "tight_bound_disjoint_cycles": (116, 0, 918),
+}
+GOLDEN_NA_ROWS = {"unicyclic": 811, "corollaries": 1001, "difference": 4, "generator": 1025}
+
+
+def test_golden_corpus_exercises_every_lemma_and_n_a_note():
+    rows = run_verification(golden_corpus()).rows
+    verdicts = {
+        name: tuple(sum(r.lemmas[name] is v for r in rows) for v in (True, False, None))
+        for name in LEMMA_NAMES
+    }
+    assert verdicts == GOLDEN_LEMMA_VERDICTS
+    na_rows = {c.name: sum(c.na_note in r.notes.split("; ") for r in rows) for c in CHECKS if c.na_note}
+    assert na_rows == GOLDEN_NA_ROWS
 
 
 # a check applies exactly when its theorem function accepts the graph
