@@ -40,6 +40,8 @@ class Graph:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge {(u, v)!r} has an endpoint that is not an int")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):

@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .cycles import (
-    CycleStructure,
     analyze_cycles,
     contract_cycles,
     enumerate_simple_cycles,
@@ -34,8 +33,6 @@ from .graphs import (
     components,
     cyclomatic_number,
     delete_vertices,
-    is_connected,
-    is_tree,
     pendant_vertices,
     quasi_pendant_vertices,
 )
@@ -52,15 +49,16 @@ from .matching import (
 class GraphFacts:
     """The invariants of one graph that the verdicts share.
 
-    ``inertia``, ``m`` (matching number), ``c`` (cyclomatic number) and
-    ``cycles`` (the :class:`CycleStructure`) are computed on creation,
-    unless the caller passes in the inertia it already holds.  The rest
-    is computed on first use, at most once, and needs pairwise disjoint
-    cycles: the matching numbers of the contracted forest and of the
-    graph minus its cycles, the frontier edges, and whether some maximum
-    matching avoids them.  Each vertex deletion and its inertia are kept
-    per vertex (see :meth:`deleted`).  A record belongs to one graph;
-    nothing is cached across graphs.
+    ``inertia``, ``m`` (matching number), ``c`` (cyclomatic number),
+    ``cycles`` (the :class:`CycleStructure`), ``components`` and the
+    ``pendants`` and ``quasi_pendants`` vertex sets are computed on
+    creation, unless the caller passes in the inertia it already holds.
+    The rest is computed on first use, at most once, and needs pairwise
+    disjoint cycles: the matching numbers of the contracted forest and of
+    the graph minus its cycles, the frontier edges, and whether some
+    maximum matching avoids them.  Each vertex deletion and its inertia
+    are kept per vertex (see :meth:`deleted`).  A record belongs to one
+    graph; nothing is cached across graphs.
     """
 
     def __init__(self, graph: Graph, inertia: Inertia | None = None) -> None:
@@ -69,6 +67,9 @@ class GraphFacts:
         self.m = matching_number(graph)
         self.c = cyclomatic_number(graph)
         self.cycles = analyze_cycles(graph)
+        self.components = components(graph)
+        self.pendants = pendant_vertices(graph)
+        self.quasi_pendants = quasi_pendant_vertices(graph)
         self._deleted: dict[int, tuple[Graph, Inertia]] = {}
 
     def deleted(self, v: int) -> tuple[Graph, Inertia]:
@@ -92,10 +93,15 @@ class GraphFacts:
         off_cycles = delete_vertices(self.graph, self.cycles.cyclic_vertices)
         return matching_number(forest), matching_number(off_cycles)
 
-    @cached_property
+    @property
     def unicyclic(self) -> bool:
         """Connected with exactly one cycle (c = 1)."""
-        return self.c == 1 and is_connected(self.graph)
+        return self.c == 1 and len(self.components) == 1
+
+    @property
+    def tree(self) -> bool:
+        """Connected and acyclic, with at least 2 vertices."""
+        return self.c == 0 and len(self.components) == 1 and self.graph.n >= 2
 
     @property
     def p_at_bound(self) -> bool:
@@ -242,9 +248,8 @@ def check_deletion_corollaries(g: Graph | GraphFacts) -> bool:
     p, m, c = f.inertia.p, f.m, f.c
     upper = p == m + c
     lower = p == m - c
-    quasi = quasi_pendant_vertices(g)
     for v in sorted(f.cycles.cyclic_vertices):
-        if v in quasi:
+        if v in f.quasi_pendants:
             return False
         h, inert_h = f.deleted(v)
         ph = inert_h.p
@@ -262,9 +267,9 @@ def check_deletion_corollaries(g: Graph | GraphFacts) -> bool:
 def check_tree_nullity(t: Graph | GraphFacts) -> bool:
     """Is the nullity of a tree at most (number of leaves) - 1?"""
     f = _facts(t)
-    if not is_tree(f.graph) or f.graph.n < 2:
+    if not f.tree:
         raise ValueError("tree nullity bound needs a tree with at least 2 vertices")
-    return f.inertia.eta <= len(pendant_vertices(f.graph)) - 1
+    return f.inertia.eta <= len(f.pendants) - 1
 
 
 class DifferenceBounds(NamedTuple):
@@ -300,103 +305,87 @@ def check_difference_bounds(g: Graph | GraphFacts) -> DifferenceBounds:
 # ---------------------------------------------------------------------------
 # structural lemma suite
 #
-# Each entry verifies one reduction or decomposition law on one graph.
-# Verdicts: True (holds), False (counterexample!), None (premise absent).
-
-LEMMA_NAMES = (
-    "pendant_reduction",
-    "component_additivity",
-    "deletion_interlacing",
-    "quasipendant_matching_drop",
-    "tree_nullity_bound",
-    "leaf_stripping_drop",
-    "pendant_existence",
-    "matching_decomposition",
-    "odd_cycles_matching_equivalence",
-    "attached_even_cycle",
-    "lower_bound_forces_avoidance",
-    "tight_bound_disjoint_cycles",
-)
-
+# LEMMAS is one table of (name, rule) pairs, run in order.  Each rule
+# verifies one reduction or decomposition law on one GraphFacts record
+# and tests its own premise.  Verdicts: True (holds), False
+# (counterexample!), None (premise absent).
 
 # graph_inertia peels pendants and isolated vertices, which applies the
 # pendant and additivity rules; the lemmas that test those rules take their
 # subgraph inertias from unreduced_graph_inertia instead.
 
 
-def _pendant_reduction_holds(g: Graph, inert: Inertia) -> bool | None:
-    pend = pendant_vertices(g)
-    if not pend:
+def _pendant_reduction(f: GraphFacts) -> bool | None:
+    if not f.pendants:
         return None
-    for u in sorted(pend):
+    g = f.graph
+    for u in sorted(f.pendants):
         v = next(iter(g.adj[u]))
         rest = delete_vertices(g, (u, v))
-        if unreduced_graph_inertia(rest) + (1, 1, 0) != inert:
+        if unreduced_graph_inertia(rest) + (1, 1, 0) != f.inertia:
             return False
     return True
 
 
-def _component_additivity_holds(g: Graph, inert: Inertia) -> bool | None:
-    comps = components(g)
-    if len(comps) < 2:
+def _component_additivity(f: GraphFacts) -> bool | None:
+    if len(f.components) < 2:
         return None
-    total = Inertia(0, 0, 0)
-    for comp in comps:
-        total = total + unreduced_graph_inertia(delete_vertices(g, set(range(g.n)) - comp))
-    return total == inert
+    g = f.graph
+    parts = (delete_vertices(g, set(range(g.n)) - comp) for comp in f.components)
+    return sum(map(unreduced_graph_inertia, parts), Inertia(0, 0, 0)) == f.inertia
 
 
-def _interlacing_holds(f: GraphFacts) -> bool | None:
-    inert = f.inertia
+def _interlacing(f: GraphFacts) -> bool | None:
     if f.graph.n == 0:
         return None
-    for v in range(f.graph.n):
-        sub = f.deleted(v)[1]
-        if not (inert.p - 1 <= sub.p <= inert.p and inert.n - 1 <= sub.n <= inert.n):
-            return False
-    return True
+    p, n = f.inertia.p, f.inertia.n
+    subs = (f.deleted(v)[1] for v in range(f.graph.n))
+    return all(sub.p in (p - 1, p) and sub.n in (n - 1, n) for sub in subs)
 
 
-def _quasipendant_matching_drop_holds(f: GraphFacts) -> bool | None:
-    quasi = quasi_pendant_vertices(f.graph)
-    if not quasi:
+def _quasipendant_matching_drop(f: GraphFacts) -> bool | None:
+    if not f.quasi_pendants:
         return None
-    return all(matching_number(f.deleted(v)[0]) == f.m - 1 for v in sorted(quasi))
+    return all(matching_number(f.deleted(v)[0]) == f.m - 1 for v in sorted(f.quasi_pendants))
 
 
-def _contraction_lemmas(f: GraphFacts) -> dict[str, bool | None]:
-    """Lemmas about graphs whose disjoint cycles attach to a forest rest (applicable ones only)."""
-    out: dict[str, bool | None] = {}
-    g, cs, m = f.graph, f.cycles, f.m
-    # premise: a cycle, all cycles pairwise disjoint, one attached (nonempty frontier)
-    if not (cs.disjoint and cs.cycles and f.frontier):
-        return out
-    keeps_m = f.contraction_keeps_matching
-    avoidable = f.frontier_avoidable
-    all_odd = all(len(cyc) % 2 == 1 for cyc in cs.cycles)
-
-    if keeps_m:
-        pend_ok = bool(pendant_vertices(g))
-        quasi_off_cycle = not (quasi_pendant_vertices(g) & cs.cyclic_vertices)
-        out["pendant_existence"] = pend_ok and quasi_off_cycle
-
-    if avoidable:
-        m_off_cycles = f.forest_matchings[1]
-        decomposition = m == m_off_cycles + sum(len(cyc) // 2 for cyc in cs.cycles)
-        if all_odd:
-            decomposition = decomposition and keeps_m
-        out["matching_decomposition"] = decomposition
-
-    if all_odd:
-        out["odd_cycles_matching_equivalence"] = keeps_m == avoidable
-
-    if f.inertia.p == m - f.c:
-        out["lower_bound_forces_avoidance"] = every_max_matching_avoids(g, f.frontier, m=m)
-        out["attached_even_cycle"] = _attached_even_cycle_holds(g, cs, m)
-    return out
+def _leaf_stripping_drop(f: GraphFacts) -> bool | None:
+    if not f.tree:
+        return None
+    return matching_number(delete_vertices(f.graph, f.pendants)) < f.m
 
 
-def _attached_even_cycle_holds(g: Graph, cs: CycleStructure, m: int) -> bool | None:
+def _hangs_off_forest(f: GraphFacts) -> bool:
+    """Contraction premise: a cycle, all pairwise disjoint, one attached."""
+    return bool(f.cycles.disjoint and f.cycles.cycles and f.frontier)
+
+
+def _all_cycles_odd(f: GraphFacts) -> bool:
+    return all(len(cyc) % 2 == 1 for cyc in f.cycles.cycles)
+
+
+def _pendant_existence(f: GraphFacts) -> bool | None:
+    if not (_hangs_off_forest(f) and f.contraction_keeps_matching):
+        return None
+    return bool(f.pendants) and not (f.quasi_pendants & f.cycles.cyclic_vertices)
+
+
+def _matching_decomposition(f: GraphFacts) -> bool | None:
+    if not (_hangs_off_forest(f) and f.frontier_avoidable):
+        return None
+    m_off_cycles = f.forest_matchings[1]
+    decomposition = f.m == m_off_cycles + sum(len(cyc) // 2 for cyc in f.cycles.cycles)
+    # with every cycle odd, contracting them must keep the matching number too
+    return decomposition and (not _all_cycles_odd(f) or f.contraction_keeps_matching)
+
+
+def _odd_cycles_matching_equivalence(f: GraphFacts) -> bool | None:
+    if not (_hangs_off_forest(f) and _all_cycles_odd(f)):
+        return None
+    return f.contraction_keeps_matching == f.frontier_avoidable
+
+
+def _attached_even_cycle(f: GraphFacts) -> bool | None:
     """Properties forced on a cycle hanging by one bridge when p = m - c.
 
     Premise: some cycle C meets the rest of the graph in exactly one
@@ -407,27 +396,58 @@ def _attached_even_cycle_holds(g: Graph, cs: CycleStructure, m: int) -> bool | N
     covers y, adding x to K does not raise its matching number, and
     m(G) = m(C) + m(K).
     """
+    if not (_hangs_off_forest(f) and f.inertia.p == f.m - f.c):
+        return None
+    g, m = f.graph, f.m
     verdicts = []
-    for cand in pendant_cycles(g, cs):
+    for cand in pendant_cycles(g, f.cycles):
         cyc = set(cand.cycle)
-        outside = g.adj[cand.gateway] - cyc
-        if len(outside) != 1:
+        if len(g.adj[cand.gateway] - cyc) != 1:
             continue
         x, y = cand.gateway, cand.outside
         k_sub = delete_vertices(g, cyc)
         m_k = matching_number(k_sub)
         k_plus_x = delete_vertices(g, cyc - {x})
-        checks = (
+        verdicts.append(
             len(cand.cycle) % 4 == 0
             and not edge_in_some_maximum_matching(g, (x, y), m=m)
             and every_max_matching_covers(k_sub, y - sum(v < y for v in cyc), m=m_k)
             and matching_number(k_plus_x) == m_k
             and m == len(cand.cycle) // 2 + m_k
         )
-        verdicts.append(checks)
-    if not verdicts:
+    return all(verdicts) if verdicts else None
+
+
+def _lower_bound_forces_avoidance(f: GraphFacts) -> bool | None:
+    if not (_hangs_off_forest(f) and f.inertia.p == f.m - f.c):
         return None
-    return all(verdicts)
+    return every_max_matching_avoids(f.graph, f.frontier, m=f.m)
+
+
+def _tight_bound_disjoint_cycles(f: GraphFacts) -> bool | None:
+    """Tight bounds force vertex-disjoint cycles."""
+    bounds = (f.m - f.c, f.m + f.c)
+    if not (f.cycles.cyclic_vertices and (f.inertia.p in bounds or f.inertia.n in bounds)):
+        return None
+    return f.cycles.disjoint
+
+
+LEMMAS = (
+    ("pendant_reduction", _pendant_reduction),
+    ("component_additivity", _component_additivity),
+    ("deletion_interlacing", _interlacing),
+    # after interlacing, which has put every G - v in the memo
+    ("quasipendant_matching_drop", _quasipendant_matching_drop),
+    ("tree_nullity_bound", lambda f: check_tree_nullity(f) if f.tree else None),
+    ("leaf_stripping_drop", _leaf_stripping_drop),
+    ("pendant_existence", _pendant_existence),
+    ("matching_decomposition", _matching_decomposition),
+    ("odd_cycles_matching_equivalence", _odd_cycles_matching_equivalence),
+    ("attached_even_cycle", _attached_even_cycle),
+    ("lower_bound_forces_avoidance", _lower_bound_forces_avoidance),
+    ("tight_bound_disjoint_cycles", _tight_bound_disjoint_cycles),
+)
+LEMMA_NAMES = tuple(name for name, _ in LEMMAS)
 
 
 def lemma_suite(g: Graph | GraphFacts) -> dict[str, bool | None]:
@@ -438,27 +458,7 @@ def lemma_suite(g: Graph | GraphFacts) -> dict[str, bool | None]:
     premise does not apply).
     """
     f = _facts(g)
-    g, inert, m, c, cs = f.graph, f.inertia, f.m, f.c, f.cycles
-    tree = is_tree(g) and g.n >= 2
-    report: dict[str, bool | None] = dict.fromkeys(LEMMA_NAMES)
-    report.update(
-        pendant_reduction=_pendant_reduction_holds(g, inert),
-        component_additivity=_component_additivity_holds(g, inert),
-        deletion_interlacing=_interlacing_holds(f),
-        # after interlacing, which has put every G - v in the memo
-        quasipendant_matching_drop=_quasipendant_matching_drop_holds(f),
-        tree_nullity_bound=check_tree_nullity(f) if tree else None,
-        leaf_stripping_drop=(
-            matching_number(delete_vertices(g, pendant_vertices(g))) < m if tree else None
-        ),
-    )
-    report.update(_contraction_lemmas(f))
-    # tight bounds force vertex-disjoint cycles
-    attains_any = inert.p in (m - c, m + c) or inert.n in (m - c, m + c)
-    report["tight_bound_disjoint_cycles"] = (
-        (cs.disjoint if attains_any else None) if cs.cyclic_vertices else None
-    )
-    return report
+    return {name: rule(f) for name, rule in LEMMAS}
 
 
 # ---------------------------------------------------------------------------

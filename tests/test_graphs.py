@@ -61,6 +61,11 @@ def test_constructor_error_messages():
     with pytest.raises(ValueError) as err:
         Graph(3, [(1, -1)])
     assert str(err.value) == "edge (-1, 1) out of range for n=3"
+    # endpoints must be exactly int: bool, float and str are refused by name
+    for edge, shown in (((True, 0), "(True, 0)"), ((0.5, 1), "(0.5, 1)"), (("1", 0), "('1', 0)")):
+        with pytest.raises(ValueError) as err:
+            Graph(3, [edge])
+        assert str(err.value) == f"edge {shown} has an endpoint that is not an int"
     with pytest.raises(ValueError) as err:
         cycle_graph(2)
     assert str(err.value) == "a cycle needs at least 3 vertices, got 2"

@@ -5,6 +5,7 @@ import pytest
 from inertia_bounds import (
     GeneratorParams,
     Graph,
+    GraphFacts,
     Inertia,
     LEMMA_NAMES,
     check_bounds,
@@ -153,6 +154,27 @@ def test_unicyclic_rejects_bad_input():
 def test_deletion_corollaries_upper():
     g = cycle_with_tail(5, 2)  # p = m + c
     assert check_deletion_corollaries(g)
+
+
+@pytest.mark.parametrize(
+    "g, bound",
+    [
+        # C4 with a pendant on vertex 0: cycle vertex 0 is quasi-pendant
+        (Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]), "upper"),
+        # bowtie, two triangles sharing vertex 0: deleting 0 drops c by 2
+        (Graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]), "upper"),
+        # C4 at p = 3: p(G - 0) = 1, not p - 1
+        (cycle_graph(4), "upper"),
+        # C5 at p = 1: p(G - 0) = 2, not p
+        (cycle_graph(5), "lower"),
+    ],
+)
+def test_deletion_corollaries_refuse_a_bound_the_graph_misses(g, bound):
+    # the record claims p = m + c or m - c; each graph misses it, so one of
+    # the four corollaries fails
+    m, c = matching_number(g), cyclomatic_number(g)
+    p = m + c if bound == "upper" else m - c
+    assert not check_deletion_corollaries(GraphFacts(g, graph_inertia(g)._replace(p=p)))
 
 
 def test_deletion_corollaries_lower():
