@@ -10,8 +10,7 @@ Three subcommands:
 * ``generate`` one extremal graph and print its graph6 line.
 
 Exit codes: 0 = verified clean, 1 = at least one counterexample,
-2 = usage error.  The default worker count for ``verify`` comes from
-the INERTIA_BOUNDS_WORKERS environment variable (else 1).
+2 = usage error.
 """
 
 from __future__ import annotations
@@ -40,47 +39,32 @@ from .verify import (
     summarize,
 )
 
-WORKERS_ENV_VAR = "INERTIA_BOUNDS_WORKERS"
-
-
-def _positive_int(raw: str, name: str) -> int:
+def _workers_arg(raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
         value = 0
     if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"--workers must be a positive integer, got {raw!r}")
     return value
 
 
-def _default_workers() -> int:
-    return _positive_int(os.environ.get(WORKERS_ENV_VAR, "1"), WORKERS_ENV_VAR)
-
-
-def _workers_arg(raw: str) -> int:
-    try:
-        return _positive_int(raw, "--workers")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _analyze_input_graph(spec: str, fmt: str):
+def _analyze_input_graph(spec: str):
     """The graph an ``analyze`` argument names: graph6 first, then a file, then graph text."""
-    if fmt != "edgelist":
-        try:
-            return parse_graph6(spec)
-        except GraphParseError:
-            pass
+    try:
+        return parse_graph6(spec)
+    except GraphParseError:
+        pass
     text = spec
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
     stripped = text.strip()
-    if fmt == "auto":
-        # graph6 holds no whitespace, and the one edge list without it is a bare vertex count
-        fmt = "edgelist" if stripped.isdigit() or any(ch in stripped for ch in " \t\n") else "graph6"
+    # graph6 bytes are 63..126, so whitespace or a '#' comment means an edge list,
+    # and so does a bare vertex count, the one edge list with neither
+    edge_list = stripped.isdigit() or any(ch in stripped for ch in " \t\n#")
     try:
-        return parse_graph6(stripped) if fmt == "graph6" else parse_edge_list(text)
+        return parse_edge_list(text) if edge_list else parse_graph6(stripped)
     except GraphParseError as exc:
         raise ValueError(f"{spec!r} is not a graph6 string or a readable graph file: {exc}") from None
 
@@ -178,13 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "graph",
         help="graph6 string, or path to a file holding graph6 or an edge list "
         "(first line n, then 'u v' lines); a valid graph6 string is read as "
-        "graph6 first, so reach a file with such a name as ./NAME",
-    )
-    p_analyze.add_argument(
-        "--format",
-        choices=("auto", "graph6", "edgelist"),
-        default="auto",
-        help="input format (auto: whitespace or a bare vertex count means edge list)",
+        "graph6 first, so reach a file with such a name as ./NAME; other text "
+        "is an edge list if it holds whitespace or '#' or is a bare vertex count",
     )
 
     p_verify = sub.add_parser("verify", help="run checks over a corpus")
@@ -201,8 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--workers",
         type=_workers_arg,
-        default=None,
-        help=f"process count (default ${WORKERS_ENV_VAR} or 1)",
+        default=1,
+        help="process count (default 1)",
     )
 
     p_generate = sub.add_parser(
@@ -230,7 +209,7 @@ def _run(argv: Sequence[str] | None) -> int:
 
     if args.command == "analyze":
         try:
-            g = _analyze_input_graph(args.graph, args.format)
+            g = _analyze_input_graph(args.graph)
         except (ValueError, OSError) as exc:
             parser.error(str(exc))
         row = analyze_graph(g)
@@ -241,8 +220,7 @@ def _run(argv: Sequence[str] | None) -> int:
         try:
             corpus = parse_corpus_spec(args.corpus)
             checks = None if args.checks == "all" else args.checks.split(",")
-            workers = args.workers if args.workers is not None else _default_workers()
-            report = run_verification(corpus, checks=checks, workers=workers)
+            report = run_verification(corpus, checks=checks, workers=args.workers)
             if args.out:
                 emit_report(report, args.out, args.format)
         except (ValueError, KeyError, OSError, GraphParseError) as exc:

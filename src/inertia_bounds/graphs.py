@@ -237,6 +237,14 @@ def to_graph6(g: Graph) -> str:
 # edge-list format: first token is n, then one "u v" pair per line
 
 
+def _integer(token: str) -> int:
+    """An optional '-' then ASCII digits; int() also takes '+3', '1_0' and non-ASCII digits."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse "n, then `u v` lines" text.  Errors cite 1-based line numbers.
 
@@ -256,7 +264,7 @@ def parse_edge_list(text: str) -> Graph:
                     f"alone on the first line, got {len(tokens)} tokens"
                 )
             try:
-                n = int(tokens[0])
+                n = _integer(tokens[0])
             except ValueError:
                 raise GraphParseError(
                     f"edge list line {lineno}: vertex count is not an "
@@ -273,7 +281,7 @@ def parse_edge_list(text: str) -> Graph:
                 f"edge list line {lineno}: expected 'u v', got {raw!r}"
             )
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            u, v = _integer(tokens[0]), _integer(tokens[1])
         except ValueError:
             raise GraphParseError(
                 f"edge list line {lineno}: endpoints must be integers: {raw!r}"

@@ -34,7 +34,6 @@ from .graphs import (
     cyclomatic_number,
     delete_vertices,
     pendant_vertices,
-    quasi_pendant_vertices,
 )
 from .inertia import Inertia, graph_inertia, unreduced_graph_inertia
 from .matching import (
@@ -56,7 +55,7 @@ class GraphFacts:
     The rest is computed on first use, at most once, and needs pairwise
     disjoint cycles: the matching numbers of the contracted forest and of
     the graph minus its cycles, the frontier edges, and whether some
-    maximum matching avoids them.  Each vertex deletion and its inertia
+    or every maximum matching avoids them.  Each vertex deletion and its inertia
     are kept per vertex (see :meth:`deleted`).  A record belongs to one
     graph; nothing is cached across graphs.
     """
@@ -65,11 +64,12 @@ class GraphFacts:
         self.graph = graph
         self.inertia = graph_inertia(graph) if inertia is None else inertia
         self.m = matching_number(graph)
-        self.c = cyclomatic_number(graph)
-        self.cycles = analyze_cycles(graph)
         self.components = components(graph)
+        self.c = graph.num_edges - graph.n + len(self.components)
+        self.cycles = analyze_cycles(graph)
         self.pendants = pendant_vertices(graph)
-        self.quasi_pendants = quasi_pendant_vertices(graph)
+        # a pendant's neighbour that is not itself a pendant has degree >= 2
+        self.quasi_pendants = frozenset(w for u in self.pendants for w in graph.adj[u]) - self.pendants
         self._deleted: dict[int, tuple[Graph, Inertia]] = {}
 
     def deleted(self, v: int) -> tuple[Graph, Inertia]:
@@ -120,6 +120,10 @@ class GraphFacts:
     @cached_property
     def frontier_avoidable(self) -> bool:
         return exists_max_matching_avoiding(self.graph, self.frontier, m=self.m)
+
+    @cached_property
+    def frontier_always_avoided(self) -> bool:
+        return every_max_matching_avoids(self.graph, self.frontier, m=self.m)
 
 
 def _facts(g: Graph | GraphFacts) -> GraphFacts:
@@ -222,7 +226,7 @@ def classify_unicyclic(g: Graph | GraphFacts) -> tuple[int, int]:
     q = len(f.cycles.cycles[0])
     m = f.m
     if q % 4 == 0:
-        return (m - 1, m - 1) if every_max_matching_avoids(f.graph, f.frontier, m=m) else (m, m)
+        return (m - 1, m - 1) if f.frontier_always_avoided else (m, m)
     # forest_matchings[1] is m(G - C)
     if q % 2 == 1 and m == f.forest_matchings[1] + (q - 1) // 2:
         return (m, m + 1) if q % 4 == 1 else (m + 1, m)
@@ -240,7 +244,6 @@ def check_deletion_corollaries(g: Graph | GraphFacts) -> bool:
     and v is not a quasi-pendant.
     """
     f = _facts(g)
-    g = f.graph
     if not f.cycles.cyclic_vertices:
         raise ValueError("deletion corollaries need at least one cycle")
     if not f.p_at_bound:
@@ -421,7 +424,7 @@ def _attached_even_cycle(f: GraphFacts) -> bool | None:
 def _lower_bound_forces_avoidance(f: GraphFacts) -> bool | None:
     if not (_hangs_off_forest(f) and f.inertia.p == f.m - f.c):
         return None
-    return every_max_matching_avoids(f.graph, f.frontier, m=f.m)
+    return f.frontier_always_avoided
 
 
 def _tight_bound_disjoint_cycles(f: GraphFacts) -> bool | None:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from inertia_bounds import cycle_graph, to_graph6
-from inertia_bounds.cli import WORKERS_ENV_VAR, main, parse_corpus_spec
+from inertia_bounds.cli import main, parse_corpus_spec
 from inertia_bounds.corpus import CorpusItem
 
 
@@ -71,12 +71,42 @@ def test_analyze_edge_list_file(capsys, tmp_path):
     assert (row["p"], row["n"], row["eta"]) == (1, 1, 2)
 
 
-def test_analyze_graph6_file_with_format_override(capsys, tmp_path):
+def test_analyze_graph6_file(capsys, tmp_path):
     path = tmp_path / "g.g6"
     path.write_text("Dhc\n")
-    code, out, _ = run_cli(capsys, "analyze", "--format", "graph6", str(path))
+    code, out, _ = run_cli(capsys, "analyze", str(path))
     assert code == 0
     assert json.loads(out)["graph6"] == "Dhc"
+
+
+C4_EDGE_LIST = "4\n0 1\n1 2\n2 3\n3 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, graph6",
+    [
+        ("Dhc\n", "Dhc"),
+        ("Dhc\r\n", "Dhc"),
+        (">>graph6<<Dhc\n", "Dhc"),
+        (C4_EDGE_LIST, "Cl"),
+        (C4_EDGE_LIST.replace("\n", "\r\n"), "Cl"),
+        ("# c4\n" + C4_EDGE_LIST, "Cl"),
+        ("3", "B?"),
+        ("3#c", "B?"),  # a '#' never occurs in graph6, so this is a commented vertex count
+    ],
+)
+def test_analyze_detects_the_format_of_every_input(capsys, tmp_path, text, graph6):
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["graph6"] == graph6
+
+
+def test_analyze_has_no_format_option(capsys):
+    code, _, err = run_cli(capsys, "analyze", "--format", "graph6", "Dhc")
+    assert code == 2
+    assert "--format" in err
 
 
 def test_analyze_rejects_garbage(capsys):
@@ -147,20 +177,6 @@ def test_verify_names_the_key_of_a_malformed_number(capsys, spec, message):
 def test_verify_rejects_bad_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--corpus", "exhaustive:2", "--checks", "nope")
     assert code == 2
-
-
-def test_verify_workers_env_default(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-    a = tmp_path / "a.json"
-    code, _, _ = run_cli(capsys, "verify", "--corpus", "exhaustive:3", "--out", str(a))
-    assert code == 0
-    monkeypatch.setenv(WORKERS_ENV_VAR, "1")
-    b = tmp_path / "b.json"
-    code, _, _ = run_cli(capsys, "verify", "--corpus", "exhaustive:3", "--out", str(b))
-    assert code == 0
-    assert a.read_bytes() == b.read_bytes()
-    monkeypatch.setenv(WORKERS_ENV_VAR, "zero")
-    assert run_cli(capsys, "verify", "--corpus", "exhaustive:2")[0] == 2
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])

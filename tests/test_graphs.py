@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import re
 
 import pytest
 
@@ -271,6 +272,12 @@ def test_parse_edge_list_errors_carry_line_numbers():
         parse_edge_list("x\n")
     with pytest.raises(GraphParseError, match="line 2: endpoints must be integers: '0 a'"):
         parse_edge_list("3\n0 a\n")
+    # only an optional '-' and ASCII digits make a number, not everything int() accepts
+    for count in ("1_0", "+3", "\u0663"):
+        with pytest.raises(GraphParseError, match=re.escape(f"line 1: vertex count is not an integer: '{count}'")):
+            parse_edge_list(f"{count}\n0 1\n")
+    with pytest.raises(GraphParseError, match="line 2: endpoints must be integers: '0 1_0'"):
+        parse_edge_list("11\n0 1_0\n")
 
 
 def test_parse_edge_list_caps_the_vertex_count():
