@@ -49,24 +49,37 @@ def _workers_arg(raw: str) -> int:
     return value
 
 
+def _is_edge_list(text: str) -> bool:
+    stripped = text.strip()
+    # graph6 bytes are 63..126, so whitespace or a '#' comment means an edge list,
+    # and so does a bare vertex count, the one edge list with neither
+    return stripped.isdigit() or any(ch in stripped for ch in " \t\n#")
+
+
 def _analyze_input_graph(spec: str):
-    """The graph an ``analyze`` argument names: graph6 first, then a file, then graph text."""
+    """The graph an ``analyze`` argument names: graph6 first, then a file, then graph text.
+
+    A file's first non-blank line decides its format; a graph6 file is read
+    by the ``file:`` corpus rules and must hold exactly one graph.
+    """
     try:
         return parse_graph6(spec)
     except GraphParseError:
         pass
-    text = spec
-    if os.path.exists(spec):
+    try:
+        if not os.path.exists(spec):
+            return parse_edge_list(spec) if _is_edge_list(spec) else parse_graph6(spec.strip())
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-    stripped = text.strip()
-    # graph6 bytes are 63..126, so whitespace or a '#' comment means an edge list,
-    # and so does a bare vertex count, the one edge list with neither
-    edge_list = stripped.isdigit() or any(ch in stripped for ch in " \t\n#")
-    try:
-        return parse_edge_list(text) if edge_list else parse_graph6(stripped)
+        first = next((line for line in text.splitlines() if line.strip()), "")
+        if _is_edge_list(first):
+            return parse_edge_list(text)
+        items = list(read_graph6_file(spec))
     except GraphParseError as exc:
         raise ValueError(f"{spec!r} is not a graph6 string or a readable graph file: {exc}") from None
+    if len(items) != 1:
+        raise ValueError(f"{spec!r} holds {len(items)} graphs; analyze takes one")
+    return items[0].graph
 
 
 def _split_kv(spec: str, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict[str, str]:
@@ -163,7 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="graph6 string, or path to a file holding graph6 or an edge list "
         "(first line n, then 'u v' lines); a valid graph6 string is read as "
         "graph6 first, so reach a file with such a name as ./NAME; other text "
-        "is an edge list if it holds whitespace or '#' or is a bare vertex count",
+        "is an edge list if it holds whitespace or '#' or is a bare vertex count "
+        "(a file by its first non-blank line; a graph6 file must hold one graph)",
     )
 
     p_verify = sub.add_parser("verify", help="run checks over a corpus")
@@ -198,12 +212,23 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns 0 (clean), 1 (counterexample) or 2 (usage)."""
     try:
-        return _run(argv)
+        code, text = _run(argv)
     except SystemExit as exc:  # argparse reports usage errors this way
         return exc.code if isinstance(exc.code, int) else 2
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``| head``): end quietly with the run's code,
+        # and send the interpreter's last flush at exit nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
-def _run(argv: Sequence[str] | None) -> int:
+def _run(argv: Sequence[str] | None) -> tuple[int, str]:
+    """Parse ``argv`` and do the work; returns the exit code and the text to print."""
     parser = _build_parser()
     args = parser.parse_args(argv)
 
@@ -213,8 +238,7 @@ def _run(argv: Sequence[str] | None) -> int:
         except (ValueError, OSError) as exc:
             parser.error(str(exc))
         row = analyze_graph(g)
-        print(json.dumps(report_row_dict(row), indent=1))
-        return 1 if row.is_counterexample() else 0
+        return (1 if row.is_counterexample() else 0), json.dumps(report_row_dict(row), indent=1)
 
     if args.command == "verify":
         try:
@@ -225,8 +249,7 @@ def _run(argv: Sequence[str] | None) -> int:
                 emit_report(report, args.out, args.format)
         except (ValueError, KeyError, OSError, GraphParseError) as exc:
             parser.error(str(exc))
-        print(summarize(report))
-        return 0 if report.ok else 1
+        return (0 if report.ok else 1), summarize(report)
 
     if args.command == "generate":
         try:
@@ -239,11 +262,9 @@ def _run(argv: Sequence[str] | None) -> int:
             )
         except ValueError as exc:
             parser.error(str(exc))
-        print(to_graph6(generate_extremal(params)))
-        return 0
+        return 0, to_graph6(generate_extremal(params))
 
     parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

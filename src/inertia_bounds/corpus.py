@@ -69,7 +69,8 @@ def read_graph6_file(path: str | os.PathLike[str]) -> Iterator[CorpusItem]:
 
     A header-only line, a blank line, and any other line starting with
     '>' are skipped; a graph following the header on its line is read.
-    A line that is not ASCII or not graph6 raises :class:`GraphParseError`
+    A line that is not ASCII or not graph6, or that starts with another
+    ``>>...<<`` header (sparse6, digraph6), raises :class:`GraphParseError`
     naming the path and the line number.
     """
     name = os.path.basename(os.fspath(path))
@@ -77,6 +78,9 @@ def read_graph6_file(path: str | os.PathLike[str]) -> Iterator[CorpusItem]:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("ascii").strip().removeprefix(GRAPH6_HEADER)
+                if line.startswith(">>") and "<<" in line:
+                    header = line[: line.index("<<") + 2]
+                    raise GraphParseError(f"foreign header {header!r}; only {GRAPH6_HEADER} is read")
                 if not line or line.startswith(">"):
                     continue
                 graph = parse_graph6(line)

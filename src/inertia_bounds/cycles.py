@@ -182,27 +182,6 @@ def contract_cycles(g: Graph, cs: CycleStructure | None = None) -> Graph:
     return forest
 
 
-class PendantCycle(NamedTuple):
-    cycle: tuple[int, ...]
-    gateway: int  # the unique cycle vertex with outside neighbors
-    outside: int  # one (the smallest) such outside neighbor
-
-
-def pendant_cycles(g: Graph, cs: CycleStructure | None = None) -> list[PendantCycle]:
-    """Cycles attached to the rest of the graph through a single vertex."""
-    if cs is None:
-        cs = analyze_cycles(g)
-    _require_disjoint(cs)
-    out = []
-    for cyc in cs.cycles:
-        members = set(cyc)
-        gateways = [v for v in cyc if g.adj[v] - members]
-        if len(gateways) == 1:
-            u = gateways[0]
-            out.append(PendantCycle(cyc, u, min(g.adj[u] - members)))
-    return out
-
-
 class CycleCounts(NamedTuple):
     """Simple-cycle counts: odd, length 3 mod 4, length 1 mod 4, total."""
 

@@ -145,7 +145,13 @@ def parse_graph6(text: str | bytes) -> Graph:
     Errors mention the byte offset of the first offending byte.
     """
     if isinstance(text, str):
-        data = text.encode("ascii", errors="backslashreplace")
+        try:
+            data = text.encode("ascii")
+        except UnicodeEncodeError as exc:
+            # every character before the first non-ASCII one is one byte
+            raise GraphParseError(
+                f"graph6: non-ASCII character {text[exc.start]!r} at offset {exc.start}"
+            ) from None
     else:
         data = bytes(text)
     base = 0
@@ -326,35 +332,14 @@ def components(g: Graph) -> list[frozenset[int]]:
     return out
 
 
-def is_connected(g: Graph) -> bool:
-    return len(components(g)) <= 1
-
-
 def cyclomatic_number(g: Graph) -> int:
     """Number of independent cycles: |E| - |V| + (number of components)."""
     return g.num_edges - g.n + len(components(g))
 
 
-def is_tree(g: Graph) -> bool:
-    return g.n >= 1 and g.num_edges == g.n - 1 and is_connected(g)
-
-
 def pendant_vertices(g: Graph) -> frozenset[int]:
     """Vertices of degree exactly 1."""
     return frozenset(v for v in range(g.n) if len(g.adj[v]) == 1)
-
-
-def quasi_pendant_vertices(g: Graph) -> frozenset[int]:
-    """Non-pendant vertices adjacent to at least one pendant vertex.
-
-    In a single edge both endpoints are pendant, so neither qualifies.
-    """
-    pend = pendant_vertices(g)
-    return frozenset(
-        v
-        for v in range(g.n)
-        if len(g.adj[v]) >= 2 and any(u in pend for u in g.adj[v])
-    )
 
 
 def delete_vertices(g: Graph, vs: Iterable[int]) -> Graph:

@@ -25,7 +25,6 @@ from .cycles import (
     contract_cycles,
     enumerate_simple_cycles,
     frontier_edges,
-    pendant_cycles,
 )
 from .graphs import (
     Edge,
@@ -391,8 +390,8 @@ def _odd_cycles_matching_equivalence(f: GraphFacts) -> bool | None:
 def _attached_even_cycle(f: GraphFacts) -> bool | None:
     """Properties forced on a cycle hanging by one bridge when p = m - c.
 
-    Premise: some cycle C meets the rest of the graph in exactly one
-    vertex x with exactly one outside edge xy.  The rest K = G - V(C)
+    Premise: exactly one edge xy of the frontier leaves some cycle C,
+    with x on C and y off it.  The rest K = G - V(C)
     is an induced subgraph of G, so its cycles are pairwise disjoint
     because G's are.  Conclusions checked: |C| = 0 mod 4, the
     bridge lies in no maximum matching, every maximum matching of K
@@ -403,20 +402,21 @@ def _attached_even_cycle(f: GraphFacts) -> bool | None:
         return None
     g, m = f.graph, f.m
     verdicts = []
-    for cand in pendant_cycles(g, f.cycles):
-        cyc = set(cand.cycle)
-        if len(g.adj[cand.gateway] - cyc) != 1:
+    for cycle in f.cycles.cycles:
+        cyc = set(cycle)
+        leaving = [(u, v) if u in cyc else (v, u) for u, v in f.frontier if (u in cyc) != (v in cyc)]
+        if len(leaving) != 1:
             continue
-        x, y = cand.gateway, cand.outside
+        [(x, y)] = leaving
         k_sub = delete_vertices(g, cyc)
         m_k = matching_number(k_sub)
         k_plus_x = delete_vertices(g, cyc - {x})
         verdicts.append(
-            len(cand.cycle) % 4 == 0
+            len(cycle) % 4 == 0
             and not edge_in_some_maximum_matching(g, (x, y), m=m)
             and every_max_matching_covers(k_sub, y - sum(v < y for v in cyc), m=m_k)
             and matching_number(k_plus_x) == m_k
-            and m == len(cand.cycle) // 2 + m_k
+            and m == len(cycle) // 2 + m_k
         )
     return all(verdicts) if verdicts else None
 

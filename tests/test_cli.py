@@ -1,6 +1,10 @@
 """Command line interface: argument handling, exit codes, output shapes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -278,3 +282,65 @@ def test_verify_names_the_file_and_line_of_a_bad_graph(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--corpus", f"file:{path}")
     assert code == 2
     assert "bad.g6:2" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Dhc\nA_\n", "'g.g6' holds 2 graphs; analyze takes one"),
+        (">>graph6<<\n", "'g.g6' holds 0 graphs; analyze takes one"),
+    ],
+)
+def test_analyze_takes_a_graph6_file_of_exactly_one_graph(capsys, tmp_path, monkeypatch, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.g6").write_text(text)
+    code, _, err = run_cli(capsys, "analyze", "g.g6")
+    assert code == 2
+    assert message in err
+
+
+def test_analyze_reads_a_graph6_file_whose_header_has_its_own_line(capsys, tmp_path):
+    path = tmp_path / "hdr.g6"
+    path.write_text(">>graph6<<\nDhc\n")
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["graph6"] == "Dhc"
+
+
+def test_analyze_rejects_non_ascii_graph6(capsys):
+    code, out, err = run_cli(capsys, "analyze", "G?\u00ac")
+    assert code == 2
+    assert out == ""
+    assert "offset 2" in err
+
+
+def test_verify_rejects_a_file_with_a_foreign_header(capsys, tmp_path):
+    path = tmp_path / "s6.txt"
+    path.write_text(">>sparse6<<:Fa@x^\n")
+    code, out, err = run_cli(capsys, "verify", "--corpus", f"file:{path}")
+    assert code == 2
+    assert "graphs checked" not in out
+    assert "s6.txt:1" in err and ">>sparse6<<" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", "Dhc"), ("verify", "--corpus", "exhaustive:3")],
+)
+def test_a_closed_stdout_ends_quietly(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "inertia_bounds.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0
+    assert done.stderr == b""

@@ -20,7 +20,6 @@ from inertia_bounds import (
     frontier_edges,
     lemma_suite,
     path_graph,
-    pendant_cycles,
     star_graph,
 )
 from inertia_bounds.corpus import generated_corpus
@@ -172,19 +171,6 @@ def test_graph_facts_refuse_forest_matchings_when_cycles_overlap():
             facts.forest_matchings
         with pytest.raises(ValueError, match="disjoint"):
             facts.contraction_keeps_matching
-
-
-def test_pendant_cycles():
-    g = cycle_with_tail(5, 2)
-    pcs = pendant_cycles(g)
-    assert len(pcs) == 1
-    assert pcs[0].cycle == (0, 1, 2, 3, 4)
-    assert pcs[0].gateway == 0
-    assert pcs[0].outside == 5
-    # a bare cycle has no outside vertex, so no pendant cycle
-    assert pendant_cycles(cycle_graph(4)) == []
-    # near-miss graph: both cycles hang off the bridge
-    assert len(pendant_cycles(lower_bound_near_miss())) == 2
 
 
 def test_cycle_counts_frozen():

@@ -8,6 +8,7 @@ import pytest
 
 from inertia_bounds import (
     Graph,
+    GraphFacts,
     GraphParseError,
     complete_graph,
     components,
@@ -17,13 +18,10 @@ from inertia_bounds import (
     delete_vertices,
     disjoint_union,
     empty_graph,
-    is_connected,
-    is_tree,
     parse_edge_list,
     parse_graph6,
     path_graph,
     pendant_vertices,
-    quasi_pendant_vertices,
     to_graph6,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
@@ -114,16 +112,17 @@ def test_star_is_a_tree():
 
     g = star_graph(6)  # one hub, six leaves
     assert g.n == 7
-    assert is_tree(g)
+    facts = GraphFacts(g)
+    assert facts.tree
     assert pendant_vertices(g) == {1, 2, 3, 4, 5, 6}
-    assert quasi_pendant_vertices(g) == {0}
+    assert facts.quasi_pendants == {0}
 
 
 def test_k2_has_no_quasi_pendant():
     # both endpoints are pendant, so neither qualifies
     g = path_graph(2)
     assert pendant_vertices(g) == {0, 1}
-    assert quasi_pendant_vertices(g) == set()
+    assert GraphFacts(g).quasi_pendants == set()
 
 
 def test_disjoint_union():
@@ -137,8 +136,8 @@ def test_disjoint_union():
 def test_components_and_forest_predicates():
     g = Graph(6, [(0, 1), (2, 3), (3, 4)])
     assert components(g) == [{0, 1}, {2, 3, 4}, {5}]
-    assert not is_tree(g)
-    assert not is_connected(g)
+    assert not GraphFacts(g).tree
+    assert len(components(g)) == 3
     assert cyclomatic_number(g) == 0
     assert cyclomatic_number(cycle_graph(4)) == 1
 
@@ -223,6 +222,8 @@ def test_graph6_errors_carry_byte_offsets():
         parse_graph6("A" + chr(63 + 0b011111))  # nonzero pad bits
     with pytest.raises(GraphParseError, match="truncated 4-byte size header at offset 0"):
         parse_graph6("~??")
+    with pytest.raises(GraphParseError, match="non-ASCII character '\u00ac' at offset 2"):
+        parse_graph6("G?\u00ac")  # no longer escaped into graph6 bytes
 
 
 def test_graph6_rejects_vertex_counts_above_the_cap():

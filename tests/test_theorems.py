@@ -25,6 +25,7 @@ from inertia_bounds import (
     graph_inertia,
     lemma_suite,
     matching_number,
+    parse_graph6,
     path_graph,
     star_graph,
 )
@@ -251,6 +252,20 @@ def test_lemma_suite_values():
     assert tree_report["tree_nullity_bound"] is True
     assert tree_report["leaf_stripping_drop"] is True
     assert tree_report["pendant_existence"] is None  # no cycle at all
+
+
+@pytest.mark.parametrize(
+    "g6, expected",
+    [
+        ("El_G", True),  # C4 plus the path 0-4-5: one edge leaves the cycle
+        ("Gl_K?C", None),  # two paths leave C4 at vertex 0
+        ("Gl_H?C", None),  # paths leave C4 at vertices 0 and 2
+    ],
+)
+def test_attached_even_cycle_needs_exactly_one_leaving_edge(g6, expected):
+    facts = GraphFacts(parse_graph6(g6))
+    assert facts.inertia.p == facts.m - facts.c  # every graph here attains the lower bound
+    assert lemma_suite(facts)["attached_even_cycle"] is expected
 
 
 def test_lemma_suite_never_false_on_small_corpus():

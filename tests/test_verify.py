@@ -95,6 +95,13 @@ def test_read_graph6_file_header_shares_a_line_with_a_graph(tmp_path):
     assert [i.graph_id for i in items] == ["h.g6:1", "h.g6:4"]
 
 
+def test_read_graph6_file_rejects_a_foreign_header(tmp_path):
+    path = tmp_path / "s6.txt"
+    path.write_text(">>sparse6<<:Fa@x^\n")
+    with pytest.raises(GraphParseError, match=r"s6\.txt:1: foreign header '>>sparse6<<'"):
+        list(read_graph6_file(path))
+
+
 def test_generated_corpus_annotates_residue():
     base = GeneratorParams(
         cycle_residue=1, num_cycles=1, num_isolated_seeds=0, num_steps=2, rng_seed=10
@@ -425,8 +432,7 @@ def test_each_invariant_is_computed_once_per_row(monkeypatch):
     # Wrap each function wherever another package module bound it by name,
     # plus the row function in its own module, and count the calls each row
     # makes on a graph equal to its own.  The graphs functions are wrapped
-    # in their own module too, so the calls inside cyclomatic_number and
-    # quasi_pendant_vertices count.
+    # in their own module too, so the call inside cyclomatic_number counts.
     import inertia_bounds.verify as verify_mod
 
     package = [m for name, m in sys.modules.items() if name.split(".")[0] == "inertia_bounds"]
