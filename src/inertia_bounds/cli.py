@@ -28,7 +28,7 @@ from .corpus import (
     read_graph6_file,
     sample_random,
 )
-from .graphs import GraphParseError, parse_edge_list, parse_graph6, to_graph6
+from .graphs import GraphParseError, _integer, parse_edge_list, parse_graph6, to_graph6
 from .theorems import GeneratorParams, generate_extremal
 from .verify import (
     ALL_CHECKS,
@@ -41,7 +41,7 @@ from .verify import (
 
 def _workers_arg(raw: str) -> int:
     try:
-        value = int(raw)
+        value = _integer(raw.strip())
     except ValueError:
         value = 0
     if value < 1:
@@ -102,9 +102,13 @@ def _split_kv(spec: str, what: str, required: tuple[str, ...], optional: tuple[s
 
 
 def _number(what: str, key: str, raw: str, kind: type = int) -> int | float:
-    """``raw`` converted by ``kind``; a malformed value names ``what`` and ``key``."""
+    """``raw`` converted by ``kind``; a malformed value names ``what`` and ``key``.
+
+    An integer is read as the edge-list parser reads one: an optional '-'
+    and ASCII digits, around which whitespace is ignored.
+    """
     try:
-        return kind(raw)
+        return _integer(raw.strip()) if kind is int else kind(raw)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ValueError(f"{what}: {key} must be {noun}, got {raw!r}") from None

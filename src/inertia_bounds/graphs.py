@@ -54,6 +54,14 @@ class Graph:
         # heap (peak RSS kept rising over repeated analyze passes)
         object.__setattr__(self, "adj", tuple([frozenset(s) for s in adj]))
 
+    @classmethod
+    def _trusted(cls, adj: list[frozenset[int]]) -> Graph:
+        """The graph with neighbour sets ``adj``, taken as valid without a check."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(adj))
+        object.__setattr__(g, "adj", tuple(adj))
+        return g
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
 
@@ -346,23 +354,29 @@ def delete_vertices(g: Graph, vs: Iterable[int]) -> Graph:
     """Remove ``vs`` and their incident edges.
 
     Survivors keep their order: a kept vertex ``v`` becomes ``v`` minus
-    the number of deleted vertices below it.
+    the number of deleted vertices below it.  The neighbour sets are
+    relabelled directly, without ``Graph.__init__``: a subgraph of a valid
+    graph holds no self-loop and no pair out of range, so there is
+    nothing to check again.
     """
-    drop = set(vs)
-    bad = [v for v in drop if v not in range(g.n)]
+    n, adj, drop = g.n, g.adj, set(vs)
+    bad = drop.difference(range(n))
     if bad:
-        raise ValueError(f"vertices {sorted(bad)} out of range for n={g.n}")
-    label: list[int] = []
-    kept = 0
-    for v in range(g.n):
-        label.append(kept)
-        kept += v not in drop
-    edges = [
-        (label[u], label[v])
-        for u, nbrs in enumerate(g.adj) if u not in drop
-        for v in nbrs if u < v and v not in drop
-    ]
-    return Graph(kept, edges)
+        raise ValueError(f"vertices {sorted(bad)} out of range for n={n}")
+    if not {int}.issuperset(map(type, drop)):
+        raise ValueError(f"vertices {sorted(drop)} are not all ints")
+    # ``label`` is right on every kept vertex; a deleted one keeps a stale
+    # label, so only the neighbours of deleted vertices filter them out
+    ds = sorted(drop)
+    keep = list(range(n))
+    label = list(range(n))
+    for i, d in enumerate(ds):
+        del keep[d - i]
+        end = ds[i + 1] if i + 1 < len(ds) else n
+        label[d + 1 : end] = range(d - i, end - i - 1)
+    near = set().union(*[adj[v] for v in drop])
+    relabel = label.__getitem__
+    return Graph._trusted([frozenset(map(relabel, adj[v] - drop if v in near else adj[v])) for v in keep])
 
 
 def delete_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:

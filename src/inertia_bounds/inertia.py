@@ -18,6 +18,14 @@ Three routes, kept deliberately separate:
   denominators, and every stored entry is then an integer minor of the
   matrix (Sylvester's determinant identity), so each division is exact
   and no rational arithmetic is needed.
+
+The pivot policy takes rows in index order (see
+:func:`inertia_congruence`).  The graph routes, :func:`graph_inertia` on
+its peeled core and :func:`unreduced_graph_inertia` on the whole graph,
+first renumber the vertices by ascending degree, so that low-degree rows
+are pivoted first and fill in less; a relabelling leaves the inertia as
+it is.  :func:`inertia_congruence` keeps the index order of the matrix
+it is given.
 * :func:`inertia_charpoly_oracle` computes the integer characteristic
   polynomial by a Hessenberg reduction modulo a prime above twice a
   Hadamard bound on its coefficients, and reads the inertia off the
@@ -40,6 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .graphs import Graph
@@ -96,21 +105,33 @@ def _eliminate(rows: Rows) -> Inertia:
     their stamp until a later pivot touches them.  Nonzero scaling keeps
     the zero pattern, so the pivot sequence is the one documented on
     :func:`inertia_congruence`.
+
+    The pivot search does not rescan the rows: ``diag`` holds the live
+    rows with a nonzero diagonal, updated on the rows a pivot touches,
+    and ``first`` only moves forward, because a row that is eliminated
+    or all zero never gets an entry again (an empty row is in no other
+    row either, by symmetry, so no pivot touches it).
     """
-    stamp = [1] * len(rows)
-    active = list(range(len(rows)))
+    size = len(rows)
+    stamp = [1] * size
+    live = [True] * size
+    diag = {i for i in range(size) if i in rows[i]}
+    first = 0
     det = 1
     p = n = 0
-    while active:
-        pivot = next((i for i in active if i in rows[i]), None)
-        if pivot is not None:
+    while True:
+        if diag:
+            pivot = min(diag)
             block = (pivot,)
         else:
+            pivot = None
             # no diagonal left: the smallest row with an entry holds the
             # lexicographically smallest nonzero pair, at its smallest column
-            bi = next((i for i in active if rows[i]), None)
-            if bi is None:
+            while first < size and not (live[first] and rows[first]):
+                first += 1
+            if first == size:
                 break
+            bi = first
             block = (bi, min(rows[bi]))
         for b in block:
             if stamp[b] != det:
@@ -143,8 +164,9 @@ def _eliminate(rows: Rows) -> Inertia:
             for b in block:
                 ri.pop(b, None)
             s = stamp[i]
-            for j, x in ri.items():
-                ri[j] = x * (det if j in cols else new_det) // s
+            if s != det or new_det != det:
+                for j, x in ri.items():
+                    ri[j] = x * (det if j in cols else new_det) // s
             stamp[i] = new_det
         if pivot is not None:
             # (i, j) <- (d (i, j) - (i, pivot) (pivot, j)) / det
@@ -174,10 +196,16 @@ def _eliminate(rows: Rows) -> Inertia:
                         else:
                             ri.pop(j, None)
                             rows[j].pop(i, None)
+        for i in touched:
+            if i in rows[i]:
+                diag.add(i)
+            else:
+                diag.discard(i)
         for b in block:
-            active.remove(b)
+            live[b] = False
+            diag.discard(b)
         det = new_det
-    return Inertia(p, n, len(active))
+    return Inertia(p, n, live.count(True))
 
 
 def inertia_congruence(matrix: Sequence[Sequence[Fraction]]) -> Inertia:
@@ -204,39 +232,54 @@ def inertia_congruence(matrix: Sequence[Sequence[Fraction]]) -> Inertia:
 _PENDANT_PAIR = Inertia(1, 1, 0)
 
 
+def _degree_ordered_rows(adj: Sequence[frozenset[int]], vertices: Sequence[int], degree: Sequence[int]) -> Rows:
+    """Unit rows of ``vertices`` renumbered by ascending ``degree``, ties by index.
+
+    Low-degree rows come first, so the pivots :func:`_eliminate` takes
+    in index order fill in less.  Entries to vertices outside
+    ``vertices`` are dropped.
+    """
+    order = sorted(vertices, key=degree.__getitem__)
+    index = {v: i for i, v in enumerate(order)}
+    return [{index[w]: 1 for w in adj[v] if w in index} for v in order]
+
+
 def graph_inertia(g: Graph) -> Inertia:
     """Inertia of the adjacency matrix: peel pendants, then eliminate the core."""
-    adj = [set(s) for s in g.adj]
+    adj = g.adj
+    degree = list(map(len, adj))  # neighbours still alive
     alive = [True] * g.n
-    work = [v for v in range(g.n) if len(adj[v]) <= 1]
+    work = [v for v in range(g.n) if degree[v] <= 1]
     pairs = isolated = 0
     while work:
         u = work.pop()
         if not alive[u]:
             continue
         alive[u] = False
-        if not adj[u]:
+        if not degree[u]:
             isolated += 1
             continue
-        v = adj[u].pop()
+        for v in adj[u]:  # u's one live neighbour
+            if alive[v]:
+                break
         alive[v] = False
         pairs += 1
         for w in adj[v]:
-            if w != u:
-                adj[w].discard(v)
-                if len(adj[w]) <= 1:
+            if alive[w]:
+                degree[w] -= 1
+                if degree[w] <= 1:
                     work.append(w)
-    core = [v for v in range(g.n) if alive[v]]
-    index = {v: i for i, v in enumerate(core)}
-    rows = [{index[w]: 1 for w in adj[v]} for v in core]
     dp, dn, deta = _PENDANT_PAIR
     peeled = Inertia(pairs * dp, pairs * dn, isolated + pairs * deta)
-    return peeled + _eliminate(rows)
+    core = list(compress(range(g.n), alive))
+    if not core:
+        return peeled
+    return peeled + _eliminate(_degree_ordered_rows(adj, core, degree))
 
 
 def unreduced_graph_inertia(g: Graph) -> Inertia:
     """Inertia of the adjacency matrix by elimination alone, without peeling."""
-    return _eliminate([dict.fromkeys(s, 1) for s in g.adj])
+    return _eliminate(_degree_ordered_rows(g.adj, range(g.n), list(map(len, g.adj))))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +458,10 @@ def inertia_charpoly_oracle(matrix: Sequence[Sequence[Fraction | int]]) -> Inert
                 raise ValueError(
                     f"matrix is not symmetric at ({i}, {j}): {row[j]} != {a[j][i]}"
                 )
-    coeffs = _lifted_char_poly(a)
+    return _descartes_inertia(_lifted_char_poly(a))
+
+
+def _descartes_inertia(coeffs: IntPolynomial) -> Inertia:
     eta = 0
     while eta < len(coeffs) and coeffs[eta] == 0:
         eta += 1
@@ -431,15 +477,21 @@ def inertia_charpoly_oracle(matrix: Sequence[Sequence[Fraction | int]]) -> Inert
 
 def _integer_adjacency(g: Graph) -> list[list[int]]:
     a = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        a[u][v] = a[v][u] = 1
+    for row, nbrs in zip(a, g.adj):
+        for v in nbrs:
+            row[v] = 1
     return a
 
 
 def graph_inertia_oracle(g: Graph) -> Inertia:
-    """Inertia of the adjacency matrix (characteristic-polynomial route)."""
-    return inertia_charpoly_oracle(_integer_adjacency(g))
+    """Inertia of the adjacency matrix (characteristic-polynomial route).
+
+    An adjacency matrix is a symmetric 0/1 integer matrix by construction,
+    so this skips the type walk and the symmetry check of
+    :func:`inertia_charpoly_oracle`.
+    """
+    return _descartes_inertia(_lifted_char_poly(_integer_adjacency(g)))
 
 
 def graph_char_poly(g: Graph) -> IntPolynomial:
-    return char_poly(_integer_adjacency(g))
+    return _lifted_char_poly(_integer_adjacency(g))

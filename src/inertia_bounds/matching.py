@@ -29,16 +29,27 @@ class BudgetExceededError(ValueError):
 def maximum_matching(g: Graph) -> frozenset[Edge]:
     """One maximum matching, as a frozenset of (u, v) pairs with u < v.
 
-    Augmenting-path search with blossom contraction.  Only the SIZE of
-    the result is canonical; which matching is returned is deterministic
-    (ascending vertex and neighbor order) but otherwise arbitrary, and
-    callers must not rely on the particular edges chosen.
+    Augmenting-path search with blossom contraction (see :func:`_mates`,
+    which :func:`matching_number` counts without building this set).
+    Only the SIZE of the result is canonical; which matching is returned
+    is deterministic (ascending vertex and neighbor order) but otherwise
+    arbitrary, and callers must not rely on the particular edges chosen.
+    """
+    match = _mates(g)
+    return frozenset((v, u) for v, u in enumerate(match) if u > v)
+
+
+def _mates(g: Graph) -> list[int]:
+    """The partner of each vertex in one maximum matching, -1 if exposed.
+
+    A greedy matching in ascending vertex and neighbour order, then one
+    augmenting search from each exposed vertex that has an edge.  The
+    search arrays are reset by slice assignment.
     """
     n = g.n
-    adj = [sorted(g.adj[v]) for v in range(n)]
+    adj = [sorted(s) for s in g.adj]
     match = [-1] * n
 
-    # greedy warm start, then one augmenting search per exposed vertex
     for v in range(n):
         if match[v] == -1:
             for u in adj[v]:
@@ -47,9 +58,8 @@ def maximum_matching(g: Graph) -> frozenset[Edge]:
                     match[u] = v
                     break
 
-    parent = [-1] * n
-    base = list(range(n))
-    in_queue = [False] * n
+    unset, identity, clear = [-1] * n, list(range(n)), [False] * n
+    parent, base, in_queue = unset[:], identity[:], clear[:]
 
     def lca(a: int, b: int) -> int:
         on_path = [False] * n
@@ -76,10 +86,7 @@ def maximum_matching(g: Graph) -> frozenset[Edge]:
             v = parent[match[v]]
 
     def augment_from(root: int) -> bool:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-            in_queue[i] = False
+        parent[:], base[:], in_queue[:] = unset, identity, clear
         in_queue[root] = True
         queue = deque([root])
         while queue:
@@ -116,16 +123,14 @@ def maximum_matching(g: Graph) -> frozenset[Edge]:
         return False
 
     for v in range(n):
-        if match[v] == -1:
+        if match[v] == -1 and adj[v]:
             augment_from(v)
-    return frozenset(
-        (v, match[v]) for v in range(n) if match[v] > v
-    )
+    return match
 
 
 def matching_number(g: Graph) -> int:
-    """Size of a maximum matching."""
-    return len(maximum_matching(g))
+    """Size of a maximum matching: half the number of matched vertices."""
+    return (g.n - _mates(g).count(-1)) // 2
 
 
 def matching_bruteforce(g: Graph) -> int:

@@ -165,6 +165,10 @@ def test_verify_rejects_bad_corpus(capsys):
     "spec, message",
     [
         ("exhaustive:abc", "exhaustive corpus: N must be an integer, got 'abc'"),
+        ("exhaustive:+3", "exhaustive corpus: N must be an integer, got '+3'"),
+        ("exhaustive:\u0663", "exhaustive corpus: N must be an integer, got '\u0663'"),
+        ("random:n=1_0,p=0.5,count=1,seed=0", "random corpus: n must be an integer, got '1_0'"),
+        ("generated:residue=1,steps=+2", "generated corpus: steps must be an integer, got '+2'"),
         ("random:n=x,p=0.5,count=1,seed=0", "random corpus: n must be an integer, got 'x'"),
         ("random:n=4,p=abc,count=1,seed=0", "random corpus: p must be a number, got 'abc'"),
         ("generated:residue=1,count=x", "generated corpus: count must be an integer, got 'x'"),
@@ -183,7 +187,7 @@ def test_verify_rejects_bad_check(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "two"])
+@pytest.mark.parametrize("value", ["0", "-3", "two", "1_0", "+2", "\u0662"])
 def test_verify_rejects_non_positive_workers(capsys, value):
     code, _, err = run_cli(capsys, "verify", "--corpus", "exhaustive:2", "--workers", value)
     assert code == 2

@@ -152,6 +152,11 @@ def test_delete_vertices_relabels_survivors_in_order():
 def test_delete_vertices_rejects_out_of_range_vertices():
     with pytest.raises(ValueError, match=r"vertices \[-1, 5\] out of range for n=5"):
         delete_vertices(cycle_graph(5), [5, 0, -1])
+    # like Graph's endpoints, a vertex equal to an int is not one
+    with pytest.raises(ValueError, match=r"vertices \[1.0, 3\] are not all ints"):
+        delete_vertices(cycle_graph(5), [3, 1.0])
+    with pytest.raises(ValueError, match=r"vertices \[True\] are not all ints"):
+        delete_vertices(cycle_graph(5), [True])
 
 
 def test_delete_edges():

@@ -474,6 +474,26 @@ def test_two_by_two_pivot_turns_the_leading_minor_negative():
     assert inertia_congruence(triangle) == Inertia(1, 2, 0)
 
 
+@pytest.mark.parametrize(
+    "m, want",
+    [
+        # row 0 is zero from the start; the 2x2 pivot search must skip it
+        ([[0, 0, 0, 0], [0, 0, 2, 0], [0, 2, 0, 1], [0, 0, 1, 0]], Inertia(1, 1, 2)),
+        # the pivot on row 0 cancels row 1 to zero; the 2x2 pivot that
+        # follows must skip the cancelled row and take (2, 3)
+        ([[1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 1, 1], [0, 0, 1, 0]], Inertia(2, 1, 1)),
+        # the 2x2 pivot on (0, 1) fills in (3, 3), the only diagonal, and
+        # cancels (3, 4); row 3 is the next pivot although row 2 comes first
+        (
+            [[0, 1, 0, 1, 0], [1, 0, 0, 1, 1], [0, 0, 0, 1, 1], [1, 1, 1, 0, 1], [0, 1, 1, 1, 0]],
+            Inertia(2, 3, 0),
+        ),
+    ],
+)
+def test_pivot_search_edge_cases(m, want):
+    assert inertia_congruence(m) == inertia_charpoly_oracle(m) == want
+
+
 def test_integer_kernel_handles_minors_beyond_64_bits():
     np = pytest.importorskip("numpy")
     rng = random.Random(30)

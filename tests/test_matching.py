@@ -63,6 +63,21 @@ def test_matching_deterministic():
     assert maximum_matching(g) == maximum_matching(g)
 
 
+@pytest.mark.parametrize(
+    "g, m",
+    [
+        # P4 labelled so that greedy in index order takes the middle edge (0, 1)
+        (Graph(4, [(0, 1), (0, 2), (1, 3)]), 2),
+        # C5 with a leaf on each cycle vertex, the leaves labelled 5..9: greedy
+        # in index order matches 0-1, 2-3, 4-9 and leaves two augmentations
+        (Graph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]), 5),
+    ],
+)
+def test_matching_is_maximum_when_greedy_in_index_order_is_not(g, m):
+    assert maximum_matching(g) == maximum_matching(g)
+    assert len(maximum_matching(g)) == matching_number(g) == matching_bruteforce(g) == m
+
+
 def test_blossom_agrees_with_bruteforce_exhaustively():
     for n in range(6):
         for item in enumerate_labeled(n):
@@ -155,7 +170,7 @@ def test_queries_with_a_known_m_answer_as_without_it(monkeypatch):
         for v in range(g.n):
             assert every_max_matching_covers(g, v, m=m) == every_max_matching_covers(g, v)
     # with m given, no query solves G itself again
-    original = matching_mod.maximum_matching
+    original = matching_mod._mates
     g = petersen()
     m = matching_number(g)
 
@@ -163,7 +178,7 @@ def test_queries_with_a_known_m_answer_as_without_it(monkeypatch):
         assert h != g
         return original(h)
 
-    monkeypatch.setattr(matching_mod, "maximum_matching", solve)
+    monkeypatch.setattr(matching_mod, "_mates", solve)
     edges = sorted(g.edges)
     edge_in_some_maximum_matching(g, edges[0], m=m)
     exists_max_matching_avoiding(g, edges[:3], m=m)

@@ -1,10 +1,12 @@
-"""Property tests: independent routes agree on arbitrary small graphs.
+"""Property tests: independent routes agree on arbitrary small graphs,
+and neither a shortcut constructor nor a vertex order changes a result.
 
 One strategy draws a vertex count n <= 9 and any subset of the n(n-1)/2
 possible edges.  Runs are derandomized and keep no example database, so
 every run tries the same graphs.
 """
 
+import pickle
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from inertia_bounds import (
     Graph,
+    delete_vertices,
     graph_inertia,
     graph_inertia_oracle,
     matching_bruteforce,
@@ -54,3 +57,27 @@ def test_graph6_and_edge_list_round_trip(g):
     assert parse_graph6(to_graph6(g)) == g
     text = f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
     assert parse_edge_list(text) == g
+
+
+@repeatable
+@given(st.data())
+def test_delete_vertices_equals_the_graph_built_from_its_edges(data):
+    g = data.draw(graphs())
+    drop = data.draw(st.sets(st.integers(min_value=0, max_value=max(g.n - 1, 0)), max_size=g.n))
+    h = delete_vertices(g, drop)
+    label = {v: i for i, v in enumerate(v for v in range(g.n) if v not in drop)}
+    want = Graph(len(label), [(label[u], label[v]) for u, v in g.edges if u not in drop and v not in drop])
+    assert h == want and hash(h) == hash(want) and h.n == want.n
+    assert h.edges == want.edges
+    assert pickle.loads(pickle.dumps(h)) == want
+
+
+@repeatable
+@given(st.data())
+def test_peeled_and_unreduced_inertia_ignore_the_vertex_labels(data):
+    # both eliminate in degree order, which must not leak into a result
+    g = data.draw(graphs())
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    assert graph_inertia(h) == graph_inertia(g)
+    assert unreduced_graph_inertia(h) == unreduced_graph_inertia(g)

@@ -543,14 +543,14 @@ def test_one_blossom_per_row_on_the_row_graph(monkeypatch):
 
     row_graph = []
     per_row = []
-    original = matching_mod.maximum_matching
+    original = matching_mod._mates
 
     def counted(g):
         if row_graph and g == row_graph[0]:
             per_row[-1] += 1
         return original(g)
 
-    monkeypatch.setattr(matching_mod, "maximum_matching", counted)
+    monkeypatch.setattr(matching_mod, "_mates", counted)
     analyze = verify_mod.analyze_graph
 
     def row(g, *args, **kwargs):
