@@ -2,7 +2,7 @@
 
 The inertia of a graph is the triple (p, n, eta): how many adjacency
 eigenvalues are positive, negative, and zero.  Everything here is exact
-integer/rational arithmetic; no floating point, no tolerance knobs.
+integer arithmetic; no floating point, no tolerance knobs.
 """
 
 from inertia_bounds import (
@@ -33,7 +33,7 @@ for k in (6, 7):
 print("star with 5 leaves:", graph_inertia(star_graph(5)))
 
 # Two fully independent routes to the same answer.  The main route is
-# a rational symmetric congruence (Sylvester's law); the oracle builds
+# a fraction-free integer congruence (Sylvester's law); the oracle builds
 # the characteristic polynomial and counts sign changes.  They share
 # no code, so agreement is strong evidence both are right.
 g = cycle_graph(5)

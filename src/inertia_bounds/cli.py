@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import (
     CorpusItem,
@@ -39,14 +39,20 @@ from .verify import (
     summarize,
 )
 
-def _workers_arg(raw: str) -> int:
-    try:
-        value = _integer(raw.strip())
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"--workers must be a positive integer, got {raw!r}")
-    return value
+def _integer_arg(flag: str, positive: bool = False) -> Callable[[str], int]:
+    """The argparse type of ``flag``: an integer as the edge-list parser reads one."""
+    noun = "a positive integer" if positive else "an integer"
+
+    def parse(raw: str) -> int:
+        try:
+            value = _integer(raw.strip())
+        except ValueError:
+            value = None
+        if value is None or (positive and value < 1):
+            raise argparse.ArgumentTypeError(f"{flag} must be {noun}, got {raw!r}")
+        return value
+
+    return parse
 
 
 def _is_edge_list(text: str) -> bool:
@@ -105,10 +111,16 @@ def _number(what: str, key: str, raw: str, kind: type = int) -> int | float:
     """``raw`` converted by ``kind``; a malformed value names ``what`` and ``key``.
 
     An integer is read as the edge-list parser reads one: an optional '-'
-    and ASCII digits, around which whitespace is ignored.
+    and ASCII digits, around which whitespace is ignored.  A float must be
+    ASCII text without '_', although ``float`` takes non-ASCII digits and
+    '_' separators.
     """
     try:
-        return _integer(raw.strip()) if kind is int else kind(raw)
+        if kind is int:
+            return _integer(raw.strip())
+        if "_" in raw or not raw.isascii():
+            raise ValueError(raw)
+        return kind(raw)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ValueError(f"{what}: {key} must be {noun}, got {raw!r}") from None
@@ -197,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--workers",
-        type=_workers_arg,
+        type=_integer_arg("--workers", positive=True),
         default=1,
         help="process count (default 1)",
     )
@@ -205,11 +217,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_generate = sub.add_parser(
         "generate", help="emit one extremal graph as a graph6 line"
     )
-    p_generate.add_argument("--residue", type=int, choices=(0, 1, 3), required=True)
-    p_generate.add_argument("--cycles", type=int, default=1, metavar="K")
-    p_generate.add_argument("--steps", type=int, default=0, metavar="S")
-    p_generate.add_argument("--seed", type=int, default=0, metavar="X")
-    p_generate.add_argument("--isolated", type=int, default=0, metavar="I")
+    p_generate.add_argument("--residue", type=_integer_arg("--residue"), choices=(0, 1, 3), required=True)
+    p_generate.add_argument("--cycles", type=_integer_arg("--cycles"), default=1, metavar="K")
+    p_generate.add_argument("--steps", type=_integer_arg("--steps"), default=0, metavar="S")
+    p_generate.add_argument("--seed", type=_integer_arg("--seed"), default=0, metavar="X")
+    p_generate.add_argument("--isolated", type=_integer_arg("--isolated"), default=0, metavar="I")
     return parser
 
 

@@ -1,6 +1,6 @@
-"""Exact inertia of symmetric rational matrices and of graphs.
+"""Exact inertia of graph adjacency matrices.
 
-Three routes, kept deliberately separate:
+Two routes, kept deliberately separate:
 
 * :func:`graph_inertia` (production) peels the graph first.  Each
   isolated vertex is one zero eigenvalue, and deleting a pendant vertex
@@ -8,25 +8,18 @@ Three routes, kept deliberately separate:
   negative eigenvalue (the pendant lemma; on trees this amounts to
   Jacobs and Trevisan's linear-time diagonalisation at zero).  Peeling
   is O(n + |E|); only the core that remains, with minimum degree 2, is
-  eliminated.
-* :func:`inertia_congruence` and :func:`unreduced_graph_inertia` (the
-  unreduced kernel) diagonalise a symmetric matrix by symmetric
-  congruence, storing only the nonzero entries of each row.  By
-  Sylvester's law of inertia the signs of the pivots count positive and
-  negative eigenvalues.  The elimination is fraction-free (Bareiss
-  1968): rational input is first scaled by the positive lcm of its
-  denominators, and every stored entry is then an integer minor of the
-  matrix (Sylvester's determinant identity), so each division is exact
-  and no rational arithmetic is needed.
-
-The pivot policy takes rows in index order (see
-:func:`inertia_congruence`).  The graph routes, :func:`graph_inertia` on
-its peeled core and :func:`unreduced_graph_inertia` on the whole graph,
-first renumber the vertices by ascending degree, so that low-degree rows
-are pivoted first and fill in less; a relabelling leaves the inertia as
-it is.  :func:`inertia_congruence` keeps the index order of the matrix
-it is given.
-* :func:`inertia_charpoly_oracle` computes the integer characteristic
+  eliminated.  :func:`unreduced_graph_inertia` (the unreduced kernel)
+  eliminates the whole graph without peeling.  Both diagonalise the
+  adjacency matrix by symmetric congruence (:func:`_eliminate`),
+  storing only the nonzero entries of each row; by Sylvester's law of
+  inertia the signs of the pivots count positive and negative
+  eigenvalues.  The elimination is fraction-free integer arithmetic
+  (Bareiss 1968): every stored entry is an integer minor of the matrix
+  (Sylvester's determinant identity), so each division is exact.  Both
+  first renumber the vertices by ascending degree, so that low-degree
+  rows are pivoted first and fill in less; a relabelling leaves the
+  inertia as it is.
+* :func:`graph_inertia_oracle` computes the integer characteristic
   polynomial by a Hessenberg reduction modulo a prime above twice a
   Hadamard bound on its coefficients, and reads the inertia off the
   coefficient signs; for a real symmetric matrix all roots are real, so
@@ -39,15 +32,16 @@ The lemmas ``pendant_reduction`` and ``component_additivity`` in
 their subgraph inertias from :func:`unreduced_graph_inertia`; with the
 peeled route they would check the peeling against itself.  The
 congruence routes and the char-poly route share no code, not even the
-construction of the adjacency matrix: their agreement is a correctness
-check used throughout the test suite.
+construction of the adjacency matrix; only the :class:`Inertia` record
+they return is common, which a test checks on this module's syntax
+tree.  Their agreement is a correctness check used throughout the test
+suite.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple, Sequence
 
@@ -78,22 +72,15 @@ class Inertia(NamedTuple):
 Rows = list[dict[int, int]]
 
 
-def _check_symmetric(m: Sequence[Sequence[Fraction]]) -> None:
-    k = len(m)
-    for i, row in enumerate(m):
-        if len(row) != k:
-            raise ValueError(f"matrix is not square: row {i} has {len(row)} entries")
-    for i in range(k):
-        for j in range(i + 1, k):
-            if m[i][j] != m[j][i]:
-                raise ValueError(
-                    f"matrix is not symmetric at ({i}, {j}): "
-                    f"{m[i][j]} != {m[j][i]}"
-                )
-
-
 def _eliminate(rows: Rows) -> Inertia:
     """Inertia of a symmetric sparse integer matrix; consumes ``rows``.
+
+    Pivot policy (deterministic): take the first nonzero diagonal entry in
+    index order; if the remaining diagonal is entirely zero, take the
+    lexicographically smallest nonzero off-diagonal pair {i, j} and apply
+    a 2x2 block pivot.  The block [[0, a], [a, 0]] has eigenvalues +-a and
+    contributes exactly one positive and one negative count.  Whatever
+    remains when no pivot exists is the null space.
 
     Fraction-free (Bareiss 1968).  ``det`` is the leading minor
     det(A[P, P]) of the eliminated index set P, and row i holds
@@ -103,8 +90,7 @@ def _eliminate(rows: Rows) -> Inertia:
     division below is exact.  A pivot updates only the rows it touches,
     bringing them from their stamp to the new ``det``; the others keep
     their stamp until a later pivot touches them.  Nonzero scaling keeps
-    the zero pattern, so the pivot sequence is the one documented on
-    :func:`inertia_congruence`.
+    the zero pattern, so the pivot sequence is the one described above.
 
     The pivot search does not rescan the rows: ``diag`` holds the live
     rows with a nonzero diagonal, updated on the rows a pivot touches,
@@ -208,25 +194,6 @@ def _eliminate(rows: Rows) -> Inertia:
     return Inertia(p, n, live.count(True))
 
 
-def inertia_congruence(matrix: Sequence[Sequence[Fraction]]) -> Inertia:
-    """Inertia of a symmetric rational matrix by congruence elimination.
-
-    Pivot policy (deterministic): take the first nonzero diagonal entry in
-    index order; if the remaining diagonal is entirely zero, take the
-    lexicographically smallest nonzero off-diagonal pair {i, j} and apply
-    a 2x2 block pivot.  The block [[0, a], [a, 0]] has eigenvalues +-a and
-    contributes exactly one positive and one negative count.  Whatever
-    remains when no pivot exists is the null space.
-    """
-    _check_symmetric(matrix)
-    rows = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in matrix]
-    # a positive scale keeps the inertia and clears every denominator
-    scale = math.lcm(*(x.denominator for row in rows for x in row.values()))
-    return _eliminate(
-        [{j: x.numerator * (scale // x.denominator) for j, x in row.items()} for row in rows]
-    )
-
-
 # Deleting a pendant vertex and its neighbour removes one positive and one
 # negative eigenvalue (the pendant lemma).
 _PENDANT_PAIR = Inertia(1, 1, 0)
@@ -286,25 +253,6 @@ def unreduced_graph_inertia(g: Graph) -> Inertia:
 # characteristic-polynomial route
 
 IntPolynomial = list[int]  # coefficients, lowest degree first
-
-
-def _integer_matrix(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
-    k = len(matrix)
-    a: list[list[int]] = []
-    for i, row in enumerate(matrix):
-        if len(row) != k:
-            raise ValueError(f"matrix is not square: row {i} has {len(row)} entries")
-        if all(type(x) is int for x in row):
-            a.append(list(row))
-            continue
-        ints = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError(f"characteristic polynomial needs integer entries, got {x}")
-            ints.append(f.numerator)
-        a.append(ints)
-    return a
 
 
 def _modulus(a: list[list[int]]) -> int:
@@ -416,20 +364,6 @@ def _char_poly_mod(a: list[list[int]], prime: int) -> IntPolynomial:
     return polys[k]
 
 
-def char_poly(matrix: Sequence[Sequence[Fraction | int]]) -> IntPolynomial:
-    """Coefficients of det(xI - M), lowest degree first, exact integers.
-
-    Works for any square integer matrix: a Hessenberg reduction modulo a
-    Proth-certified prime P > 2B, about as many bits as 2B, where B bounds
-    every coefficient (see :func:`_modulus`), then the symmetric lift of
-    each residue into (-P/2, P/2).  The reduction skips zero entries, so
-    its cost follows the nonzeros it creates: O(k^3) operations on integers
-    below P in the worst case, when H fills, and far fewer on sparse
-    input that stays sparse.
-    """
-    return _lifted_char_poly(_integer_matrix(matrix))
-
-
 def _lifted_char_poly(a: list[list[int]]) -> IntPolynomial:
     if not a:
         return [1]
@@ -443,24 +377,6 @@ def _sign_changes(coeffs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def inertia_charpoly_oracle(matrix: Sequence[Sequence[Fraction | int]]) -> Inertia:
-    """Inertia via the characteristic polynomial and Descartes' rule.
-
-    Strip x^eta (eta = multiplicity of the zero eigenvalue), then count
-    sign changes of q(x) for the positive eigenvalues and of q(-x) for
-    the negative ones.  Exact because a symmetric matrix has only real
-    eigenvalues.
-    """
-    a = _integer_matrix(matrix)
-    for i, row in enumerate(a):
-        for j in range(i + 1, len(a)):
-            if row[j] != a[j][i]:
-                raise ValueError(
-                    f"matrix is not symmetric at ({i}, {j}): {row[j]} != {a[j][i]}"
-                )
-    return _descartes_inertia(_lifted_char_poly(a))
-
-
 def _descartes_inertia(coeffs: IntPolynomial) -> Inertia:
     eta = 0
     while eta < len(coeffs) and coeffs[eta] == 0:
@@ -469,10 +385,6 @@ def _descartes_inertia(coeffs: IntPolynomial) -> Inertia:
     p = _sign_changes(q)
     n = _sign_changes([c if i % 2 == 0 else -c for i, c in enumerate(q)])
     return Inertia(p, n, eta)
-
-
-# ---------------------------------------------------------------------------
-# graph-level conveniences
 
 
 def _integer_adjacency(g: Graph) -> list[list[int]]:
@@ -486,12 +398,17 @@ def _integer_adjacency(g: Graph) -> list[list[int]]:
 def graph_inertia_oracle(g: Graph) -> Inertia:
     """Inertia of the adjacency matrix (characteristic-polynomial route).
 
-    An adjacency matrix is a symmetric 0/1 integer matrix by construction,
-    so this skips the type walk and the symmetry check of
-    :func:`inertia_charpoly_oracle`.
+    det(xI - A) comes from a Hessenberg reduction modulo a Proth-certified
+    prime P > 2B, where B bounds every coefficient (see :func:`_modulus`),
+    and the symmetric lift of each residue into (-P/2, P/2).  Strip x^eta
+    (eta = multiplicity of the zero eigenvalue), then count sign changes
+    of q(x) for the positive eigenvalues and of q(-x) for the negative
+    ones.  Descartes' rule is exact here because the symmetric matrix A
+    has only real eigenvalues.
     """
     return _descartes_inertia(_lifted_char_poly(_integer_adjacency(g)))
 
 
 def graph_char_poly(g: Graph) -> IntPolynomial:
+    """Coefficients of det(xI - A), lowest degree first, exact integers."""
     return _lifted_char_poly(_integer_adjacency(g))

@@ -171,6 +171,8 @@ def test_verify_rejects_bad_corpus(capsys):
         ("generated:residue=1,steps=+2", "generated corpus: steps must be an integer, got '+2'"),
         ("random:n=x,p=0.5,count=1,seed=0", "random corpus: n must be an integer, got 'x'"),
         ("random:n=4,p=abc,count=1,seed=0", "random corpus: p must be a number, got 'abc'"),
+        ("random:n=4,p=\u0660.\u0665,count=2,seed=1", "random corpus: p must be a number, got '\u0660.\u0665'"),
+        ("random:n=4,p=0.0_5,count=2,seed=1", "random corpus: p must be a number, got '0.0_5'"),
         ("generated:residue=1,count=x", "generated corpus: count must be an integer, got 'x'"),
         ("random:n=4,n=5,p=0.5,count=2,seed=0", "random corpus: repeated key n"),
         ("generated:residue=1,residue=3", "generated corpus: repeated key residue"),
@@ -222,6 +224,25 @@ def test_generate_is_deterministic(capsys):
 
 def test_generate_rejects_bad_residue(capsys):
     assert run_cli(capsys, "generate", "--residue", "2")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--steps", "1_0"),
+        ("--steps", "\u0663"),
+        ("--residue", "+1"),
+        ("--seed", "1_0"),
+        ("--isolated", "+2"),
+        ("--cycles", "+1"),
+    ],
+)
+def test_generate_reads_integers_like_every_other_flag(capsys, flag, value):
+    # int() takes all of these; --workers and the corpus specs do not
+    args = {"--residue": "1", flag: value}
+    code, out, err = run_cli(capsys, "generate", *(x for kv in args.items() for x in kv))
+    assert code == 2 and not out
+    assert f"{flag} must be an integer, got {value!r}" in err
 
 
 def test_no_arguments_is_usage_error(capsys):

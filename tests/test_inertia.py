@@ -1,12 +1,15 @@
-"""Exact inertia: peeled route, unreduced congruence kernel, char-poly oracle.
+"""Exact inertia of graphs: peeled route, unreduced congruence kernel, char-poly oracle.
 
 The congruence routes and the characteristic-polynomial route share no
-code, so their agreement on random and exhaustive corpora is the core
-correctness argument for all three.
+code (checked below on the module's syntax tree), so their agreement on
+random and exhaustive corpora is the core correctness argument for all
+three.  The kernels under them, the fraction-free elimination and the
+lifted characteristic polynomial, are also tested directly on integer
+matrices that are not adjacency matrices.
 """
 
+import ast
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -14,7 +17,6 @@ from inertia_bounds import (
     GeneratorParams,
     Graph,
     Inertia,
-    char_poly,
     complete_graph,
     components,
     cycle_graph,
@@ -24,16 +26,35 @@ from inertia_bounds import (
     graph_char_poly,
     graph_inertia,
     graph_inertia_oracle,
-    inertia_charpoly_oracle,
-    inertia_congruence,
     matching_number,
     path_graph,
     star_graph,
     unreduced_graph_inertia,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
-from inertia_bounds.inertia import _hessenberg_mod, _modulus, _proth_prime
+from inertia_bounds.inertia import (
+    _descartes_inertia,
+    _eliminate,
+    _hessenberg_mod,
+    _lifted_char_poly,
+    _modulus,
+    _proth_prime,
+)
 from conftest import all_trees, cycle_with_tail, random_tree
+
+
+def kernel_inertia(m: list[list[int]]) -> Inertia:
+    """In(m) by the congruence kernel, pivoting in the index order of ``m``.
+
+    The rows are built afresh on every call because ``_eliminate``
+    consumes them.
+    """
+    return _eliminate([{j: x for j, x in enumerate(r) if x} for r in m])
+
+
+def oracle_inertia(m: list[list[int]]) -> Inertia:
+    """In(m) by Descartes' rule on the lifted characteristic polynomial."""
+    return _descartes_inertia(_lifted_char_poly(m))
 
 
 def expected_cycle_inertia(q: int) -> Inertia:
@@ -117,35 +138,9 @@ def test_char_poly_matches_sympy():
 
 def test_congruence_accepts_general_symmetric_input():
     # not an adjacency matrix: nonzero diagonal and negative entries
-    m = [
-        [Fraction(2), Fraction(-1), Fraction(0)],
-        [Fraction(-1), Fraction(2), Fraction(-1)],
-        [Fraction(0), Fraction(-1), Fraction(2)],
-    ]
-    assert inertia_congruence(m) == Inertia(3, 0, 0)  # positive definite
-    z = [[Fraction(0)] * 2 for _ in range(2)]
-    assert inertia_congruence(z) == Inertia(0, 0, 2)
-
-
-def test_congruence_rejects_asymmetric_input():
-    m = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
-    with pytest.raises(ValueError):
-        inertia_congruence(m)
-
-
-def test_char_poly_is_general_but_oracle_is_not():
-    from inertia_bounds import inertia_charpoly_oracle
-
-    # det(xI - M) is fine for any square integer matrix
-    m = [[0, 1], [0, 0]]
-    assert char_poly(m) == [0, 0, 1]
-    # Fraction entries are accepted when they are integral
-    assert char_poly([[Fraction(4, 2), 1], [1, Fraction(2)]]) == char_poly([[2, 1], [1, 2]]) == [3, -4, 1]
-    # but sign counting only makes sense for symmetric input
-    with pytest.raises(ValueError):
-        inertia_charpoly_oracle(m)
-    with pytest.raises(ValueError):
-        char_poly([[Fraction(1, 2)]])  # non-integer entries rejected
+    m = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    assert kernel_inertia(m) == Inertia(3, 0, 0)  # positive definite
+    assert kernel_inertia([[0, 0], [0, 0]]) == Inertia(0, 0, 2)
 
 
 def test_inertia_sums_to_vertex_count():
@@ -227,11 +222,12 @@ def test_congruence_agrees_with_oracle_on_general_symmetric_matrices():
         for i in range(k):
             for j in range(i, k):
                 m[i][j] = m[j][i] = rng.choice((-2, -1, 0, 0, 0, 1, 3))
-        assert inertia_congruence(m) == inertia_charpoly_oracle(m)
+        assert kernel_inertia(m) == oracle_inertia(m)
 
 
 # ---------------------------------------------------------------------------
-# char_poly on general integer matrices and near the modulus bound
+# the lifted characteristic polynomial on non-symmetric integer matrices
+# and near the modulus bound
 
 
 def sympy_char_poly(sympy, m):
@@ -241,12 +237,14 @@ def sympy_char_poly(sympy, m):
 
 
 def test_char_poly_matches_sympy_on_non_symmetric_matrices_with_negative_entries():
+    # det(xI - M) needs no symmetry, only sign counting does
+    assert _lifted_char_poly([[0, 1], [0, 0]]) == [0, 0, 1]
     sympy = pytest.importorskip("sympy")
     rng = random.Random(29)
     for _ in range(40):
         k = rng.randint(1, 7)
         m = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
-        assert char_poly(m) == sympy_char_poly(sympy, m)
+        assert _lifted_char_poly(m) == sympy_char_poly(sympy, m)
 
 
 def sparse_integer_matrix(rng: random.Random, k: int, density: float) -> list[list[int]]:
@@ -265,7 +263,7 @@ def test_char_poly_matches_sympy_on_sparse_non_symmetric_matrices(density):
     rng = random.Random(int(density * 100))
     for _ in range(25):
         m = sparse_integer_matrix(rng, rng.randint(3, 11), density)
-        assert char_poly(m) == sympy_char_poly(sympy, m), m
+        assert _lifted_char_poly(m) == sympy_char_poly(sympy, m), m
 
 
 def test_char_poly_when_the_pivot_column_is_zero_below_the_subdiagonal():
@@ -277,14 +275,14 @@ def test_char_poly_when_the_pivot_column_is_zero_below_the_subdiagonal():
         [0, -5, 0, 1],
         [0, 2, -3, 0],
     ]
-    assert char_poly(m) == sympy_char_poly(sympy, m)
+    assert _lifted_char_poly(m) == sympy_char_poly(sympy, m)
     rng = random.Random(61)
     for _ in range(20):
         k = rng.randint(3, 9)
         m = sparse_integer_matrix(rng, k, 0.3)
         for i in range(1, k):
             m[i][0] = 0
-        assert char_poly(m) == sympy_char_poly(sympy, m), m
+        assert _lifted_char_poly(m) == sympy_char_poly(sympy, m), m
 
 
 def test_char_poly_when_a_zero_subdiagonal_splits_h_into_blocks():
@@ -299,7 +297,7 @@ def test_char_poly_when_a_zero_subdiagonal_splits_h_into_blocks():
         [0, 0, 2, 3, 4],
         [0, 0, 0, -6, 1],
     ]
-    assert char_poly(m) == sympy_char_poly(sympy, m)
+    assert _lifted_char_poly(m) == sympy_char_poly(sympy, m)
     # the same split reached by the reduction: a block-triangular matrix
     rng = random.Random(67)
     for _ in range(20):
@@ -309,7 +307,7 @@ def test_char_poly_when_a_zero_subdiagonal_splits_h_into_blocks():
         for i in range(cut + 1, k):
             for j in range(cut + 1):
                 m[i][j] = 0
-        assert char_poly(m) == sympy_char_poly(sympy, m), m
+        assert _lifted_char_poly(m) == sympy_char_poly(sympy, m), m
 
 
 def test_char_poly_when_the_pivot_needs_a_row_and_column_swap():
@@ -321,14 +319,14 @@ def test_char_poly_when_the_pivot_needs_a_row_and_column_swap():
         [6, 7, 8, 0],
         [-3, 0, 1, 2],
     ]
-    assert char_poly(m) == sympy_char_poly(sympy, m)
+    assert _lifted_char_poly(m) == sympy_char_poly(sympy, m)
     rng = random.Random(71)
     for _ in range(20):
         k = rng.randint(3, 9)
         m = sparse_integer_matrix(rng, k, 0.3)
         m[1][0] = 0
         m[rng.randint(2, k - 1)][0] = rng.choice((-3, 5))
-        assert char_poly(m) == sympy_char_poly(sympy, m), m
+        assert _lifted_char_poly(m) == sympy_char_poly(sympy, m), m
 
 
 def test_hessenberg_reduction_clears_everything_below_the_subdiagonal():
@@ -372,13 +370,13 @@ def test_modulus_steps_up_across_a_bit_boundary():
         low, high = _modulus(below), _modulus(above)
         assert low > 2 + 2 * abs(below[0][0]) and high > 2 + 2 * abs(above[0][0])
         assert high.bit_length() > low.bit_length()
-    assert char_poly([[2**126 - 1]]) == [-(2**126 - 1), 1]
+    assert _lifted_char_poly([[2**126 - 1]]) == [-(2**126 - 1), 1]
     # (x - 2^63)^2: 2B lies just above 2^127, and the constant 2^126
     # would lift to a wrong, negative value modulo a prime below 2^127
     big = 2**63
     assert _modulus([[big, 0], [0, big]]) > 2**128
-    assert char_poly([[big, 0], [0, big]]) == [2**126, -(2**64), 1]
-    assert char_poly([[-big, big], [big, -big]]) == [0, 2**64, 1]
+    assert _lifted_char_poly([[big, 0], [0, big]]) == [2**126, -(2**64), 1]
+    assert _lifted_char_poly([[-big, big], [big, -big]]) == [0, 2**64, 1]
 
 
 def test_char_poly_matches_sympy_on_200_bit_entries():
@@ -386,9 +384,9 @@ def test_char_poly_matches_sympy_on_200_bit_entries():
     rng = random.Random(79)
     for k in (2, 3):
         m = [[rng.randrange(-(2**200), 2**200) for _ in range(k)] for _ in range(k)]
-        assert char_poly(m) == sympy_char_poly(sympy, m), k
+        assert _lifted_char_poly(m) == sympy_char_poly(sympy, m), k
         sym = [[m[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
-        assert char_poly(sym) == sympy_char_poly(sympy, sym), k
+        assert _lifted_char_poly(sym) == sympy_char_poly(sympy, sym), k
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +437,7 @@ def test_integer_kernel_agrees_with_oracle_on_3000_symmetric_matrices():
     rng = random.Random(2024)
     for _ in range(3000):
         m = random_symmetric(rng, rng.randint(1, 9), -3, 3, 0.4)
-        assert inertia_congruence(m) == inertia_charpoly_oracle(m), m
-
-
-def test_rational_input_is_scaled_by_the_lcm_of_its_denominators():
-    rng = random.Random(31)
-    values = (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(-1, 4), Fraction(3), 0, 0)
-    for _ in range(200):
-        k = rng.randint(1, 7)
-        m = [[Fraction(0)] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                m[i][j] = m[j][i] = Fraction(rng.choice(values))
-        scaled = [[int(x * 12) for x in row] for row in m]  # lcm(2, 3, 6, 4) = 12
-        assert inertia_congruence(m) == inertia_charpoly_oracle(scaled), m
-    assert inertia_congruence([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(-2, 3), Fraction(1, 2)]]) == Inertia(1, 1, 0)
+        assert kernel_inertia(m) == oracle_inertia(m), m
 
 
 def test_two_by_two_pivot_turns_the_leading_minor_negative():
@@ -468,10 +452,10 @@ def test_two_by_two_pivot_turns_the_leading_minor_negative():
         [1, 2, 0, 1],
         [0, 0, 1, 0],
     ]
-    assert inertia_congruence(m) == Inertia(2, 2, 0)
-    assert inertia_charpoly_oracle(m) == Inertia(2, 2, 0)
+    assert kernel_inertia(m) == Inertia(2, 2, 0)
+    assert oracle_inertia(m) == Inertia(2, 2, 0)
     triangle = [row[:3] for row in m[:3]]
-    assert inertia_congruence(triangle) == Inertia(1, 2, 0)
+    assert kernel_inertia(triangle) == Inertia(1, 2, 0)
 
 
 @pytest.mark.parametrize(
@@ -491,7 +475,7 @@ def test_two_by_two_pivot_turns_the_leading_minor_negative():
     ],
 )
 def test_pivot_search_edge_cases(m, want):
-    assert inertia_congruence(m) == inertia_charpoly_oracle(m) == want
+    assert kernel_inertia(m) == oracle_inertia(m) == want
 
 
 def test_integer_kernel_handles_minors_beyond_64_bits():
@@ -500,12 +484,12 @@ def test_integer_kernel_handles_minors_beyond_64_bits():
     k = 30
     m = random_symmetric(rng, k, -9, 9, 1.0)
     # the full determinant is the last leading minor the kernel divides by
-    assert abs(char_poly(m)[0]) > 2**64
+    assert abs(_lifted_char_poly(m)[0]) > 2**64
     ev = np.linalg.eigvalsh(np.array(m, dtype=float))
     assert np.min(np.abs(ev)) > 1e-6
     want = Inertia(int(np.sum(ev > 0)), int(np.sum(ev < 0)), 0)
-    assert inertia_congruence(m) == want
-    assert inertia_charpoly_oracle(m) == want
+    assert kernel_inertia(m) == want
+    assert oracle_inertia(m) == want
 
 
 def test_unreduced_graph_inertia_ignores_the_pendant_rule(monkeypatch):
@@ -525,3 +509,83 @@ def test_unreduced_graph_inertia_agrees_with_the_other_routes():
     for item in sample_random(n=11, edge_probability=0.3, count=100, seed=12):
         assert unreduced_graph_inertia(item.graph) == all_routes(item.graph)
     assert unreduced_graph_inertia(empty_graph(0)) == Inertia(0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# route independence, read off the syntax tree of the inertia module
+
+CONGRUENCE_ROOTS = {"graph_inertia", "unreduced_graph_inertia"}
+ORACLE_ROOTS = {"graph_inertia_oracle", "graph_char_poly"}
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Every name ``node`` loads, outside annotations (they are never evaluated)."""
+    skip = set()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.arg, ast.AnnAssign)) and n.annotation:
+            skip.add(id(n.annotation))
+        elif isinstance(n, ast.FunctionDef) and n.returns:
+            skip.add(id(n.returns))
+    names, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if id(n) in skip:
+            continue
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        todo.extend(ast.iter_child_nodes(n))
+    return names
+
+
+def module_reads(tree: ast.Module) -> dict[str, set[str]]:
+    """Each module-level name mapped to the module-level names its definition reads."""
+    reads: dict[str, set[str]] = {}
+    for i, stmt in enumerate(tree.body):
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            reads[stmt.name] = names_read(stmt)
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                assert isinstance(target, ast.Name), ast.dump(target)
+                reads[target.id] = names_read(stmt.value)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                reads[(alias.asname or alias.name).split(".")[0]] = set()
+        else:
+            # only the docstring may be anything else; a new kind of
+            # statement needs the walk taught what it binds
+            assert i == 0 and isinstance(stmt, ast.Expr), ast.dump(stmt)
+    return {name: used & reads.keys() for name, used in reads.items()}
+
+
+def reachable(reads: dict[str, set[str]], roots: set[str]) -> set[str]:
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(reads[name])
+    return seen
+
+
+def inertia_module_tree() -> ast.Module:
+    import inertia_bounds.inertia as inertia_mod
+
+    with open(inertia_mod.__file__, encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def test_congruence_and_char_poly_routes_share_only_the_inertia_record():
+    reads = module_reads(inertia_module_tree())
+    congruence = reachable(reads, CONGRUENCE_ROOTS)
+    oracle = reachable(reads, ORACLE_ROOTS)
+    # the walk is transitive: each side reaches its kernels through helpers
+    assert {"_eliminate", "_degree_ordered_rows", "compress"} <= congruence
+    assert {"_hessenberg_mod", "_proth_prime", "math", "functools"} <= oracle
+    assert congruence & oracle == reachable(reads, {"Inertia"}) == {"Inertia", "NamedTuple"}
+
+
+def test_every_public_function_of_the_inertia_module_is_a_route_root():
+    # a new entry point has to join one route's roots, and so the check above
+    tree = inertia_module_tree()
+    public = {s.name for s in tree.body if isinstance(s, ast.FunctionDef) and not s.name.startswith("_")}
+    assert public == CONGRUENCE_ROOTS | ORACLE_ROOTS
