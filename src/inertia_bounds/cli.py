@@ -6,7 +6,7 @@ Three subcommands:
   edge-list form) and print its full verdict row as JSON.  An argument
   that is valid graph6 is the graph, even if a file of that name exists.
 * ``verify`` a whole corpus against selected checks, optionally writing
-  a JSON/CSV report.
+  a report: CSV when the ``--out`` path ends in ``.csv``, JSON otherwise.
 * ``generate`` one extremal graph and print its graph6 line.
 
 Exit codes: 0 = verified clean, 1 = at least one counterexample,
@@ -29,7 +29,7 @@ from .corpus import (
     sample_random,
 )
 from .graphs import GraphParseError, _integer, parse_edge_list, parse_graph6, to_graph6
-from .theorems import GeneratorParams, generate_extremal
+from .theorems import GENERATOR_RECIPES, GeneratorParams, generate_extremal
 from .verify import (
     ALL_CHECKS,
     analyze_graph,
@@ -81,7 +81,7 @@ def _analyze_input_graph(spec: str):
         if _is_edge_list(first):
             return parse_edge_list(text)
         items = list(read_graph6_file(spec))
-    except GraphParseError as exc:
+    except (GraphParseError, UnicodeDecodeError) as exc:
         raise ValueError(f"{spec!r} is not a graph6 string or a readable graph file: {exc}") from None
     if len(items) != 1:
         raise ValueError(f"{spec!r} holds {len(items)} graphs; analyze takes one")
@@ -126,6 +126,16 @@ def _number(what: str, key: str, raw: str, kind: type = int) -> int | float:
         raise ValueError(f"{what}: {key} must be {noun}, got {raw!r}") from None
 
 
+# GeneratorParams' fields by generated: key and generate flag; residue, required, first
+_GENERATOR_KEYS = {
+    "residue": "cycle_residue",
+    "cycles": "num_cycles",
+    "isolated": "num_isolated_seeds",
+    "steps": "num_steps",
+    "seed": "rng_seed",
+}
+
+
 def parse_corpus_spec(spec: str) -> list[CorpusItem]:
     """Parse a --corpus argument into a concrete corpus.
 
@@ -155,19 +165,8 @@ def parse_corpus_spec(spec: str) -> list[CorpusItem]:
         return list(read_graph6_file(rest))
     if kind == "generated":
         what = "generated corpus"
-        kv = _split_kv(
-            rest,
-            what,
-            required=("residue",),
-            optional=("cycles", "steps", "seed", "count", "isolated"),
-        )
-        base = GeneratorParams(
-            cycle_residue=_number(what, "residue", kv["residue"]),
-            num_cycles=_number(what, "cycles", kv.get("cycles", "1")),
-            num_isolated_seeds=_number(what, "isolated", kv.get("isolated", "0")),
-            num_steps=_number(what, "steps", kv.get("steps", "0")),
-            rng_seed=_number(what, "seed", kv.get("seed", "0")),
-        )
+        kv = _split_kv(rest, what, required=("residue",), optional=(*_GENERATOR_KEYS, "count"))
+        base = GeneratorParams(**{f: _number(what, k, kv[k]) for k, f in _GENERATOR_KEYS.items() if k in kv})
         return list(generated_corpus(base, _number(what, "count", kv.get("count", "1"))))
     raise ValueError(
         f"unknown corpus kind {kind!r}; use exhaustive:, random:, file:, generated:"
@@ -203,9 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma-separated subset of: " + ",".join(ALL_CHECKS) + " (default all)",
     )
-    p_verify.add_argument("--out", help="write the row report to this path")
     p_verify.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
+        "--out", help="write the row report to this path: CSV if it ends in .csv, else JSON"
     )
     p_verify.add_argument(
         "--workers",
@@ -217,11 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_generate = sub.add_parser(
         "generate", help="emit one extremal graph as a graph6 line"
     )
-    p_generate.add_argument("--residue", type=_integer_arg("--residue"), choices=(0, 1, 3), required=True)
-    p_generate.add_argument("--cycles", type=_integer_arg("--cycles"), default=1, metavar="K")
-    p_generate.add_argument("--steps", type=_integer_arg("--steps"), default=0, metavar="S")
-    p_generate.add_argument("--seed", type=_integer_arg("--seed"), default=0, metavar="X")
-    p_generate.add_argument("--isolated", type=_integer_arg("--isolated"), default=0, metavar="I")
+    p_generate.add_argument("--residue", type=_integer_arg("--residue"), choices=sorted(GENERATOR_RECIPES), required=True)
+    for key in list(_GENERATOR_KEYS)[1:]:  # an absent flag takes GeneratorParams' default
+        p_generate.add_argument(f"--{key}", type=_integer_arg(f"--{key}"), default=argparse.SUPPRESS)
     return parser
 
 
@@ -262,20 +258,14 @@ def _run(argv: Sequence[str] | None) -> tuple[int, str]:
             checks = None if args.checks == "all" else args.checks.split(",")
             report = run_verification(corpus, checks=checks, workers=args.workers)
             if args.out:
-                emit_report(report, args.out, args.format)
+                emit_report(report, args.out)
         except (ValueError, KeyError, OSError, GraphParseError) as exc:
             parser.error(str(exc))
         return (0 if report.ok else 1), summarize(report)
 
     if args.command == "generate":
         try:
-            params = GeneratorParams(
-                cycle_residue=args.residue,
-                num_cycles=args.cycles,
-                num_isolated_seeds=args.isolated,
-                num_steps=args.steps,
-                rng_seed=args.seed,
-            )
+            params = GeneratorParams(**{f: getattr(args, k) for k, f in _GENERATOR_KEYS.items() if k in args})
         except ValueError as exc:
             parser.error(str(exc))
         return 0, to_graph6(generate_extremal(params))

@@ -36,6 +36,8 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         adj: list[set[int]] = [set() for _ in range(n)]

@@ -1,8 +1,10 @@
 """Maximum matchings and matching-number queries.
 
-:func:`maximum_matching` is the production path (blossom contraction,
-deterministic tie-breaking).  :func:`matching_bruteforce` exists only as
-a test oracle and is intentionally the dumbest correct algorithm.
+:func:`_mates` is the one solver (blossom contraction, deterministic
+tie-breaking): :func:`matching_number`, the production path, counts its
+matched pairs and :func:`maximum_matching` lists them as edges.
+:func:`matching_bruteforce` exists only as a test oracle and is
+intentionally the dumbest correct algorithm.
 
 The quantified queries (does some/every maximum matching use an edge,
 cover a vertex, avoid an edge set) are all answered through matching

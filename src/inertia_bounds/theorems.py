@@ -38,7 +38,6 @@ from .inertia import Inertia, graph_inertia, unreduced_graph_inertia
 from .matching import (
     edge_in_some_maximum_matching,
     every_max_matching_avoids,
-    every_max_matching_covers,
     exists_max_matching_avoiding,
     matching_number,
 )
@@ -395,8 +394,8 @@ def _attached_even_cycle(f: GraphFacts) -> bool | None:
     is an induced subgraph of G, so its cycles are pairwise disjoint
     because G's are.  Conclusions checked: |C| = 0 mod 4, the
     bridge lies in no maximum matching, every maximum matching of K
-    covers y, adding x to K does not raise its matching number, and
-    m(G) = m(C) + m(K).
+    covers y (m(K - y) = m(K) - 1), adding x to K does not raise its
+    matching number, and m(G) = m(C) + m(K).
     """
     if not (_hangs_off_forest(f) and f.inertia.p == f.m - f.c):
         return None
@@ -414,7 +413,7 @@ def _attached_even_cycle(f: GraphFacts) -> bool | None:
         verdicts.append(
             len(cycle) % 4 == 0
             and not edge_in_some_maximum_matching(g, (x, y), m=m)
-            and every_max_matching_covers(k_sub, y - sum(v < y for v in cyc), m=m_k)
+            and matching_number(delete_vertices(g, cyc | {y})) == m_k - 1
             and matching_number(k_plus_x) == m_k
             and m == len(cycle) // 2 + m_k
         )
@@ -467,30 +466,44 @@ def lemma_suite(g: Graph | GraphFacts) -> dict[str, bool | None]:
 # ---------------------------------------------------------------------------
 # extremal-graph generator
 
-_SEED_CYCLE_LENGTHS = {1: (5, 9), 3: (3, 7), 0: (4, 8)}
+class GeneratorRecipe(NamedTuple):
+    seed_cycle_lengths: tuple[int, ...]
+    # the GraphReport classification fields every output attains in every form
+    classifiers: tuple[str, ...]
+
+
+GENERATOR_RECIPES = {
+    1: GeneratorRecipe((5, 9), ("p_upper",)),
+    3: GeneratorRecipe((3, 7), ("n_upper",)),
+    0: GeneratorRecipe((4, 8), ("p_lower", "n_lower")),
+}
 
 
 @dataclass(frozen=True)
 class GeneratorParams:
     """Seeded recipe for an extremal graph.
 
-    ``cycle_residue`` selects the length class of the seed cycles
-    (lengths 1, 3, or 0 mod 4); the identity the output satisfies
+    ``cycle_residue``, a key of :data:`GENERATOR_RECIPES`, selects the
+    length class of the seed cycles; the identity the output satisfies
     depends on it: p = m + c for residue 1, n = m + c for residue 3,
     p = n = m - c for residue 0.
     """
 
     cycle_residue: int
-    num_cycles: int
-    num_isolated_seeds: int
-    num_steps: int
-    rng_seed: int
+    num_cycles: int = 1
+    num_isolated_seeds: int = 0
+    num_steps: int = 0
+    rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.cycle_residue not in (0, 1, 3):
-            raise ValueError(f"cycle_residue must be 0, 1 or 3, got {self.cycle_residue}")
-        for field in ("num_cycles", "num_isolated_seeds", "num_steps"):
-            if getattr(self, field) < 0:
+        if type(self.cycle_residue) is not int or self.cycle_residue not in GENERATOR_RECIPES:
+            residues = "{}, {} or {}".format(*sorted(GENERATOR_RECIPES))
+            raise ValueError(f"cycle_residue must be {residues}, got {self.cycle_residue!r}")
+        for field in ("num_cycles", "num_isolated_seeds", "num_steps", "rng_seed"):
+            value = getattr(self, field)
+            if type(value) is not int:
+                raise ValueError(f"{field} must be an int, got {value!r}")
+            if value < 0 and field != "rng_seed":
                 raise ValueError(f"{field} must be non-negative")
 
 
@@ -504,7 +517,7 @@ def generate_extremal(params: GeneratorParams) -> Graph:
     give equal graphs.
     """
     rng = random.Random(params.rng_seed)
-    lengths = _SEED_CYCLE_LENGTHS[params.cycle_residue]
+    lengths = GENERATOR_RECIPES[params.cycle_residue].seed_cycle_lengths
     n = 0
     edges: list[tuple[int, int]] = []
     comps: list[list[int]] = []

@@ -30,6 +30,7 @@ from .cycles import SIMPLE_CYCLE_VERTEX_BUDGET
 from .graphs import Graph, to_graph6
 from .inertia import graph_inertia, graph_inertia_oracle
 from .theorems import (
+    GENERATOR_RECIPES,
     DifferenceBounds,
     GraphFacts,
     LowerClassification,
@@ -184,14 +185,10 @@ def _difference(f: GraphFacts, residue: int | None) -> Outcome:
     return {"difference": d}, notes, not d.c1_ok
 
 
-# the classifiers behind each generator recipe; each must hold in every form
-_GENERATOR_CLASSIFIERS = {1: ("p_upper",), 3: ("n_upper",), 0: ("p_lower", "n_lower")}
-
-
 def _generator(f: GraphFacts, residue: int | None) -> Outcome:
     """Extremal identity plus classifier conditions for a generated graph."""
     classified = _classifications(f)
-    ok = all(all(classified[name]) for name in _GENERATOR_CLASSIFIERS[residue])
+    ok = all(all(classified[name]) for name in GENERATOR_RECIPES[residue].classifiers)
     notes = [] if ok else [f"generator identity failed for residue {residue}"]
     return {"generator_ok": ok}, notes, not ok
 
@@ -269,8 +266,8 @@ def analyze_graph(
 ) -> GraphReport:
     """Build the full verdict row for one graph."""
     selected = _normalize_checks(checks)
-    if residue is not None and residue not in _GENERATOR_CLASSIFIERS:
-        raise ValueError(f"residue {residue!r} is not one of {(None, *sorted(_GENERATOR_CLASSIFIERS))}")
+    if residue is not None and (type(residue) is not int or residue not in GENERATOR_RECIPES):
+        raise ValueError(f"residue {residue!r} is not one of {(None, *sorted(GENERATOR_RECIPES))}")
     inert = graph_inertia(g)
     oracle = graph_inertia_oracle(g)
     facts = GraphFacts(g, inert)
@@ -390,9 +387,9 @@ def render_report(report: RunReport, fmt: str = "json") -> str:
     raise ValueError(f"unknown report format {fmt!r}; use 'json' or 'csv'")
 
 
-def emit_report(report: RunReport, path: str, fmt: str = "json") -> None:
-    """Write the rendered report; an empty corpus still yields a valid file."""
-    text = render_report(report, fmt)
+def emit_report(report: RunReport, path: str) -> None:
+    """Write the report, as CSV if ``path`` ends in ``.csv`` (any case), else as JSON."""
+    text = render_report(report, "csv" if str(path).lower().endswith(".csv") else "json")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 

@@ -147,12 +147,20 @@ def test_verify_check_subset_and_csv(capsys, tmp_path):
         "bounds,classifiers",
         "--out",
         str(out_path),
-        "--format",
-        "csv",
     )
     assert code == 0
     header = out_path.read_text().splitlines()[0]
     assert header.startswith("graph_id,graph6,")
+
+
+def test_verify_has_no_format_option(capsys, tmp_path):
+    out_path = tmp_path / "report.csv"
+    code, _, err = run_cli(
+        capsys, "verify", "--corpus", "exhaustive:2", "--format", "csv", "--out", str(out_path)
+    )
+    assert code == 2
+    assert "--format" in err
+    assert not out_path.exists()
 
 
 def test_verify_rejects_bad_corpus(capsys):
@@ -224,6 +232,32 @@ def test_generate_is_deterministic(capsys):
 
 def test_generate_rejects_bad_residue(capsys):
     assert run_cli(capsys, "generate", "--residue", "2")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, graph6",
+    [
+        (("--residue", "3"), "FhCKG"),
+        (("--residue", "1", "--cycles", "2", "--steps", "3", "--seed", "7"), "ShCGGE@???_@?@?Cg???@??W??G?????C"),
+        (("--residue", "0", "--isolated", "2", "--steps", "5"), "S@CGGC@GM?_@?G??_???@O????G?????C"),
+    ],
+    ids=["defaults", "cycles-steps-seed", "isolated-steps"],
+)
+def test_generate_prints_the_recipe_with_the_generator_defaults(capsys, argv, graph6):
+    code, out, _ = run_cli(capsys, "generate", *argv)
+    assert (code, out) == (0, graph6 + "\n")
+
+
+def test_generated_corpus_keys_fill_the_same_recipe_as_the_generate_flags(capsys):
+    [item] = parse_corpus_spec("generated:residue=0,isolated=2,steps=5")
+    _, out, _ = run_cli(capsys, "generate", "--residue", "0", "--isolated", "2", "--steps", "5")
+    assert (item.graph_id, to_graph6(item.graph) + "\n") == ("gen0-seed0", out)
+
+
+def test_generate_names_a_recipe_that_the_generator_refuses(capsys):
+    code, out, err = run_cli(capsys, "generate", "--residue", "1", "--cycles", "-1")
+    assert code == 2 and not out
+    assert "num_cycles must be non-negative" in err
 
 
 @pytest.mark.parametrize(
@@ -299,6 +333,14 @@ def test_analyze_names_an_unreadable_argument(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "analyze", "no-such-graph")
     assert code == 2
     assert "'no-such-graph'" in err
+
+
+def test_analyze_names_a_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2 and not out
+    assert f"{str(path)!r} is not a graph6 string or a readable graph file: " in err
 
 
 def test_verify_names_the_file_and_line_of_a_bad_graph(capsys, tmp_path):

@@ -70,6 +70,13 @@ def test_constructor_error_messages():
     assert str(err.value) == "a cycle needs at least 3 vertices, got 2"
 
 
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_the_vertex_count_is_exactly_an_int(n):
+    with pytest.raises(ValueError) as err:
+        Graph(n)
+    assert str(err.value) == f"vertex count must be an int, got {n!r}"
+
+
 def test_graphs_are_immutable():
     g = path_graph(3)
     with pytest.raises(AttributeError):
@@ -167,6 +174,12 @@ def test_delete_edges():
         delete_edges(g, [(0, 2)])  # not present
 
 
+def test_delete_edges_names_a_self_loop():
+    with pytest.raises(ValueError) as err:
+        delete_edges(cycle_graph(4), [(1, 1)])
+    assert str(err.value) == "self-loop at vertex 1 is not allowed"
+
+
 def test_induced_subgraph():
     assert delete_vertices(complete_graph(5), [1, 3]) == complete_graph(3)
 
@@ -238,6 +251,12 @@ def test_graph6_rejects_vertex_counts_above_the_cap():
         parse_graph6(header)
     with pytest.raises(GraphParseError, match="8-byte size header at offset 0 exceeds"):
         parse_graph6("~~" + "?" * 6)
+
+
+def test_graph6_encoding_refuses_vertex_counts_above_the_cap():
+    with pytest.raises(ValueError) as err:
+        to_graph6(Graph(MAX_GRAPH6_VERTICES + 1))
+    assert str(err.value) == f"graph6 encoding capped at {MAX_GRAPH6_VERTICES} vertices"
 
 
 def test_graph6_matches_networkx():

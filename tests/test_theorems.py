@@ -30,6 +30,7 @@ from inertia_bounds import (
     star_graph,
 )
 from inertia_bounds.corpus import enumerate_labeled
+from inertia_bounds.theorems import GENERATOR_RECIPES
 from inertia_bounds.verify import analyze_graph
 from conftest import cycle_with_tail, lower_bound_near_miss
 
@@ -301,6 +302,38 @@ def test_generator_params_validation():
         GeneratorParams(cycle_residue=2, num_cycles=1, num_isolated_seeds=0, num_steps=1, rng_seed=0)
     with pytest.raises(ValueError):
         GeneratorParams(cycle_residue=1, num_cycles=-1, num_isolated_seeds=0, num_steps=1, rng_seed=0)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((True, 1, 0, 0, 0), "cycle_residue must be 0, 1 or 3, got True"),
+        ((1.0, 1, 0, 0, 0), "cycle_residue must be 0, 1 or 3, got 1.0"),
+        ((1, 1.5, 0, 0, 0), "num_cycles must be an int, got 1.5"),
+        ((1, 1, False, 0, 0), "num_isolated_seeds must be an int, got False"),
+        ((1, 1, 0, 2.0, 0), "num_steps must be an int, got 2.0"),
+        ((1, 1, 0, 0, 0.5), "rng_seed must be an int, got 0.5"),
+    ],
+    ids=["bool-residue", "float-residue", "float-cycles", "bool-isolated", "float-steps", "float-seed"],
+)
+def test_generator_params_are_exactly_ints(args, message):
+    with pytest.raises(ValueError) as err:
+        GeneratorParams(*args)
+    assert str(err.value) == message
+
+
+def test_generator_params_default_to_one_seed_cycle_and_nothing_else():
+    assert GeneratorParams(3) == GeneratorParams(3, 1, 0, 0, 0)
+    assert GeneratorParams(0, rng_seed=-4).rng_seed == -4  # any int seeds the RNG
+
+
+def test_each_recipe_seeds_cycles_of_its_residue_and_names_real_classifiers():
+    from inertia_bounds.verify import _CLASSIFICATIONS
+
+    assert sorted(GENERATOR_RECIPES) == [0, 1, 3]
+    for residue, recipe in GENERATOR_RECIPES.items():
+        assert recipe.seed_cycle_lengths and all(q % 4 == residue for q in recipe.seed_cycle_lengths)
+        assert recipe.classifiers and set(recipe.classifiers) <= dict(_CLASSIFICATIONS).keys()
 
 
 def test_generator_is_deterministic():

@@ -146,7 +146,7 @@ def test_analyze_graph_check_subset():
 
 
 @pytest.mark.parametrize("checks", [None, ("bounds",)])
-@pytest.mark.parametrize("residue", [2, -1, 5])
+@pytest.mark.parametrize("residue", [2, -1, 5, True, 1.0])
 def test_analyze_graph_rejects_a_residue_outside_the_generator_classes(residue, checks):
     message = f"residue {residue} is not one of (None, 0, 1, 3)"
     with pytest.raises(ValueError) as err:
@@ -266,6 +266,19 @@ def test_reports_are_byte_identical_and_timing_free(tmp_path):
     emit_report(r1, p1)
     emit_report(r2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, fmt",
+    [("r.csv", "csv"), ("R.CSV", "csv"), ("r.Csv", "csv"), ("r.json", "json"), ("r", "json"), ("r.csv.txt", "json")],
+)
+def test_emit_report_takes_its_format_from_the_file_name(tmp_path, name, fmt):
+    report = run_verification(corpus_for_report())
+    expected = render_report(report, fmt).encode("utf-8")
+    emit_report(report, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == expected
+    emit_report(report, str(tmp_path / name))
+    assert (tmp_path / name).read_bytes() == expected
 
 
 def test_parallel_equals_serial():
