@@ -12,11 +12,11 @@ case, plus the near-miss graph that keeps the lower bound subtle.
 
 from inertia_bounds import (
     Graph,
+    GraphFacts,
     classify_n_upper,
     classify_p_lower,
     classify_p_upper,
     cyclomatic_number,
-    every_max_matching_avoids,
     frontier_edges,
     graph_inertia,
     matching_number,
@@ -66,5 +66,5 @@ g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0),
 report("two C4 plus bridge", g)
 print("  frontier:", sorted(frontier_edges(g)))
 print("  every max matching avoids the frontier?",
-      every_max_matching_avoids(g, frontier_edges(g)))
+      GraphFacts(g).frontier_always_avoided)
 print("  p = n = m - c?", classify_p_lower(g))

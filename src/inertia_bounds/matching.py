@@ -6,10 +6,13 @@ matched pairs and :func:`maximum_matching` lists them as edges.
 :func:`matching_bruteforce` exists only as a test oracle and is
 intentionally the dumbest correct algorithm.
 
-The quantified queries (does some/every maximum matching use an edge,
-cover a vertex, avoid an edge set) are all answered through matching
+The quantified questions (does some or every maximum matching use an
+edge, cover a vertex, avoid an edge set) are answered through matching
 numbers of deleted graphs, so they inherit the exactness of the solver
-instead of enumerating matchings.
+instead of enumerating matchings.  Vertex deletions are asked through
+:meth:`~.theorems.GraphFacts.m_without`, which solves each vertex set
+once per graph; :func:`exists_max_matching_avoiding`, which deletes
+edges, is the one query left here.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .graphs import Edge, Graph, _normalize_edge, delete_edges, delete_vertices
+from .graphs import Edge, Graph, delete_edges
 
 # branch-on-edge recursion is fine up to this many edges (or few vertices)
 BRUTE_FORCE_EDGE_BUDGET = 24
@@ -160,28 +163,7 @@ def matching_bruteforce(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# quantified queries, all reduced to matching numbers of modified graphs
-
-
-# Each query takes m(G) as the keyword ``m`` when the caller already knows
-# it; with None it runs the solver on G.
-
-
-def _known(g: Graph, m: int | None) -> int:
-    return matching_number(g) if m is None else m
-
-
-def edge_in_some_maximum_matching(g: Graph, edge: tuple[int, int], *, m: int | None = None) -> bool:
-    """Is ``edge`` contained in at least one maximum matching?
-
-    True iff forcing the edge wastes nothing:
-    1 + m(G - {u, v}) == m(G).
-    """
-    u, v = e = _normalize_edge(*edge)
-    if not (0 <= u and v < g.n and v in g.adj[u]):
-        raise ValueError(f"edge {e} not present in graph")
-    rest = delete_vertices(g, e)
-    return 1 + matching_number(rest) == _known(g, m)
+# quantified query by edge deletion (vertex deletions: GraphFacts.m_without)
 
 
 def exists_max_matching_avoiding(
@@ -190,29 +172,8 @@ def exists_max_matching_avoiding(
     """Is there a maximum matching using none of ``edges``?
 
     True iff deleting the edges leaves the matching number unchanged;
-    avoiding no edges at all is vacuous.
+    avoiding no edges at all is vacuous.  ``m`` is m(G) when the caller
+    already knows it; with None the solver runs on G.
     """
     f = list(edges)
-    return not f or matching_number(delete_edges(g, f)) == _known(g, m)
-
-
-def every_max_matching_avoids(
-    g: Graph, edges: Iterable[tuple[int, int]], *, m: int | None = None
-) -> bool:
-    """Does every maximum matching avoid all of ``edges``?
-
-    Equivalent to: no edge of the set lies in any maximum matching.
-    """
-    edges = {_normalize_edge(*e) for e in edges}
-    return not any(edge_in_some_maximum_matching(g, e, m=m) for e in edges)
-
-
-def every_max_matching_covers(g: Graph, v: int, *, m: int | None = None) -> bool:
-    """Is vertex ``v`` matched in every maximum matching?
-
-    True iff removing it drops the matching number:
-    m(G - v) == m(G) - 1.
-    """
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return matching_number(delete_vertices(g, (v,))) == _known(g, m) - 1
+    return not f or matching_number(delete_edges(g, f)) == (matching_number(g) if m is None else m)

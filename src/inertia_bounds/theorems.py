@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .cycles import (
     analyze_cycles,
@@ -35,12 +35,7 @@ from .graphs import (
     pendant_vertices,
 )
 from .inertia import Inertia, graph_inertia, unreduced_graph_inertia
-from .matching import (
-    edge_in_some_maximum_matching,
-    every_max_matching_avoids,
-    exists_max_matching_avoiding,
-    matching_number,
-)
+from .matching import exists_max_matching_avoiding, matching_number
 
 
 class GraphFacts:
@@ -50,12 +45,14 @@ class GraphFacts:
     ``cycles`` (the :class:`CycleStructure`), ``components`` and the
     ``pendants`` and ``quasi_pendants`` vertex sets are computed on
     creation, unless the caller passes in the inertia it already holds.
+    Every matching question about a vertex-deleted subgraph is asked
+    through :meth:`m_without`, which solves each vertex set at most once.
     The rest is computed on first use, at most once, and needs pairwise
-    disjoint cycles: the matching numbers of the contracted forest and of
-    the graph minus its cycles, the frontier edges, and whether some
-    or every maximum matching avoids them.  Each vertex deletion and its inertia
-    are kept per vertex (see :meth:`deleted`).  A record belongs to one
-    graph; nothing is cached across graphs.
+    disjoint cycles: the matching number of the contracted forest, the
+    frontier edges, and whether some or every maximum matching avoids
+    them.  Each vertex deletion and its inertia are kept per vertex (see
+    :meth:`deleted`).  A record belongs to one graph; nothing is cached
+    across graphs.
     """
 
     def __init__(self, graph: Graph, inertia: Inertia | None = None) -> None:
@@ -69,6 +66,7 @@ class GraphFacts:
         # a pendant's neighbour that is not itself a pendant has degree >= 2
         self.quasi_pendants = frozenset(w for u in self.pendants for w in graph.adj[u]) - self.pendants
         self._deleted: dict[int, tuple[Graph, Inertia]] = {}
+        self._m_without: dict[frozenset[int], int] = {frozenset(): self.m}
 
     def deleted(self, v: int) -> tuple[Graph, Inertia]:
         """G - v and its inertia, computed on first use."""
@@ -77,19 +75,29 @@ class GraphFacts:
             self._deleted[v] = (h, graph_inertia(h))
         return self._deleted[v]
 
+    def m_without(self, vs: Iterable[int]) -> int:
+        """m(G - vs), solved at most once per vertex set.
+
+        The empty set gives ``m``; one vertex reuses the G - v of
+        :meth:`deleted`.  Out-of-range vertices raise ``ValueError``.
+        """
+        key = frozenset(vs)
+        if key not in self._m_without:
+            h = self.deleted(*key)[0] if len(key) == 1 else delete_vertices(self.graph, key)
+            self._m_without[key] = matching_number(h)
+        return self._m_without[key]
+
     @cached_property
-    def forest_matchings(self) -> tuple[int, int]:
-        """(m of the contracted forest, m of G minus its cycle vertices).
+    def m_forest(self) -> int:
+        """The matching number of the forest left by contracting each cycle.
 
         Raises ``ValueError`` when cycles overlap: there is no forest then.
         """
         if not self.cycles.disjoint:
             raise ValueError("forest matchings need pairwise vertex-disjoint cycles")
-        if not self.cycles.cycles:  # nothing to contract: both forests are the graph
-            return self.m, self.m
-        forest = contract_cycles(self.graph, self.cycles)
-        off_cycles = delete_vertices(self.graph, self.cycles.cyclic_vertices)
-        return matching_number(forest), matching_number(off_cycles)
+        if not self.cycles.cycles:  # nothing to contract: the forest is the graph
+            return self.m
+        return matching_number(contract_cycles(self.graph, self.cycles))
 
     @property
     def unicyclic(self) -> bool:
@@ -108,8 +116,8 @@ class GraphFacts:
 
     @property
     def contraction_keeps_matching(self) -> bool:
-        m_forest, m_off_cycles = self.forest_matchings
-        return m_forest == m_off_cycles
+        """Does contracting the cycles keep m of G minus its cycle vertices?"""
+        return self.m_forest == self.m_without(self.cycles.cyclic_vertices)
 
     @cached_property
     def frontier(self) -> frozenset[Edge]:
@@ -121,7 +129,8 @@ class GraphFacts:
 
     @cached_property
     def frontier_always_avoided(self) -> bool:
-        return every_max_matching_avoids(self.graph, self.frontier, m=self.m)
+        """Does no maximum matching use a frontier edge uv, i.e. m(G - u - v) != m - 1?"""
+        return all(self.m_without(e) != self.m - 1 for e in self.frontier)
 
 
 def _facts(g: Graph | GraphFacts) -> GraphFacts:
@@ -225,8 +234,7 @@ def classify_unicyclic(g: Graph | GraphFacts) -> tuple[int, int]:
     m = f.m
     if q % 4 == 0:
         return (m - 1, m - 1) if f.frontier_always_avoided else (m, m)
-    # forest_matchings[1] is m(G - C)
-    if q % 2 == 1 and m == f.forest_matchings[1] + (q - 1) // 2:
+    if q % 2 == 1 and m == f.m_without(f.cycles.cyclic_vertices) + (q - 1) // 2:
         return (m, m + 1) if q % 4 == 1 else (m + 1, m)
     return (m, m)
 
@@ -254,7 +262,7 @@ def check_deletion_corollaries(g: Graph | GraphFacts) -> bool:
             return False
         h, inert_h = f.deleted(v)
         ph = inert_h.p
-        mh = matching_number(h)
+        mh = f.m_without((v,))
         ch = cyclomatic_number(h)
         if ch != c - 1:
             return False
@@ -347,13 +355,13 @@ def _interlacing(f: GraphFacts) -> bool | None:
 def _quasipendant_matching_drop(f: GraphFacts) -> bool | None:
     if not f.quasi_pendants:
         return None
-    return all(matching_number(f.deleted(v)[0]) == f.m - 1 for v in sorted(f.quasi_pendants))
+    return all(f.m_without((v,)) == f.m - 1 for v in sorted(f.quasi_pendants))
 
 
 def _leaf_stripping_drop(f: GraphFacts) -> bool | None:
     if not f.tree:
         return None
-    return matching_number(delete_vertices(f.graph, f.pendants)) < f.m
+    return f.m_without(f.pendants) < f.m
 
 
 def _hangs_off_forest(f: GraphFacts) -> bool:
@@ -374,7 +382,7 @@ def _pendant_existence(f: GraphFacts) -> bool | None:
 def _matching_decomposition(f: GraphFacts) -> bool | None:
     if not (_hangs_off_forest(f) and f.frontier_avoidable):
         return None
-    m_off_cycles = f.forest_matchings[1]
+    m_off_cycles = f.m_without(f.cycles.cyclic_vertices)
     decomposition = f.m == m_off_cycles + sum(len(cyc) // 2 for cyc in f.cycles.cycles)
     # with every cycle odd, contracting them must keep the matching number too
     return decomposition and (not _all_cycles_odd(f) or f.contraction_keeps_matching)
@@ -399,7 +407,7 @@ def _attached_even_cycle(f: GraphFacts) -> bool | None:
     """
     if not (_hangs_off_forest(f) and f.inertia.p == f.m - f.c):
         return None
-    g, m = f.graph, f.m
+    m = f.m
     verdicts = []
     for cycle in f.cycles.cycles:
         cyc = set(cycle)
@@ -407,14 +415,12 @@ def _attached_even_cycle(f: GraphFacts) -> bool | None:
         if len(leaving) != 1:
             continue
         [(x, y)] = leaving
-        k_sub = delete_vertices(g, cyc)
-        m_k = matching_number(k_sub)
-        k_plus_x = delete_vertices(g, cyc - {x})
+        m_k = f.m_without(cyc)
         verdicts.append(
             len(cycle) % 4 == 0
-            and not edge_in_some_maximum_matching(g, (x, y), m=m)
-            and matching_number(delete_vertices(g, cyc | {y})) == m_k - 1
-            and matching_number(k_plus_x) == m_k
+            and f.m_without((x, y)) != m - 1
+            and f.m_without(cyc | {y}) == m_k - 1
+            and f.m_without(cyc - {x}) == m_k
             and m == len(cycle) // 2 + m_k
         )
     return all(verdicts) if verdicts else None

@@ -248,6 +248,8 @@ ALL_CHECKS = tuple(check.name for check in CHECKS)
 def _normalize_checks(checks: Iterable[str] | None) -> tuple[str, ...]:
     if checks is None:
         return ALL_CHECKS
+    if isinstance(checks, str):
+        raise ValueError(f"checks must be a collection of check names, not the string {checks!r}")
     wanted = list(checks)
     unknown = [c for c in wanted if c not in ALL_CHECKS]
     if unknown:

@@ -14,6 +14,7 @@ import pytest
 from inertia_bounds import (
     GeneratorParams,
     Graph,
+    GraphFacts,
     Inertia,
     LEMMA_NAMES,
     analyze_graph,
@@ -26,8 +27,6 @@ from inertia_bounds import (
     cycle_graph,
     cyclomatic_number,
     emit_report,
-    every_max_matching_avoids,
-    frontier_edges,
     graph_inertia,
     graph_inertia_oracle,
     lemma_suite,
@@ -125,7 +124,7 @@ def test_criterion_05_near_miss_regression():
     from inertia_bounds import analyze_cycles
 
     assert sorted(len(cyc) % 4 for cyc in analyze_cycles(g).cycles) == [0, 0]
-    assert every_max_matching_avoids(g, frontier_edges(g))
+    assert GraphFacts(g).frontier_always_avoided
     assert not classify_p_lower(g).attained
     print(
         "criterion 5 PASS: two-squares-plus-bridge graph gives p=n=3, m=4, c=2; "

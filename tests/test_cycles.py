@@ -168,7 +168,7 @@ def test_graph_facts_refuse_forest_matchings_when_cycles_overlap():
     for g in (bowtie(), complete_graph(4)):
         facts = GraphFacts(g)
         with pytest.raises(ValueError, match="disjoint"):
-            facts.forest_matchings
+            facts.m_forest
         with pytest.raises(ValueError, match="disjoint"):
             facts.contraction_keeps_matching
 

@@ -1,4 +1,8 @@
-"""Maximum matching: blossom implementation, brute-force oracle, queries."""
+"""Maximum matching: blossom implementation, brute-force oracle, queries.
+
+The vertex-deletion queries are asked through ``GraphFacts.m_without``;
+``tests/test_properties.py`` checks them against every maximum matching.
+"""
 
 import random
 
@@ -9,10 +13,8 @@ from inertia_bounds import (
     Graph,
     complete_graph,
     cycle_graph,
-    edge_in_some_maximum_matching,
+    GraphFacts,
     empty_graph,
-    every_max_matching_avoids,
-    every_max_matching_covers,
     exists_max_matching_avoiding,
     matching_bruteforce,
     matching_number,
@@ -110,48 +112,53 @@ def test_bruteforce_budget():
 
 
 def test_edge_in_some_maximum_matching():
-    g = path_graph(4)  # unique maximum matching {01, 23}
-    assert edge_in_some_maximum_matching(g, (0, 1))
-    assert edge_in_some_maximum_matching(g, (2, 3))
-    assert not edge_in_some_maximum_matching(g, (1, 2))
+    # uv lies in some maximum matching iff m(G - u - v) = m - 1
+    f = GraphFacts(path_graph(4))  # unique maximum matching {01, 23}
+    assert f.m_without((0, 1)) == f.m - 1
+    assert f.m_without((2, 3)) == f.m - 1
+    assert f.m_without((1, 2)) == f.m - 2
     # every edge of an odd cycle appears in some maximum matching
-    c = cycle_graph(5)
-    assert all(edge_in_some_maximum_matching(c, e) for e in c.edges)
-    with pytest.raises(ValueError):
-        edge_in_some_maximum_matching(g, (0, 3))  # not an edge
-    for e in [(2, -1), (3, 4)]:  # out of range; -1 must not wrap round to vertex 3
-        with pytest.raises(ValueError, match="not present in graph"):
-            edge_in_some_maximum_matching(g, e)
+    c = GraphFacts(cycle_graph(5))
+    assert all(c.m_without(e) == c.m - 1 for e in c.graph.edges)
+    for vs in [(2, -1), (3, 4)]:  # out of range; -1 must not wrap round to vertex 3
+        with pytest.raises(ValueError, match="out of range for n=4"):
+            f.m_without(vs)
 
 
 def test_avoidance_queries():
     g = path_graph(4)
+    f = GraphFacts(g)
     assert exists_max_matching_avoiding(g, [(1, 2)])
-    assert every_max_matching_avoids(g, [(1, 2)])
+    assert f.m_without((1, 2)) != f.m - 1  # so every maximum matching avoids 12
     assert not exists_max_matching_avoiding(g, [(0, 1)])
-    assert not every_max_matching_avoids(g, [(0, 1)])
-    # avoiding the empty set is vacuous
+    assert f.m_without((0, 1)) == f.m - 1
+    # avoiding the empty set is vacuous, and a graph without cycles has no frontier
     assert exists_max_matching_avoiding(g, [])
-    assert every_max_matching_avoids(g, [])
+    assert f.frontier == frozenset() and f.frontier_avoidable and f.frontier_always_avoided
     c = cycle_graph(5)
     assert exists_max_matching_avoiding(c, [(0, 1)])
-    assert not every_max_matching_avoids(c, [(0, 1)])
+    assert GraphFacts(c).m_without((0, 1)) == 1  # so some maximum matching uses 01
+    # C4 plus the pendant edge 04: {01, 23} misses the frontier, {04, 12} does not
+    f = GraphFacts(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]))
+    assert f.frontier == {(0, 4)}
+    assert f.frontier_avoidable and not f.frontier_always_avoided
 
 
 def test_coverage_queries():
+    # v is matched in every maximum matching iff m(G - v) = m - 1
     # C4 has a perfect matching and every maximum matching is perfect
-    c4 = cycle_graph(4)
-    assert all(every_max_matching_covers(c4, v) for v in range(4))
+    c4 = GraphFacts(cycle_graph(4))
+    assert all(c4.m_without((v,)) == c4.m - 1 for v in range(4))
     # the center of a star is always covered, leaves are not
-    s = star_graph(4)
-    assert every_max_matching_covers(s, 0)
-    assert not every_max_matching_covers(s, 1)
+    s = GraphFacts(star_graph(4))
+    assert s.m_without((0,)) == s.m - 1
+    assert s.m_without((1,)) == s.m
     # P3: the middle vertex is forced, the ends are interchangeable
-    p = path_graph(3)
-    assert every_max_matching_covers(p, 1)
-    assert not every_max_matching_covers(p, 0)
-    with pytest.raises(ValueError, match="vertex 3 out of range for n=3"):
-        every_max_matching_covers(p, 3)
+    p = GraphFacts(path_graph(3))
+    assert p.m_without((1,)) == p.m - 1
+    assert p.m_without((0,)) == p.m
+    with pytest.raises(ValueError, match=r"vertices \[3\] out of range for n=3"):
+        p.m_without((3,))
 
 
 def test_queries_with_a_known_m_answer_as_without_it(monkeypatch):
@@ -161,14 +168,9 @@ def test_queries_with_a_known_m_answer_as_without_it(monkeypatch):
     for g in (item.graph for item in items):
         m = matching_number(g)
         edges = sorted(g.edges)
-        for e in edges:
-            assert edge_in_some_maximum_matching(g, e, m=m) == edge_in_some_maximum_matching(g, e)
         for k in range(len(edges) + 1):
             part = edges[:k]
             assert exists_max_matching_avoiding(g, part, m=m) == exists_max_matching_avoiding(g, part)
-            assert every_max_matching_avoids(g, part, m=m) == every_max_matching_avoids(g, part)
-        for v in range(g.n):
-            assert every_max_matching_covers(g, v, m=m) == every_max_matching_covers(g, v)
     # with m given, no query solves G itself again
     original = matching_mod._mates
     g = petersen()
@@ -179,8 +181,4 @@ def test_queries_with_a_known_m_answer_as_without_it(monkeypatch):
         return original(h)
 
     monkeypatch.setattr(matching_mod, "_mates", solve)
-    edges = sorted(g.edges)
-    edge_in_some_maximum_matching(g, edges[0], m=m)
-    exists_max_matching_avoiding(g, edges[:3], m=m)
-    every_max_matching_avoids(g, edges[:3], m=m)
-    every_max_matching_covers(g, 0, m=m)
+    exists_max_matching_avoiding(g, sorted(g.edges)[:3], m=m)

@@ -2,8 +2,9 @@
 and neither a shortcut constructor nor a vertex order changes a result.
 
 One strategy draws a vertex count n <= 9 and any subset of the n(n-1)/2
-possible edges.  Runs are derandomized and keep no example database, so
-every run tries the same graphs.
+possible edges; the matching-answer property draws sparser graphs, whose
+maximum matchings it can list one by one.  Runs are derandomized and
+keep no example database, so every run tries the same graphs.
 """
 
 import pickle
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from inertia_bounds import (
     Graph,
+    GraphFacts,
     delete_vertices,
     graph_inertia,
     graph_inertia_oracle,
@@ -49,6 +51,49 @@ def test_the_three_inertia_routes_agree(g):
 @given(graphs())
 def test_blossom_matching_agrees_with_brute_force(g):
     assert matching_number(g) == matching_bruteforce(g)
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 8, max_edges: int = 14) -> Graph:
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    k = draw(st.integers(min_value=0, max_value=min(max_edges, len(pairs))))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), min_size=k, max_size=k, unique=True)) if k else [])
+
+
+def every_maximum_matching(g: Graph) -> list[frozenset[tuple[int, int]]]:
+    """Every maximum matching of ``g``, by listing all of its matchings."""
+    edges = sorted(g.edges)
+    matchings = []
+
+    def grow(i: int, chosen: tuple, used: frozenset) -> None:
+        if i == len(edges):
+            matchings.append(frozenset(chosen))
+            return
+        grow(i + 1, chosen, used)
+        u, v = edges[i]
+        if u not in used and v not in used:
+            grow(i + 1, chosen + (edges[i],), used | {u, v})
+
+    grow(0, (), frozenset())
+    top = max(map(len, matchings))
+    return [mm for mm in matchings if len(mm) == top]
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(sparse_graphs())
+def test_matching_answers_agree_with_every_maximum_matching(g):
+    f = GraphFacts(g)
+    best = every_maximum_matching(g)
+    assert {len(mm) for mm in best} == {f.m}
+    for e in g.edges:  # some maximum matching uses uv iff m(G - u - v) = m - 1
+        assert (f.m_without(e) == f.m - 1) == any(e in mm for mm in best)
+    for v in range(g.n):  # every maximum matching covers v iff m(G - v) = m - 1
+        assert (f.m_without((v,)) == f.m - 1) == all(any(v in e for e in mm) for mm in best)
+    if f.cycles.disjoint:
+        misses = [not (mm & f.frontier) for mm in best]
+        assert f.frontier_avoidable == any(misses)
+        assert f.frontier_always_avoided == all(misses)
 
 
 @repeatable

@@ -29,6 +29,7 @@ from inertia_bounds import (
     path_graph,
     star_graph,
 )
+from inertia_bounds.cli import parse_corpus_spec
 from inertia_bounds.corpus import enumerate_labeled
 from inertia_bounds.theorems import GENERATOR_RECIPES
 from inertia_bounds.verify import analyze_graph
@@ -98,9 +99,7 @@ def test_near_miss_lower_bound():
     g = lower_bound_near_miss()
     assert graph_inertia(g) == (3, 3, 2)
     assert matching_number(g) == 4 and cyclomatic_number(g) == 2
-    from inertia_bounds import every_max_matching_avoids, frontier_edges
-
-    assert every_max_matching_avoids(g, frontier_edges(g))
+    assert GraphFacts(g).frontier_always_avoided
     res = classify_p_lower(g)
     assert not res.attained and not res.conditions
     res = classify_n_lower(g)
@@ -267,6 +266,56 @@ def test_attached_even_cycle_needs_exactly_one_leaving_edge(g6, expected):
     facts = GraphFacts(parse_graph6(g6))
     assert facts.inertia.p == facts.m - facts.c  # every graph here attains the lower bound
     assert lemma_suite(facts)["attached_even_cycle"] is expected
+
+
+# name: (True, False, None) row counts on two 0 mod 4 cycles grown three steps,
+# where the attached-even-cycle and lower-bound lemmas apply on nearly every row
+TWO_CYCLE_LOWER_BOUND_SPEC = "generated:residue=0,cycles=2,steps=3,seed=0,count=40"
+TWO_CYCLE_LOWER_BOUND_VERDICTS = {
+    "pendant_reduction": (40, 0, 0),
+    "component_additivity": (20, 0, 20),
+    "deletion_interlacing": (40, 0, 0),
+    "quasipendant_matching_drop": (40, 0, 0),
+    "tree_nullity_bound": (0, 0, 40),
+    "leaf_stripping_drop": (0, 0, 40),
+    "pendant_existence": (40, 0, 0),
+    "matching_decomposition": (40, 0, 0),
+    "odd_cycles_matching_equivalence": (0, 0, 40),
+    "attached_even_cycle": (35, 0, 5),
+    "lower_bound_forces_avoidance": (40, 0, 0),
+    "tight_bound_disjoint_cycles": (40, 0, 0),
+}
+
+
+def test_lemma_verdicts_where_the_matching_lemmas_fire():
+    rows = [lemma_suite(item.graph) for item in parse_corpus_spec(TWO_CYCLE_LOWER_BOUND_SPEC)]
+    verdicts = {
+        name: tuple(sum(r[name] is v for r in rows) for v in (True, False, None))
+        for name in LEMMA_NAMES
+    }
+    assert verdicts == TWO_CYCLE_LOWER_BOUND_VERDICTS
+
+
+def test_m_without_solves_each_vertex_set_once(monkeypatch):
+    import inertia_bounds.theorems as theorems_mod
+
+    solved = []
+    original = theorems_mod.matching_number
+
+    def counted(h):
+        solved.append(h)
+        return original(h)
+
+    monkeypatch.setattr(theorems_mod, "matching_number", counted)
+    f = GraphFacts(cycle_with_tail(4, 2))  # m = 3
+    assert len(solved) == 1  # G itself
+    assert f.m_without(()) == f.m == 3 and len(solved) == 1
+    assert f.m_without((0, 4)) == f.m_without([4, 0]) == f.m_without({0, 4}) == 1
+    assert f.m_without((1,)) == 2
+    assert f.m_without((1,)) == 2
+    assert len(solved) == 3
+    # one vertex reuses the G - v kept for interlacing
+    assert solved[-1] is f.deleted(1)[0]
 
 
 def test_lemma_suite_never_false_on_small_corpus():

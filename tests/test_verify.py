@@ -145,6 +145,18 @@ def test_analyze_graph_check_subset():
         analyze_graph(cycle_graph(3), "x", checks=("nonsense",))
 
 
+@pytest.mark.parametrize("checks", ["bounds", "lemmas", ""])
+def test_checks_given_as_one_string_are_refused_by_name(checks):
+    # a string is an iterable of one-letter names, or of none at all
+    message = f"checks must be a collection of check names, not the string {checks!r}"
+    with pytest.raises(ValueError) as err:
+        analyze_graph(cycle_graph(5), "c5", checks=checks)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        run_verification([CorpusItem("c5", cycle_graph(5))], checks=checks)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("checks", [None, ("bounds",)])
 @pytest.mark.parametrize("residue", [2, -1, 5, True, 1.0])
 def test_analyze_graph_rejects_a_residue_outside_the_generator_classes(residue, checks):
@@ -436,7 +448,6 @@ ONCE_PER_ROW = (
     ("graphs", "components"),
     ("graphs", "pendant_vertices"),
     ("cycles", "analyze_cycles"),
-    ("matching", "every_max_matching_avoids"),
 )
 GRAPHS_WRAPPED_AT_HOME = ("components", "pendant_vertices")
 
@@ -480,6 +491,17 @@ def test_each_invariant_is_computed_once_per_row(monkeypatch):
             row_graph.clear()
 
     monkeypatch.setattr(verify_mod, "analyze_graph", row)
+    # the frontier question is a cached property of the row's record: count its solves
+    avoided = GraphFacts.__dict__["frontier_always_avoided"]
+    solve = avoided.func
+    calls["frontier_always_avoided"] = 0
+
+    def frontier_always_avoided(facts):
+        if row_graph and facts.graph == row_graph[0]:
+            calls["frontier_always_avoided"] += 1
+        return solve(facts)
+
+    monkeypatch.setattr(avoided, "func", frontier_always_avoided)
 
     corpus = once_per_row_corpus()
     report = run_verification(corpus, checks=ALL_CHECKS, workers=1)
@@ -488,7 +510,57 @@ def test_each_invariant_is_computed_once_per_row(monkeypatch):
     assert all(count <= 1 for count in worst.values()), worst
     # every row computes its own inertia both ways, so the wrappers were live
     assert worst["graph_inertia"] == worst["graph_inertia_oracle"] == 1
-    assert worst["every_max_matching_avoids"] == 1  # asked on the ElCG row
+    assert per_row[-1]["frontier_always_avoided"] == 1  # asked twice on the ElCG row
+
+
+@pytest.mark.parametrize(
+    "item",
+    [
+        # C4 with one path hanging off it: the contraction test and the attached-even-cycle
+        # lemma both need m(G - C), and that lemma and the frontier question both need the
+        # bridge's m(G - x - y)
+        next(generated_corpus(GeneratorParams(0, 1, 0, 1, 4), 1)),
+        CorpusItem("El_G", parse_graph6("El_G")),
+    ],
+    ids=lambda item: to_graph6(item.graph),
+)
+def test_no_row_runs_the_blossom_twice_on_one_vertex_set(monkeypatch, item):
+    import inertia_bounds.matching as matching_mod
+
+    g = item.graph
+    subgraphs = {}  # id of a subgraph of g -> (the subgraph, the vertex set deleted)
+    solved = []  # the vertex set of each blossom run on g or on a subgraph of g
+
+    def counted_delete(delete):
+        def wrapper(h, vs):
+            vs = frozenset(vs)
+            sub = delete(h, vs)
+            if h is g:
+                subgraphs[id(sub)] = (sub, vs)
+            return sub
+
+        return wrapper
+
+    package = [m for name, m in sys.modules.items() if name.split(".")[0] == "inertia_bounds"]
+    delete = sys.modules["inertia_bounds.graphs"].delete_vertices
+    for module in package:
+        if vars(module).get("delete_vertices") is delete:
+            monkeypatch.setattr(module, "delete_vertices", counted_delete(delete))
+    mates = matching_mod._mates
+
+    def counted_mates(h):
+        if h is g:
+            solved.append(frozenset())
+        elif id(h) in subgraphs:
+            solved.append(subgraphs[id(h)][1])
+        return mates(h)
+
+    monkeypatch.setattr(matching_mod, "_mates", counted_mates)
+    row = analyze_graph(g, item.graph_id, checks=ALL_CHECKS, residue=item.residue)
+    assert row.lemmas["attached_even_cycle"] is True
+    repeated = sorted(sorted(vs) for vs in set(solved) if solved.count(vs) > 1)
+    assert not repeated
+    assert frozenset() in solved and any(len(vs) == 2 for vs in solved)
 
 
 def once_per_row_corpus():
