@@ -16,10 +16,7 @@ from inertia_bounds import (
     classify_n_upper,
     classify_p_lower,
     classify_p_upper,
-    cyclomatic_number,
     frontier_edges,
-    graph_inertia,
-    matching_number,
 )
 
 
@@ -33,28 +30,26 @@ def cycle_with_tail(q, tail):
 
 
 def report(name, g):
-    ine = graph_inertia(g)
-    m, c = matching_number(g), cyclomatic_number(g)
+    """Print the graph's invariants and return the record every verdict reads."""
+    f = GraphFacts(g)
+    ine, m, c = f.inertia, f.m, f.c
     print(f"{name}: p={ine.p} n={ine.n} m={m} c={c}  window [{m-c}, {m+c}]")
-    return ine, m, c
+    return f
 
 
 # p hits the ceiling m + c exactly when every cycle has length 1 mod 4
 # (and a matching condition on the cycle-contracted forest holds).
-g = cycle_with_tail(5, 2)
-report("C5 plus 2-tail", g)
-print("  p = m + c?", classify_p_upper(g))
+f = report("C5 plus 2-tail", cycle_with_tail(5, 2))
+print("  p = m + c?", classify_p_upper(f))
 
 # n hits the ceiling when the residues are 3 mod 4 instead.
-g = cycle_with_tail(3, 2)
-report("C3 plus 2-tail", g)
-print("  n = m + c?", classify_n_upper(g))
+f = report("C3 plus 2-tail", cycle_with_tail(3, 2))
+print("  n = m + c?", classify_n_upper(f))
 
 # The floor m - c is hit by p and n together, never separately, and
 # needs residue 0 cycles.
-g = cycle_with_tail(4, 2)
-report("C4 plus 2-tail", g)
-print("  p = n = m - c?", classify_p_lower(g))
+f = report("C4 plus 2-tail", cycle_with_tail(4, 2))
+print("  p = n = m - c?", classify_p_lower(f))
 
 # The near-miss: two 4-cycles joined by a bridge.  Residues are all 0
 # and every maximum matching avoids the bridge, which is the whole
@@ -63,8 +58,7 @@ print("  p = n = m - c?", classify_p_lower(g))
 # the contracted forest tells the truth.
 g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0),
               (4, 5), (5, 6), (6, 7), (7, 4), (0, 4)])
-report("two C4 plus bridge", g)
+f = report("two C4 plus bridge", g)
 print("  frontier:", sorted(frontier_edges(g)))
-print("  every max matching avoids the frontier?",
-      GraphFacts(g).frontier_always_avoided)
-print("  p = n = m - c?", classify_p_lower(g))
+print("  every max matching avoids the frontier?", f.frontier_always_avoided)
+print("  p = n = m - c?", classify_p_lower(f))

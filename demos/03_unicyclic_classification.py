@@ -8,7 +8,7 @@ computation anyway to show the prediction is exact.
 
 import random
 
-from inertia_bounds import Graph, classify_unicyclic, graph_inertia
+from inertia_bounds import Graph, GraphFacts, classify_unicyclic
 
 rng = random.Random(7)
 
@@ -28,10 +28,10 @@ print("   predicted      computed")
 print("   (n, p)         (n, p)")
 agreements = 0
 for trial in range(12):
-    g = random_unicyclic(rng.randint(6, 10))
-    predicted = classify_unicyclic(g)
-    ine = graph_inertia(g)
-    computed = (ine.n, ine.p)
+    # one record per graph: the exact inertia and the matchings behind the prediction
+    f = GraphFacts(random_unicyclic(rng.randint(6, 10)))
+    predicted = classify_unicyclic(f)
+    computed = (f.inertia.n, f.inertia.p)
     mark = "ok" if predicted == computed else "MISMATCH"
     agreements += predicted == computed
     print(f"   {predicted}         {computed}    {mark}")
@@ -43,5 +43,5 @@ from inertia_bounds import cycle_graph
 
 print("\nbare cycles:")
 for q in (4, 5, 6, 7):
-    print(f"  C_{q}: predicted {classify_unicyclic(cycle_graph(q))},"
+    print(f"  C_{q}: predicted {classify_unicyclic(GraphFacts(cycle_graph(q)))},"
           f" q mod 4 = {q % 4}")

@@ -352,6 +352,17 @@ def pendant_vertices(g: Graph) -> frozenset[int]:
     return frozenset(v for v in range(g.n) if len(g.adj[v]) == 1)
 
 
+def _checked_vertices(g: Graph, vs: Iterable[int]) -> set[int]:
+    """``vs`` as a set, each an ``int`` vertex of ``g`` (``True`` and ``1.0`` are not)."""
+    vs = set(vs)
+    bad = vs.difference(range(g.n))
+    if bad:
+        raise ValueError(f"vertices {sorted(bad)} out of range for n={g.n}")
+    if not {int}.issuperset(map(type, vs)):
+        raise ValueError(f"vertices {sorted(vs)} are not all ints")
+    return vs
+
+
 def delete_vertices(g: Graph, vs: Iterable[int]) -> Graph:
     """Remove ``vs`` and their incident edges.
 
@@ -361,12 +372,7 @@ def delete_vertices(g: Graph, vs: Iterable[int]) -> Graph:
     graph holds no self-loop and no pair out of range, so there is
     nothing to check again.
     """
-    n, adj, drop = g.n, g.adj, set(vs)
-    bad = drop.difference(range(n))
-    if bad:
-        raise ValueError(f"vertices {sorted(bad)} out of range for n={n}")
-    if not {int}.issuperset(map(type, drop)):
-        raise ValueError(f"vertices {sorted(drop)} are not all ints")
+    n, adj, drop = g.n, g.adj, _checked_vertices(g, vs)
     # ``label`` is right on every kept vertex; a deleted one keeps a stale
     # label, so only the neighbours of deleted vertices filter them out
     ds = sorted(drop)

@@ -8,9 +8,9 @@ functions ever "fix up" a mismatch; they report it.
 
 The verdicts share a handful of invariants of one graph, kept in a
 :class:`GraphFacts` record that computes each of them at most once.
-Every public verdict function takes either a :class:`~.graphs.Graph`
-or a ``GraphFacts``; given a bare graph it builds a fresh record, so a
-caller that runs several verdicts on one graph passes one record to all.
+Every public verdict function takes that record, so several verdicts on
+one graph share one record; a verdict that holds only under a premise
+tests it here, once, and answers ``None`` on a graph outside it.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .cycles import (
+    SIMPLE_CYCLE_VERTEX_BUDGET,
     analyze_cycles,
     contract_cycles,
     enumerate_simple_cycles,
@@ -29,6 +30,7 @@ from .cycles import (
 from .graphs import (
     Edge,
     Graph,
+    _checked_vertices,
     components,
     cyclomatic_number,
     delete_vertices,
@@ -70,7 +72,9 @@ class GraphFacts:
 
     def deleted(self, v: int) -> tuple[Graph, Inertia]:
         """G - v and its inertia, computed on first use."""
-        if v not in self._deleted:
+        if v in self._deleted:  # True == 1.0 == 1 finds vertex 1: check v as a miss does
+            _checked_vertices(self.graph, (v,))
+        else:
             h = delete_vertices(self.graph, (v,))
             self._deleted[v] = (h, graph_inertia(h))
         return self._deleted[v]
@@ -79,10 +83,12 @@ class GraphFacts:
         """m(G - vs), solved at most once per vertex set.
 
         The empty set gives ``m``; one vertex reuses the G - v of
-        :meth:`deleted`.  Out-of-range vertices raise ``ValueError``.
+        :meth:`deleted`.  Out-of-range or non-``int`` vertices raise ``ValueError``.
         """
         key = frozenset(vs)
-        if key not in self._m_without:
+        if key in self._m_without:  # as in deleted: a hit checks what a miss would
+            _checked_vertices(self.graph, key)
+        else:
             h = self.deleted(*key)[0] if len(key) == 1 else delete_vertices(self.graph, key)
             self._m_without[key] = matching_number(h)
         return self._m_without[key]
@@ -100,19 +106,9 @@ class GraphFacts:
         return matching_number(contract_cycles(self.graph, self.cycles))
 
     @property
-    def unicyclic(self) -> bool:
-        """Connected with exactly one cycle (c = 1)."""
-        return self.c == 1 and len(self.components) == 1
-
-    @property
     def tree(self) -> bool:
         """Connected and acyclic, with at least 2 vertices."""
         return self.c == 0 and len(self.components) == 1 and self.graph.n >= 2
-
-    @property
-    def p_at_bound(self) -> bool:
-        """Is p = m + c or p = m - c?"""
-        return self.inertia.p in (self.m + self.c, self.m - self.c)
 
     @property
     def contraction_keeps_matching(self) -> bool:
@@ -133,16 +129,11 @@ class GraphFacts:
         return all(self.m_without(e) != self.m - 1 for e in self.frontier)
 
 
-def _facts(g: Graph | GraphFacts) -> GraphFacts:
-    return g if isinstance(g, GraphFacts) else GraphFacts(g)
-
-
-def check_bounds(g: Graph | GraphFacts) -> bool:
+def check_bounds(f: GraphFacts) -> bool:
     """Do matching number and cyclomatic number bound both inertia indices?
 
     True iff m - c <= p <= m + c and m - c <= n <= m + c.
     """
-    f = _facts(g)
     m, c = f.m, f.c
     return (m - c <= f.inertia.p <= m + c) and (m - c <= f.inertia.n <= m + c)
 
@@ -174,8 +165,7 @@ def _cycles_in_class(f: GraphFacts, residue: int) -> bool:
     return f.cycles.disjoint and all(len(cyc) % 4 == residue for cyc in f.cycles.cycles)
 
 
-def _classify_upper(g: Graph | GraphFacts, index: str, residue: int) -> UpperClassification:
-    f = _facts(g)
+def _classify_upper(f: GraphFacts, index: str, residue: int) -> UpperClassification:
     fits = _cycles_in_class(f, residue)
     return UpperClassification(
         getattr(f.inertia, index) == f.m + f.c,
@@ -184,52 +174,51 @@ def _classify_upper(g: Graph | GraphFacts, index: str, residue: int) -> UpperCla
     )
 
 
-def _classify_lower(g: Graph | GraphFacts, index: str) -> LowerClassification:
-    f = _facts(g)
+def _classify_lower(f: GraphFacts, index: str) -> LowerClassification:
     conditions = _cycles_in_class(f, 0) and f.contraction_keeps_matching
     return LowerClassification(getattr(f.inertia, index) == f.m - f.c, conditions)
 
 
-def classify_p_upper(g: Graph | GraphFacts) -> UpperClassification:
+def classify_p_upper(f: GraphFacts) -> UpperClassification:
     """Is p = m + c, and do the structural conditions predict it?
 
     Structural side: disjoint cycles, every length 1 mod 4, plus either
     witness form.  Trees and forests attain the bound vacuously (c = 0).
     """
-    return _classify_upper(g, "p", residue=1)
+    return _classify_upper(f, "p", residue=1)
 
 
-def classify_n_upper(g: Graph | GraphFacts) -> UpperClassification:
+def classify_n_upper(f: GraphFacts) -> UpperClassification:
     """Is n = m + c; structural conditions with cycle lengths 3 mod 4."""
-    return _classify_upper(g, "n", residue=3)
+    return _classify_upper(f, "n", residue=3)
 
 
-def classify_p_lower(g: Graph | GraphFacts) -> LowerClassification:
+def classify_p_lower(f: GraphFacts) -> LowerClassification:
     """Is p = m - c; structural conditions with cycle lengths 0 mod 4.
 
     Only the contraction form characterizes the lower bound: a matching
     avoiding the frontier can exist even when the bound is missed (two
     4-cycles joined by a bridge are the canonical example).
     """
-    return _classify_lower(g, "p")
+    return _classify_lower(f, "p")
 
 
-def classify_n_lower(g: Graph | GraphFacts) -> LowerClassification:
+def classify_n_lower(f: GraphFacts) -> LowerClassification:
     """Is n = m - c; shares its conditions with :func:`classify_p_lower`."""
-    return _classify_lower(g, "n")
+    return _classify_lower(f, "n")
 
 
-def classify_unicyclic(g: Graph | GraphFacts) -> tuple[int, int]:
+def classify_unicyclic(f: GraphFacts) -> tuple[int, int] | None:
     """Predicted (n, p) of a connected unicyclic graph from matchings alone.
 
     Four cases on the cycle length q mod 4 and matching structure:
     (m-1, m-1) when q = 0 mod 4 and every maximum matching avoids the
     frontier; (m, m+1) when q = 1 mod 4 and m(G) = m(G - C) + (q-1)/2;
     (m+1, m) when q = 3 mod 4 under the same equation; (m, m) otherwise.
+    None unless the graph is connected unicyclic.
     """
-    f = _facts(g)
-    if not f.unicyclic:
-        raise ValueError("unicyclic classification needs a connected graph with exactly one cycle")
+    if not (f.c == 1 and len(f.components) == 1):
+        return None
     q = len(f.cycles.cycles[0])
     m = f.m
     if q % 4 == 0:
@@ -239,24 +228,20 @@ def classify_unicyclic(g: Graph | GraphFacts) -> tuple[int, int]:
     return (m, m)
 
 
-def check_deletion_corollaries(g: Graph | GraphFacts) -> bool:
+def check_deletion_corollaries(f: GraphFacts) -> bool | None:
     """Check the vertex-deletion consequences of a tight bound on p.
 
-    Precondition: the graph has a cycle and p equals m + c or m - c.
-    For every vertex v on a cycle the deleted graph must satisfy, for
-    the upper case: p drops by 1, stays tight (p = m + c on G - v),
-    m is unchanged, c drops by 1, and v is not a quasi-pendant; for the
-    lower case: p unchanged, tight below, m drops by 1, c drops by 1,
-    and v is not a quasi-pendant.
+    Premise: the graph has a cycle and p equals m + c or m - c; None
+    without it.  For every vertex v on a cycle the deleted graph must
+    satisfy, for the upper case: p drops by 1, stays tight (p = m + c on
+    G - v), m is unchanged, c drops by 1, and v is not a quasi-pendant;
+    for the lower case: p unchanged, tight below, m drops by 1, c drops
+    by 1, and v is not a quasi-pendant.
     """
-    f = _facts(g)
-    if not f.cycles.cyclic_vertices:
-        raise ValueError("deletion corollaries need at least one cycle")
-    if not f.p_at_bound:
-        raise ValueError("deletion corollaries apply only when p = m + c or p = m - c")
     p, m, c = f.inertia.p, f.m, f.c
-    upper = p == m + c
-    lower = p == m - c
+    upper, lower = p == m + c, p == m - c
+    if not (f.cycles.cyclic_vertices and (upper or lower)):
+        return None
     for v in sorted(f.cycles.cyclic_vertices):
         if v in f.quasi_pendants:
             return False
@@ -273,11 +258,13 @@ def check_deletion_corollaries(g: Graph | GraphFacts) -> bool:
     return True
 
 
-def check_tree_nullity(t: Graph | GraphFacts) -> bool:
-    """Is the nullity of a tree at most (number of leaves) - 1?"""
-    f = _facts(t)
+def check_tree_nullity(f: GraphFacts) -> bool | None:
+    """Is the nullity of a tree at most (number of leaves) - 1?
+
+    None unless the graph is a tree on at least 2 vertices.
+    """
     if not f.tree:
-        raise ValueError("tree nullity bound needs a tree with at least 2 vertices")
+        return None
     return f.inertia.eta <= len(f.pendants) - 1
 
 
@@ -297,8 +284,10 @@ class DifferenceBounds(NamedTuple):
     conjecture_ok: bool
 
 
-def check_difference_bounds(g: Graph | GraphFacts) -> DifferenceBounds:
-    f = _facts(g)
+def check_difference_bounds(f: GraphFacts) -> DifferenceBounds | None:
+    """|p - n| against the simple-cycle counts; None above the vertex budget."""
+    if f.graph.n > SIMPLE_CYCLE_VERTEX_BUDGET:
+        return None
     counts = enumerate_simple_cycles(f.graph)
     diff = f.inertia.p - f.inertia.n
     return DifferenceBounds(
@@ -446,7 +435,7 @@ LEMMAS = (
     ("deletion_interlacing", _interlacing),
     # after interlacing, which has put every G - v in the memo
     ("quasipendant_matching_drop", _quasipendant_matching_drop),
-    ("tree_nullity_bound", lambda f: check_tree_nullity(f) if f.tree else None),
+    ("tree_nullity_bound", check_tree_nullity),
     ("leaf_stripping_drop", _leaf_stripping_drop),
     ("pendant_existence", _pendant_existence),
     ("matching_decomposition", _matching_decomposition),
@@ -458,14 +447,13 @@ LEMMAS = (
 LEMMA_NAMES = tuple(name for name, _ in LEMMAS)
 
 
-def lemma_suite(g: Graph | GraphFacts) -> dict[str, bool | None]:
-    """Run every structural lemma check applicable to ``g``.
+def lemma_suite(f: GraphFacts) -> dict[str, bool | None]:
+    """Run every structural lemma check on the record's graph.
 
     Returns a dict keyed by :data:`LEMMA_NAMES`, in that order; values
     are True (verified), False (counterexample), or None (the lemma's
     premise does not apply).
     """
-    f = _facts(g)
     return {name: rule(f) for name, rule in LEMMAS}
 
 

@@ -1,10 +1,11 @@
 """Per-graph verdict rows, corpus verification runs, report emission.
 
 :data:`CHECKS` is the one ordered table of checks.  Each :class:`Check`
-has a ``name``, an ``applies`` guard with the ``na_note`` a row gets
-when it does not apply, one ``run`` rule that turns the row's
+has a ``name``, one ``run`` rule that turns the row's
 :class:`~.theorems.GraphFacts` into the check's row fields, its notes
-and its verdict, and the report ``columns`` it fills.  The check names,
+and its verdict, the report ``columns`` it fills, and the ``na_note`` a
+row gets when ``run`` answers ``None``, as it does when its verdict
+does (the premises live in :mod:`~.theorems` only).  The check names,
 ``REPORT_FIELDS``, the row dict, the notes and each row's
 ``counterexample`` flag all derive from it.
 
@@ -26,7 +27,6 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 from .corpus import CorpusItem
-from .cycles import SIMPLE_CYCLE_VERTEX_BUDGET
 from .graphs import Graph, to_graph6
 from .inertia import graph_inertia, graph_inertia_oracle
 from .theorems import (
@@ -115,10 +115,10 @@ Outcome = tuple[dict[str, object], list[str], bool]
 class Check(NamedTuple):
     name: str
     # the GraphReport fields this check fills, its notes, and whether it
-    # found a counterexample, from the row's facts and residue
-    run: Callable[[GraphFacts, int | None], Outcome]
+    # found a counterexample, from the row's facts and residue; None when
+    # the premise is absent, and the row notes ``na_note`` instead
+    run: Callable[[GraphFacts, int | None], Outcome | None]
     columns: tuple[tuple[str, Callable[[GraphReport], object]], ...]
-    applies: Callable[[GraphFacts, int | None], bool] = lambda f, residue: True
     na_note: str = ""
 
 
@@ -155,16 +155,20 @@ def _classifiers(f: GraphFacts, residue: int | None) -> Outcome:
     return fields, notes, bool(notes)
 
 
-def _unicyclic(f: GraphFacts, residue: int | None) -> Outcome:
+def _unicyclic(f: GraphFacts, residue: int | None) -> Outcome | None:
     prediction = classify_unicyclic(f)
+    if prediction is None:
+        return None
     computed = (f.inertia.n, f.inertia.p)
     ok = prediction == computed
     notes = [] if ok else [f"unicyclic prediction {prediction} != computed {computed}"]
     return {"unicyclic_prediction": prediction, "unicyclic_ok": ok}, notes, not ok
 
 
-def _corollaries(f: GraphFacts, residue: int | None) -> Outcome:
+def _corollaries(f: GraphFacts, residue: int | None) -> Outcome | None:
     ok = check_deletion_corollaries(f)
+    if ok is None:
+        return None
     return {"corollaries_ok": ok}, [] if ok else ["deletion corollaries failed"], not ok
 
 
@@ -175,8 +179,10 @@ def _lemmas(f: GraphFacts, residue: int | None) -> Outcome:
     return {"lemmas": lemmas}, notes, bool(failed)
 
 
-def _difference(f: GraphFacts, residue: int | None) -> Outcome:
+def _difference(f: GraphFacts, residue: int | None) -> Outcome | None:
     d = check_difference_bounds(f)
+    if d is None:
+        return None
     notes = []
     if not d.c1_ok:
         notes.append(f"|p-n|={abs(d.diff)} exceeds odd cycle count {d.c1}")
@@ -185,8 +191,10 @@ def _difference(f: GraphFacts, residue: int | None) -> Outcome:
     return {"difference": d}, notes, not d.c1_ok
 
 
-def _generator(f: GraphFacts, residue: int | None) -> Outcome:
+def _generator(f: GraphFacts, residue: int | None) -> Outcome | None:
     """Extremal identity plus classifier conditions for a generated graph."""
+    if residue is None:
+        return None
     classified = _classifications(f)
     ok = all(all(classified[name]) for name in GENERATOR_RECIPES[residue].classifiers)
     notes = [] if ok else [f"generator identity failed for residue {residue}"]
@@ -212,14 +220,12 @@ CHECKS: tuple[Check, ...] = (
             _column("unicyclic_pred_p", "unicyclic_prediction", 1),
             _column("unicyclic_ok"),
         ),
-        applies=lambda f, residue: f.unicyclic,
         na_note="unicyclic: n/a (not connected unicyclic)",
     ),
     Check(
         "corollaries",
         _corollaries,
         columns=(_column("corollaries_ok"),),
-        applies=lambda f, residue: bool(f.cycles.cyclic_vertices) and f.p_at_bound,
         na_note="corollaries: n/a (no cycle or bound not attained)",
     ),
     Check("lemmas", _lemmas, columns=(_column("lemmas_ok"),)),
@@ -230,14 +236,12 @@ CHECKS: tuple[Check, ...] = (
             _column("c1_ok", "difference", "c1_ok"),
             _column("conjecture_ok", "difference", "conjecture_ok"),
         ),
-        applies=lambda f, residue: f.graph.n <= SIMPLE_CYCLE_VERTEX_BUDGET,
         na_note="difference: n/a (budget)",
     ),
     Check(
         "generator",
         _generator,
         columns=(_column("generator_ok"),),
-        applies=lambda f, residue: residue is not None,
         na_note="generator: n/a (corpus not generator-produced)",
     ),
 )
@@ -280,10 +284,11 @@ def analyze_graph(
     ]
     counterexample = not oracle_ok
     for check in (c for c in CHECKS if c.name in selected):
-        if not check.applies(facts, residue):
+        outcome = check.run(facts, residue)
+        if outcome is None:
             notes.append(check.na_note)
             continue
-        check_fields, check_notes, failed = check.run(facts, residue)
+        check_fields, check_notes, failed = outcome
         fields.update(check_fields)
         notes.extend(check_notes)
         counterexample = counterexample or failed

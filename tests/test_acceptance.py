@@ -108,7 +108,7 @@ def test_criterion_04_unicyclic_classification(sweep):
     for _ in range(1000):
         g = random_unicyclic(rng)
         ine = graph_inertia(g)
-        assert classify_unicyclic(g) == (ine.n, ine.p)
+        assert classify_unicyclic(GraphFacts(g)) == (ine.n, ine.p)
     print(
         f"criterion 4 PASS: unicyclic (n, p) prediction exact on "
         f"{len(covered)} exhaustive + 1000 random graphs (7 <= n <= 10)"
@@ -125,7 +125,7 @@ def test_criterion_05_near_miss_regression():
 
     assert sorted(len(cyc) % 4 for cyc in analyze_cycles(g).cycles) == [0, 0]
     assert GraphFacts(g).frontier_always_avoided
-    assert not classify_p_lower(g).attained
+    assert not classify_p_lower(GraphFacts(g)).attained
     print(
         "criterion 5 PASS: two-squares-plus-bridge graph gives p=n=3, m=4, c=2; "
         "residues 0 and frontier avoidance hold yet the lower bound is strict"
@@ -169,8 +169,9 @@ def test_criterion_07_lemma_suite(sweep):
 
     trees = 0
     for t in all_trees(10):
-        assert check_tree_nullity(t)
-        report = lemma_suite(t)
+        f = GraphFacts(t)
+        assert check_tree_nullity(f)
+        report = lemma_suite(f)
         assert report["tree_nullity_bound"] is True
         assert report["leaf_stripping_drop"] is True
         trees += 1
@@ -195,13 +196,14 @@ def test_criterion_08_generator_soundness(residue):
     for item in generated_corpus(base, 1000):
         g = item.graph
         if residue == 1:
-            r = classify_p_upper(g)
+            r = classify_p_upper(GraphFacts(g))
             assert r.attained and r.cond_contraction and r.cond_frontier
         elif residue == 3:
-            r = classify_n_upper(g)
+            r = classify_n_upper(GraphFacts(g))
             assert r.attained and r.cond_contraction and r.cond_frontier
         else:
-            rp, rn = classify_p_lower(g), classify_n_lower(g)
+            f = GraphFacts(g)
+            rp, rn = classify_p_lower(f), classify_n_lower(f)
             assert rp.attained and rp.conditions
             assert rn.attained and rn.conditions
         count += 1

@@ -219,7 +219,7 @@ def test_has_attached_disjoint_cycles():
     vertex-disjoint, and some cycle attached to the rest of the graph."""
 
     def verdicts(g):
-        report = lemma_suite(g)
+        report = lemma_suite(GraphFacts(g))
         return [report[name] for name in CONTRACTION_LEMMAS]
 
     assert any(v is not None for v in verdicts(cycle_with_tail(5, 1)))

@@ -3,19 +3,26 @@ and neither a shortcut constructor nor a vertex order changes a result.
 
 One strategy draws a vertex count n <= 9 and any subset of the n(n-1)/2
 possible edges; the matching-answer property draws sparser graphs, whose
-maximum matchings it can list one by one.  Runs are derandomized and
-keep no example database, so every run tries the same graphs.
+maximum matchings it can list one by one, and so does the premise
+property, which reads each verdict's premise off networkx instead.
+Runs are derandomized and keep no example database, so every run tries
+the same graphs.
 """
 
 import pickle
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inertia_bounds import (
     Graph,
     GraphFacts,
+    check_deletion_corollaries,
+    check_difference_bounds,
+    check_tree_nullity,
+    classify_unicyclic,
     delete_vertices,
     graph_inertia,
     graph_inertia_oracle,
@@ -23,6 +30,7 @@ from inertia_bounds import (
     matching_number,
     parse_edge_list,
     parse_graph6,
+    path_graph,
     to_graph6,
     unreduced_graph_inertia,
 )
@@ -94,6 +102,31 @@ def test_matching_answers_agree_with_every_maximum_matching(g):
         misses = [not (mm & f.frontier) for mm in best]
         assert f.frontier_avoidable == any(misses)
         assert f.frontier_always_avoided == all(misses)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(sparse_graphs())
+def test_a_verdict_answers_none_exactly_outside_its_premise(g):
+    # the premises, read off networkx and the char-poly oracle instead of the record
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    connected = g.n > 0 and nx.is_connected(h)
+    c = h.number_of_edges() - g.n + nx.number_connected_components(h)
+    m = len(nx.max_weight_matching(h, maxcardinality=True))
+    p = graph_inertia_oracle(g).p
+    f = GraphFacts(g)
+    unicyclic = connected and h.number_of_edges() == g.n
+    assert (classify_unicyclic(f) is None) == (not unicyclic)
+    tree = g.n >= 2 and nx.is_tree(h)
+    assert (check_tree_nullity(f) is None) == (not tree)
+    assert (check_deletion_corollaries(f) is None) == (c == 0 or p not in (m - c, m + c))
+
+
+def test_difference_bounds_answer_none_above_fourteen_vertices():
+    assert check_difference_bounds(GraphFacts(path_graph(15))) is None
+    assert check_difference_bounds(GraphFacts(path_graph(14))) is not None
 
 
 @repeatable

@@ -44,12 +44,12 @@ def test_bounds_hold_on_small_samples():
         cycle_with_tail(4, 3),
         lower_bound_near_miss(),
     ]:
-        assert check_bounds(g)
+        assert check_bounds(GraphFacts(g))
 
 
 def test_bounds_hold_exhaustively_n4():
     for item in enumerate_labeled(4):
-        assert check_bounds(item.graph)
+        assert check_bounds(GraphFacts(item.graph))
 
 
 # frozen extremal examples: a cycle with a two-vertex tail in each residue class
@@ -59,37 +59,40 @@ def test_p_upper_attained_for_residue_one_tail():
     g = cycle_with_tail(5, 2)  # p = 4 = m + c = 3 + 1
     assert graph_inertia(g) == (4, 3, 0)
     assert matching_number(g) == 3 and cyclomatic_number(g) == 1
-    res = classify_p_upper(g)
+    f = GraphFacts(g)
+    res = classify_p_upper(f)
     assert res.attained and res.cond_contraction and res.cond_frontier
-    neg = classify_n_upper(g)
+    neg = classify_n_upper(f)
     assert not neg.attained and not neg.cond_contraction and not neg.cond_frontier
 
 
 def test_n_upper_attained_for_residue_three_tail():
     g = cycle_with_tail(3, 2)  # n = 3 = m + c = 2 + 1
     assert graph_inertia(g) == (2, 3, 0)
-    res = classify_n_upper(g)
+    f = GraphFacts(g)
+    res = classify_n_upper(f)
     assert res.attained and res.cond_contraction and res.cond_frontier
-    pos = classify_p_upper(g)
+    pos = classify_p_upper(f)
     assert not pos.attained and not pos.cond_contraction and not pos.cond_frontier
 
 
 def test_lower_attained_for_residue_zero_tail():
     g = cycle_with_tail(4, 2)  # p = n = 2 = m - c = 3 - 1
     assert graph_inertia(g) == (2, 2, 2)
-    p_res = classify_p_lower(g)
-    n_res = classify_n_lower(g)
+    f = GraphFacts(g)
+    p_res = classify_p_lower(f)
+    n_res = classify_n_lower(f)
     assert p_res.attained and p_res.conditions
     assert n_res.attained and n_res.conditions
 
 
 def test_classifiers_on_bare_cycles():
     # a bare cycle has no frontier, so every avoidance condition is vacuous
-    res = classify_p_upper(cycle_graph(5))  # p = 3 = m + c = 2 + 1
+    res = classify_p_upper(GraphFacts(cycle_graph(5)))  # p = 3 = m + c = 2 + 1
     assert res.attained and res.cond_contraction and res.cond_frontier
-    res = classify_n_upper(cycle_graph(3))  # n = 2 = m + c = 1 + 1
+    res = classify_n_upper(GraphFacts(cycle_graph(3)))  # n = 2 = m + c = 1 + 1
     assert res.attained and res.cond_contraction and res.cond_frontier
-    res = classify_p_lower(cycle_graph(4))  # p = 1 = m - c = 2 - 1
+    res = classify_p_lower(GraphFacts(cycle_graph(4)))  # p = 1 = m - c = 2 - 1
     assert res.attained and res.conditions
 
 
@@ -99,20 +102,21 @@ def test_near_miss_lower_bound():
     g = lower_bound_near_miss()
     assert graph_inertia(g) == (3, 3, 2)
     assert matching_number(g) == 4 and cyclomatic_number(g) == 2
-    assert GraphFacts(g).frontier_always_avoided
-    res = classify_p_lower(g)
+    f = GraphFacts(g)
+    assert f.frontier_always_avoided
+    res = classify_p_lower(f)
     assert not res.attained and not res.conditions
-    res = classify_n_lower(g)
+    res = classify_n_lower(f)
     assert not res.attained and not res.conditions
 
 
 def test_classifier_attained_matches_conditions_n4():
     for item in enumerate_labeled(4):
-        g = item.graph
+        f = GraphFacts(item.graph)
         for classify in (classify_p_upper, classify_n_upper):
-            r = classify(g)
+            r = classify(f)
             assert r.attained == r.cond_contraction == r.cond_frontier
-        rp, rn = classify_p_lower(g), classify_n_lower(g)
+        rp, rn = classify_p_lower(f), classify_n_lower(f)
         assert rp.attained == rp.conditions
         assert rn.attained == rn.conditions
         assert rp.attained == rn.attained  # p and n hit the floor together
@@ -135,18 +139,15 @@ def test_classifier_attained_matches_conditions_n4():
     ],
 )
 def test_unicyclic_predictions(g, expected):
-    assert classify_unicyclic(g) == expected
+    assert classify_unicyclic(GraphFacts(g)) == expected
     ine = graph_inertia(g)
     assert (ine.n, ine.p) == expected
 
 
 def test_unicyclic_rejects_bad_input():
-    with pytest.raises(ValueError):
-        classify_unicyclic(path_graph(4))  # no cycle
-    with pytest.raises(ValueError):
-        classify_unicyclic(disjoint_union(cycle_graph(3), path_graph(2)))
-    with pytest.raises(ValueError):
-        classify_unicyclic(complete_graph(4))  # c = 3
+    assert classify_unicyclic(GraphFacts(path_graph(4))) is None  # no cycle
+    assert classify_unicyclic(GraphFacts(disjoint_union(cycle_graph(3), path_graph(2)))) is None
+    assert classify_unicyclic(GraphFacts(complete_graph(4))) is None  # c = 3
 
 
 # deletion corollaries
@@ -154,7 +155,7 @@ def test_unicyclic_rejects_bad_input():
 
 def test_deletion_corollaries_upper():
     g = cycle_with_tail(5, 2)  # p = m + c
-    assert check_deletion_corollaries(g)
+    assert check_deletion_corollaries(GraphFacts(g))
 
 
 @pytest.mark.parametrize(
@@ -180,26 +181,23 @@ def test_deletion_corollaries_refuse_a_bound_the_graph_misses(g, bound):
 
 def test_deletion_corollaries_lower():
     g = cycle_with_tail(4, 2)  # p = m - c
-    assert check_deletion_corollaries(g)
+    assert check_deletion_corollaries(GraphFacts(g))
 
 
 def test_deletion_corollaries_preconditions():
-    with pytest.raises(ValueError):
-        check_deletion_corollaries(path_graph(5))  # no cycle
-    with pytest.raises(ValueError):
-        check_deletion_corollaries(cycle_graph(6))  # p strictly inside bounds
+    assert check_deletion_corollaries(GraphFacts(path_graph(5))) is None  # no cycle
+    # p strictly inside bounds
+    assert check_deletion_corollaries(GraphFacts(cycle_graph(6))) is None
 
 
 # tree facts
 
 
 def test_tree_nullity_bound():
-    assert check_tree_nullity(star_graph(5))  # eta = 4, leaves = 5
-    assert check_tree_nullity(path_graph(7))
-    with pytest.raises(ValueError):
-        check_tree_nullity(cycle_graph(4))
-    with pytest.raises(ValueError):
-        check_tree_nullity(Graph(1, []))
+    assert check_tree_nullity(GraphFacts(star_graph(5)))  # eta = 4, leaves = 5
+    assert check_tree_nullity(GraphFacts(path_graph(7)))
+    assert check_tree_nullity(GraphFacts(cycle_graph(4))) is None
+    assert check_tree_nullity(GraphFacts(Graph(1, []))) is None
 
 
 def test_tree_nullity_is_tight_for_stars():
@@ -212,17 +210,17 @@ def test_tree_nullity_is_tight_for_stars():
 
 
 def test_difference_bounds_frozen_values():
-    d = check_difference_bounds(complete_graph(4))
+    d = check_difference_bounds(GraphFacts(complete_graph(4)))
     assert (d.c1, d.c3, d.c5) == (4, 4, 0)
     assert d.diff == -2  # p - n = 1 - 3
     assert d.c1_ok
     assert d.conjecture_ok  # -4 <= -2 <= 0
 
-    d = check_difference_bounds(cycle_graph(5))
+    d = check_difference_bounds(GraphFacts(cycle_graph(5)))
     assert (d.diff, d.c1, d.c3, d.c5) == (1, 1, 0, 1)
     assert d.c1_ok and d.conjecture_ok
 
-    d = check_difference_bounds(path_graph(5))
+    d = check_difference_bounds(GraphFacts(path_graph(5)))
     assert (d.diff, d.c1, d.c3, d.c5) == (0, 0, 0, 0)
     assert d.c1_ok and d.conjecture_ok
 
@@ -231,12 +229,12 @@ def test_difference_bounds_frozen_values():
 
 
 def test_lemma_suite_keys_are_stable():
-    report = lemma_suite(cycle_with_tail(5, 2))
+    report = lemma_suite(GraphFacts(cycle_with_tail(5, 2)))
     assert tuple(report) == LEMMA_NAMES
 
 
 def test_lemma_suite_values():
-    report = lemma_suite(cycle_with_tail(5, 2))
+    report = lemma_suite(GraphFacts(cycle_with_tail(5, 2)))
     # connected graph: additivity does not apply
     assert report["component_additivity"] is None
     # not a tree: tree lemmas do not apply
@@ -248,7 +246,7 @@ def test_lemma_suite_values():
     assert report["pendant_existence"] is True
     assert report["deletion_interlacing"] is True
 
-    tree_report = lemma_suite(star_graph(4))
+    tree_report = lemma_suite(GraphFacts(star_graph(4)))
     assert tree_report["tree_nullity_bound"] is True
     assert tree_report["leaf_stripping_drop"] is True
     assert tree_report["pendant_existence"] is None  # no cycle at all
@@ -288,7 +286,8 @@ TWO_CYCLE_LOWER_BOUND_VERDICTS = {
 
 
 def test_lemma_verdicts_where_the_matching_lemmas_fire():
-    rows = [lemma_suite(item.graph) for item in parse_corpus_spec(TWO_CYCLE_LOWER_BOUND_SPEC)]
+    corpus = parse_corpus_spec(TWO_CYCLE_LOWER_BOUND_SPEC)
+    rows = [lemma_suite(GraphFacts(item.graph)) for item in corpus]
     verdicts = {
         name: tuple(sum(r[name] is v for r in rows) for v in (True, False, None))
         for name in LEMMA_NAMES
@@ -318,9 +317,33 @@ def test_m_without_solves_each_vertex_set_once(monkeypatch):
     assert solved[-1] is f.deleted(1)[0]
 
 
+def _error(ask):
+    with pytest.raises(ValueError) as err:
+        ask()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("vertex", [True, 1.0], ids=["bool", "float"])
+def test_a_warmed_record_refuses_a_vertex_that_only_equals_an_int(vertex):
+    # True == 1.0 == 1, so a memo that looked up before checking would
+    # answer for vertex 1 once it held it
+    fresh, warmed = GraphFacts(path_graph(4)), GraphFacts(path_graph(4))
+    warmed.deleted(1)
+    warmed.m_without((1,))
+    warmed.m_without((1, 2))
+    for ask in (
+        lambda f: f.deleted(vertex),
+        lambda f: f.m_without((vertex,)),
+        lambda f: f.m_without((vertex, 2)),
+    ):
+        message = _error(lambda: ask(fresh))
+        assert "are not all ints" in message
+        assert _error(lambda: ask(warmed)) == message
+
+
 def test_lemma_suite_never_false_on_small_corpus():
     for item in enumerate_labeled(4):
-        report = lemma_suite(item.graph)
+        report = lemma_suite(GraphFacts(item.graph))
         bad = [k for k, v in report.items() if v is False]
         assert not bad, (item.graph_id, bad)
 
@@ -332,13 +355,13 @@ def test_pendant_lemmas_do_not_check_the_peeling_against_itself(monkeypatch):
 
     g = disjoint_union(cycle_with_tail(5, 2), star_graph(3), path_graph(4))
     assert analyze_graph(g).oracle_ok is True
-    report = lemma_suite(g)
+    report = lemma_suite(GraphFacts(g))
     assert report["pendant_reduction"] is True
     assert report["component_additivity"] is True
 
     monkeypatch.setattr(inertia_mod, "_PENDANT_PAIR", Inertia(1, 0, 1))
     assert analyze_graph(g).oracle_ok is False
-    report = lemma_suite(g)
+    report = lemma_suite(GraphFacts(g))
     assert report["pendant_reduction"] is False
     assert report["component_additivity"] is False
 

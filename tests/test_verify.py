@@ -8,7 +8,6 @@ import pytest
 
 from inertia_bounds import (
     ALL_CHECKS,
-    CycleBudgetError,
     DifferenceBounds,
     GeneratorParams,
     GraphFacts,
@@ -208,7 +207,7 @@ def test_a_failing_check_makes_a_counterexample_with_a_note(check, monkeypatch):
     import inertia_bounds.verify as verify_mod
 
     g, residue = cycle_graph(5), 1  # C5 is extremal for p with c = 1, so every check applies
-    assert check.applies(GraphFacts(g), residue)
+    assert check.run(GraphFacts(g), residue) is not None
     clean = analyze_graph(g, "c5", checks=(check.name,), residue=residue)
     assert not clean.is_counterexample()
     monkeypatch.setattr(verify_mod, *FORCED_FAILURES[check.name])
@@ -411,7 +410,7 @@ def test_golden_corpus_exercises_every_lemma_and_n_a_note():
     assert na_rows == GOLDEN_NA_ROWS
 
 
-# a check applies exactly when its theorem function accepts the graph
+# a check is n/a exactly when its verdict answers None
 
 GUARDED_CHECKS = {
     "unicyclic": classify_unicyclic,
@@ -420,20 +419,16 @@ GUARDED_CHECKS = {
 }
 
 
-def test_check_applies_exactly_when_its_theorem_accepts_the_graph():
-    checks = {check.name: check for check in CHECKS if check.name in GUARDED_CHECKS}
-    seen = {(name, applies): 0 for name in GUARDED_CHECKS for applies in (False, True)}
+def test_a_check_is_na_on_a_golden_row_exactly_when_its_verdict_answers_none():
+    na_notes = {check.name: check.na_note for check in CHECKS if check.name in GUARDED_CHECKS}
+    seen = {(name, na): 0 for name in GUARDED_CHECKS for na in (False, True)}
     for item in golden_corpus():
+        notes = analyze_graph(item.graph, item.graph_id, residue=item.residue).notes.split("; ")
         facts = GraphFacts(item.graph)
-        for name, theorem in GUARDED_CHECKS.items():
-            applies = checks[name].applies(facts, item.residue)
-            try:
-                theorem(facts)
-                accepted = True
-            except (ValueError, CycleBudgetError):
-                accepted = False
-            assert applies == accepted, (name, item.graph_id)
-            seen[name, applies] += 1
+        for name, verdict in GUARDED_CHECKS.items():
+            na = na_notes[name] in notes
+            assert na == (verdict(facts) is None), (name, item.graph_id)
+            seen[name, na] += 1
     # every check is both applicable and n/a somewhere in the corpus
     assert all(seen.values()), seen
 
