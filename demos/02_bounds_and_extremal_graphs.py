@@ -16,7 +16,6 @@ from inertia_bounds import (
     classify_n_upper,
     classify_p_lower,
     classify_p_upper,
-    frontier_edges,
 )
 
 
@@ -59,6 +58,6 @@ print("  p = n = m - c?", classify_p_lower(f))
 g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0),
               (4, 5), (5, 6), (6, 7), (7, 4), (0, 4)])
 f = report("two C4 plus bridge", g)
-print("  frontier:", sorted(frontier_edges(g)))
+print("  frontier:", sorted(f.frontier))
 print("  every max matching avoids the frontier?", f.frontier_always_avoided)
 print("  p = n = m - c?", classify_p_lower(f))

@@ -2,9 +2,10 @@
 
 Most results here are only meaningful when the cycles of the graph are
 pairwise vertex-disjoint; in that case every simple cycle is exactly one
-biconnected block and the whole cycle inventory is explicit.  The
-``disjoint`` flag of :class:`CycleStructure` gates the downstream
-operations that need it.
+biconnected block and the whole cycle inventory is explicit.  Frontier
+and contraction take the :class:`CycleStructure` of :func:`analyze_cycles`
+from their caller, and its ``disjoint`` flag gates them: on overlapping
+cycles they raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -121,15 +122,13 @@ def _require_disjoint(cs: CycleStructure) -> None:
         raise ValueError("operation requires pairwise vertex-disjoint cycles")
 
 
-def frontier_edges(g: Graph, cs: CycleStructure | None = None) -> frozenset[Edge]:
+def frontier_edges(g: Graph, cs: CycleStructure) -> frozenset[Edge]:
     """Edges joining a cycle vertex to anything outside its own cycle.
 
     Includes edges from a cycle to a non-cyclic vertex and edges joining
     two distinct cycles.  Edges inside one cycle and edges between
     non-cyclic vertices are excluded.
     """
-    if cs is None:
-        cs = analyze_cycles(g)
     _require_disjoint(cs)
     owner: dict[int, int] = {}
     for idx, cyc in enumerate(cs.cycles):
@@ -143,7 +142,7 @@ def frontier_edges(g: Graph, cs: CycleStructure | None = None) -> frozenset[Edge
     return frozenset(out)
 
 
-def contract_cycles(g: Graph, cs: CycleStructure | None = None) -> Graph:
+def contract_cycles(g: Graph, cs: CycleStructure) -> Graph:
     """Contract every cycle to one vertex; the result must be a forest.
 
     New labels follow the order of the smallest original member of each
@@ -151,8 +150,6 @@ def contract_cycles(g: Graph, cs: CycleStructure | None = None) -> Graph:
     A multi-edge or leftover cycle after contraction would contradict
     disjointness and is reported as an internal invariant violation.
     """
-    if cs is None:
-        cs = analyze_cycles(g)
     _require_disjoint(cs)
     cycle_of = {v: cyc for cyc in cs.cycles for v in cyc}
     image: dict[int, int] = {}

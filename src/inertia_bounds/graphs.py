@@ -149,21 +149,18 @@ def _g6_triangle_order(n: int) -> Iterable[Edge]:
             yield (i, j)
 
 
-def parse_graph6(text: str | bytes) -> Graph:
+def parse_graph6(text: str) -> Graph:
     """Decode one graph6 string (optional ``>>graph6<<`` header allowed).
 
     Errors mention the byte offset of the first offending byte.
     """
-    if isinstance(text, str):
-        try:
-            data = text.encode("ascii")
-        except UnicodeEncodeError as exc:
-            # every character before the first non-ASCII one is one byte
-            raise GraphParseError(
-                f"graph6: non-ASCII character {text[exc.start]!r} at offset {exc.start}"
-            ) from None
-    else:
-        data = bytes(text)
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        # every character before the first non-ASCII one is one byte
+        raise GraphParseError(
+            f"graph6: non-ASCII character {text[exc.start]!r} at offset {exc.start}"
+        ) from None
     base = 0
     if data.startswith(GRAPH6_HEADER.encode()):
         base = len(GRAPH6_HEADER)

@@ -12,7 +12,7 @@ numbers of deleted graphs, so they inherit the exactness of the solver
 instead of enumerating matchings.  Vertex deletions are asked through
 :meth:`~.theorems.GraphFacts.m_without`, which solves each vertex set
 once per graph; :func:`exists_max_matching_avoiding`, which deletes
-edges, is the one query left here.
+edges, is the one query left here; it takes m(G) from its caller.
 """
 
 from __future__ import annotations
@@ -166,14 +166,11 @@ def matching_bruteforce(g: Graph) -> int:
 # quantified query by edge deletion (vertex deletions: GraphFacts.m_without)
 
 
-def exists_max_matching_avoiding(
-    g: Graph, edges: Iterable[tuple[int, int]], *, m: int | None = None
-) -> bool:
-    """Is there a maximum matching using none of ``edges``?
+def exists_max_matching_avoiding(g: Graph, edges: Iterable[tuple[int, int]], m: int) -> bool:
+    """Is there a maximum matching using none of ``edges``?  ``m`` is m(G).
 
-    True iff deleting the edges leaves the matching number unchanged;
-    avoiding no edges at all is vacuous.  ``m`` is m(G) when the caller
-    already knows it; with None the solver runs on G.
+    True iff deleting the edges leaves the matching number at ``m``;
+    avoiding no edges at all is vacuous.
     """
     f = list(edges)
-    return not f or matching_number(delete_edges(g, f)) == (matching_number(g) if m is None else m)
+    return not f or matching_number(delete_edges(g, f)) == m

@@ -99,9 +99,7 @@ class GraphFacts:
 
         Raises ``ValueError`` when cycles overlap: there is no forest then.
         """
-        if not self.cycles.disjoint:
-            raise ValueError("forest matchings need pairwise vertex-disjoint cycles")
-        if not self.cycles.cycles:  # nothing to contract: the forest is the graph
+        if not self.cycles.cyclic_vertices:  # nothing to contract: the forest is the graph
             return self.m
         return matching_number(contract_cycles(self.graph, self.cycles))
 
@@ -121,7 +119,7 @@ class GraphFacts:
 
     @cached_property
     def frontier_avoidable(self) -> bool:
-        return exists_max_matching_avoiding(self.graph, self.frontier, m=self.m)
+        return exists_max_matching_avoiding(self.graph, self.frontier, self.m)
 
     @cached_property
     def frontier_always_avoided(self) -> bool:

@@ -328,7 +328,10 @@ def run_verification(
     ``workers`` > 1 fans rows out to a pool of at most one process per
     row; results come back in corpus order, so worker count cannot
     change the report.  Budget-skipped checks produce "n/a" notes.
+    ``workers`` must be an ``int`` >= 1; anything else raises ``ValueError``.
     """
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"workers must be an int >= 1, got {workers!r}")
     selected = _normalize_checks(checks)
     start = time.perf_counter()
     items = list(corpus)
@@ -355,21 +358,18 @@ def run_verification(
 # ---------------------------------------------------------------------------
 # report emission
 
-_MEASURED_FIELDS = ("graph_id", "graph6", "p", "n", "eta", "m", "c")
-
-REPORT_FIELDS = (
-    _MEASURED_FIELDS
-    + tuple(name for check in CHECKS for name, _ in check.columns)
-    + ("oracle_ok", "counterexample", "notes")
+_COLUMNS = (
+    tuple(map(_column, ("graph_id", "graph6", "p", "n", "eta", "m", "c")))
+    + tuple(column for check in CHECKS for column in check.columns)
+    + tuple(map(_column, ("oracle_ok", "counterexample", "notes")))
 )
+
+REPORT_FIELDS = tuple(name for name, _ in _COLUMNS)
 
 
 def report_row_dict(r: GraphReport) -> dict[str, object]:
     """Flatten one row into the documented field order (None = n/a)."""
-    row = {field: getattr(r, field) for field in _MEASURED_FIELDS}
-    row.update((name, get(r)) for check in CHECKS for name, get in check.columns)
-    row.update(oracle_ok=r.oracle_ok, counterexample=r.counterexample, notes=r.notes)
-    return row
+    return {name: get(r) for name, get in _COLUMNS}
 
 
 def render_report(report: RunReport, fmt: str = "json") -> str:

@@ -22,7 +22,7 @@ from inertia_bounds import (
     path_graph,
     star_graph,
 )
-from inertia_bounds.corpus import generated_corpus
+from inertia_bounds.corpus import generated_corpus, sample_random
 from conftest import cycle_with_tail, lower_bound_near_miss
 
 
@@ -115,14 +115,14 @@ def test_two_vertex_disjoint_cycles_connected_by_edge():
 
 def test_frontier_edges():
     g = cycle_with_tail(5, 2)
-    assert frontier_edges(g) == frozenset({(0, 5)})
-    assert frontier_edges(cycle_graph(6)) == frozenset()
-    assert frontier_edges(path_graph(4)) == frozenset()
+    assert frontier_edges(g, analyze_cycles(g)) == frozenset({(0, 5)})
+    for h in (cycle_graph(6), path_graph(4)):
+        assert frontier_edges(h, analyze_cycles(h)) == frozenset()
 
 
 def test_contract_cycles():
     g = cycle_with_tail(3, 2)  # triangle at {0,1,2}, tail 0-3-4
-    forest = contract_cycles(g)
+    forest = contract_cycles(g, analyze_cycles(g))
     assert forest.n == 3
     assert cyclomatic_number(forest) == 0
     assert forest.edges == frozenset({(0, 1), (1, 2)})
@@ -130,7 +130,7 @@ def test_contract_cycles():
 
 def test_contract_cycles_on_forest_is_identity_shape():
     g = path_graph(5)
-    assert contract_cycles(g) == g
+    assert contract_cycles(g, analyze_cycles(g)) == g
 
 
 def test_contract_cycles_matches_networkx_quotient():
@@ -159,9 +159,37 @@ def test_contract_cycles_matches_networkx_quotient():
         assert forest.edges == frozenset(tuple(sorted(e)) for e in quotient.edges())
 
 
+def test_frontier_edges_match_networkx_cycle_basis():
+    nx = pytest.importorskip("networkx")
+    graphs = []
+    for residue in (0, 1, 3):
+        params = GeneratorParams(
+            cycle_residue=residue, num_cycles=2, num_isolated_seeds=1, num_steps=4, rng_seed=0
+        )
+        graphs += [item.graph for item in generated_corpus(params, 20)]
+    graphs += [item.graph for item in sample_random(9, 0.2, 400, 5)]
+    checked = nonempty = joining = 0
+    for g in graphs:
+        cs = analyze_cycles(g)
+        if not cs.disjoint:
+            continue
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        # with disjoint cycles the cycle basis is the set of cycles
+        owner = {v: i for i, cyc in enumerate(nx.cycle_basis(h)) for v in cyc}
+        expected = frozenset((u, v) for u, v in g.edges if owner.get(u) != owner.get(v))
+        assert frontier_edges(g, cs) == expected, g
+        checked += 1
+        nonempty += bool(expected)
+        joining += any(u in owner and v in owner for u, v in expected)
+    assert (checked, nonempty, joining) == (344, 174, 3)
+
+
 def test_contract_rejects_overlapping_cycles():
+    g = bowtie()
     with pytest.raises(ValueError):
-        contract_cycles(bowtie())
+        contract_cycles(g, analyze_cycles(g))
 
 
 def test_graph_facts_refuse_forest_matchings_when_cycles_overlap():

@@ -246,7 +246,7 @@ def test_graph6_errors_carry_byte_offsets():
 
 def test_graph6_rejects_vertex_counts_above_the_cap():
     n = MAX_GRAPH6_VERTICES + 1
-    header = bytes([126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)])
+    header = "".join(map(chr, (126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63))))
     with pytest.raises(GraphParseError, match=f"vertex count {n} exceeds the supported maximum of 64000"):
         parse_graph6(header)
     with pytest.raises(GraphParseError, match="8-byte size header at offset 0 exceeds"):

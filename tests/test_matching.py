@@ -14,6 +14,7 @@ from inertia_bounds import (
     complete_graph,
     cycle_graph,
     GraphFacts,
+    delete_edges,
     empty_graph,
     exists_max_matching_avoiding,
     matching_bruteforce,
@@ -128,16 +129,16 @@ def test_edge_in_some_maximum_matching():
 def test_avoidance_queries():
     g = path_graph(4)
     f = GraphFacts(g)
-    assert exists_max_matching_avoiding(g, [(1, 2)])
+    assert exists_max_matching_avoiding(g, [(1, 2)], f.m)
     assert f.m_without((1, 2)) != f.m - 1  # so every maximum matching avoids 12
-    assert not exists_max_matching_avoiding(g, [(0, 1)])
+    assert not exists_max_matching_avoiding(g, [(0, 1)], f.m)
     assert f.m_without((0, 1)) == f.m - 1
     # avoiding the empty set is vacuous, and a graph without cycles has no frontier
-    assert exists_max_matching_avoiding(g, [])
+    assert exists_max_matching_avoiding(g, [], f.m)
     assert f.frontier == frozenset() and f.frontier_avoidable and f.frontier_always_avoided
-    c = cycle_graph(5)
-    assert exists_max_matching_avoiding(c, [(0, 1)])
-    assert GraphFacts(c).m_without((0, 1)) == 1  # so some maximum matching uses 01
+    c = GraphFacts(cycle_graph(5))
+    assert exists_max_matching_avoiding(c.graph, [(0, 1)], c.m)
+    assert c.m_without((0, 1)) == 1  # so some maximum matching uses 01
     # C4 plus the pendant edge 04: {01, 23} misses the frontier, {04, 12} does not
     f = GraphFacts(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]))
     assert f.frontier == {(0, 4)}
@@ -166,11 +167,12 @@ def test_queries_with_a_known_m_answer_as_without_it(monkeypatch):
 
     items = list(sample_random(n=7, edge_probability=0.4, count=40, seed=3))
     for g in (item.graph for item in items):
-        m = matching_number(g)
+        m, brute = matching_number(g), matching_bruteforce(g)
         edges = sorted(g.edges)
         for k in range(len(edges) + 1):
             part = edges[:k]
-            assert exists_max_matching_avoiding(g, part, m=m) == exists_max_matching_avoiding(g, part)
+            avoidable = matching_bruteforce(delete_edges(g, part)) == brute
+            assert exists_max_matching_avoiding(g, part, m) == avoidable
     # with m given, no query solves G itself again
     original = matching_mod._mates
     g = petersen()
@@ -181,4 +183,4 @@ def test_queries_with_a_known_m_answer_as_without_it(monkeypatch):
         return original(h)
 
     monkeypatch.setattr(matching_mod, "_mates", solve)
-    exists_max_matching_avoiding(g, sorted(g.edges)[:3], m=m)
+    exists_max_matching_avoiding(g, sorted(g.edges)[:3], m)

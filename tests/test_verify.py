@@ -327,6 +327,13 @@ def test_pool_never_outnumbers_the_rows(monkeypatch):
     assert sizes == [2, 3]
 
 
+@pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2", None])
+def test_run_verification_refuses_workers_that_are_not_a_positive_int(workers):
+    with pytest.raises(ValueError) as err:
+        run_verification(list(enumerate_labeled(2)), workers=workers)
+    assert str(err.value) == f"workers must be an int >= 1, got {workers!r}"
+
+
 def test_summarize_mentions_scale_and_outcome(monkeypatch):
     import inertia_bounds.verify as verify_mod
 
