@@ -8,6 +8,8 @@ quantities exactly, classifies the equality cases, and cross-verifies
 the spectral and combinatorial routes on graph corpora.
 """
 
+import types
+
 from .cycles import (
     CycleBudgetError,
     CycleCounts,
@@ -81,63 +83,9 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_CHECKS",
-    "BudgetExceededError",
-    "CycleBudgetError",
-    "CycleCounts",
-    "CycleStructure",
-    "DifferenceBounds",
-    "GeneratorParams",
-    "Graph",
-    "GraphFacts",
-    "GraphParseError",
-    "GraphReport",
-    "Inertia",
-    "LEMMA_NAMES",
-    "LowerClassification",
-    "RunReport",
-    "UpperClassification",
-    "analyze_cycles",
-    "analyze_graph",
-    "biconnected_blocks",
-    "check_bounds",
-    "check_deletion_corollaries",
-    "check_difference_bounds",
-    "check_tree_nullity",
-    "classify_n_lower",
-    "classify_n_upper",
-    "classify_p_lower",
-    "classify_p_upper",
-    "classify_unicyclic",
-    "complete_graph",
-    "components",
-    "contract_cycles",
-    "cycle_graph",
-    "cyclomatic_number",
-    "delete_edges",
-    "delete_vertices",
-    "disjoint_union",
-    "emit_report",
-    "empty_graph",
-    "enumerate_simple_cycles",
-    "exists_max_matching_avoiding",
-    "frontier_edges",
-    "generate_extremal",
-    "graph_char_poly",
-    "graph_inertia",
-    "graph_inertia_oracle",
-    "lemma_suite",
-    "matching_bruteforce",
-    "matching_number",
-    "maximum_matching",
-    "parse_edge_list",
-    "parse_graph6",
-    "path_graph",
-    "pendant_vertices",
-    "render_report",
-    "run_verification",
-    "star_graph",
-    "to_graph6",
-    "unreduced_graph_inertia",
-]
+# Exported: every public name bound above that is not a module (importing a
+# submodule binds it on the package), so the imports are the one list.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

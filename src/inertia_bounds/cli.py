@@ -263,14 +263,12 @@ def _run(argv: Sequence[str] | None) -> tuple[int, str]:
             parser.error(str(exc))
         return (0 if report.ok else 1), summarize(report)
 
-    if args.command == "generate":
-        try:
-            params = GeneratorParams(**{f: getattr(args, k) for k, f in _GENERATOR_KEYS.items() if k in args})
-        except ValueError as exc:
-            parser.error(str(exc))
-        return 0, to_graph6(generate_extremal(params))
-
-    parser.error(f"unknown command {args.command!r}")
+    # the subparsers are required, so the command is "generate"
+    try:
+        params = GeneratorParams(**{f: getattr(args, k) for k, f in _GENERATOR_KEYS.items() if k in args})
+    except ValueError as exc:
+        parser.error(str(exc))
+    return 0, to_graph6(generate_extremal(params))
 
 
 if __name__ == "__main__":

@@ -108,7 +108,7 @@ class GraphFacts:
         """Connected and acyclic, with at least 2 vertices."""
         return self.c == 0 and len(self.components) == 1 and self.graph.n >= 2
 
-    @property
+    @cached_property
     def contraction_keeps_matching(self) -> bool:
         """Does contracting the cycles keep m of G minus its cycle vertices?"""
         return self.m_forest == self.m_without(self.cycles.cyclic_vertices)

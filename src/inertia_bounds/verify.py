@@ -23,7 +23,7 @@ import io
 import json
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, NamedTuple
 
 from .corpus import CorpusItem
@@ -137,6 +137,10 @@ _CLASSIFICATIONS = (
 )
 
 
+# One classification per row: the classifiers and generator checks share
+# the last record's verdicts.  Each verdict is called by its name in this
+# module, so a wrapper or patch on that name still sees every call.
+@lru_cache(maxsize=1)
 def _classifications(f: GraphFacts) -> dict[str, UpperClassification | LowerClassification]:
     return {
         "p_upper": classify_p_upper(f),

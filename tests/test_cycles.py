@@ -197,8 +197,9 @@ def test_graph_facts_refuse_forest_matchings_when_cycles_overlap():
         facts = GraphFacts(g)
         with pytest.raises(ValueError, match="disjoint"):
             facts.m_forest
-        with pytest.raises(ValueError, match="disjoint"):
-            facts.contraction_keeps_matching
+        for _ in range(2):  # a cached property caches no exception: every read raises
+            with pytest.raises(ValueError, match="disjoint"):
+                facts.contraction_keeps_matching
 
 
 def test_cycle_counts_frozen():

@@ -1,11 +1,13 @@
 """The documented surface: every narrative script under demos/ runs to
-completion, every name the package exports resolves, and no package
-module keeps an import it never uses."""
+completion, the README's quick start prints what its comments say, every
+name the package exports resolves, and no package module keeps an import
+it never uses."""
 
 import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,16 @@ def test_all_is_consistent():
     namespace: dict = {}
     exec("from inertia_bounds import *", namespace)
     assert set(names) <= set(namespace)
+    # importing a submodule binds it on the package; none is exported
+    assert not [name for name in names if isinstance(namespace[name], types.ModuleType)]
+
+
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("  # ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    exec(block, {})
+    assert expected and capsys.readouterr().out.splitlines() == expected
 
 
 def test_no_module_keeps_an_unused_import():

@@ -515,6 +515,56 @@ def test_each_invariant_is_computed_once_per_row(monkeypatch):
     assert per_row[-1]["frontier_always_avoided"] == 1  # asked twice on the ElCG row
 
 
+VERDICTS = (
+    "check_bounds",
+    "classify_p_upper",
+    "classify_n_upper",
+    "classify_p_lower",
+    "classify_n_lower",
+    "classify_unicyclic",
+    "check_deletion_corollaries",
+    "lemma_suite",
+    "check_difference_bounds",
+)
+
+
+def test_each_verdict_runs_at_most_once_per_row(monkeypatch):
+    # the classifiers and generator checks read one classification of the row
+    import inertia_bounds.verify as verify_mod
+
+    row_graph = []
+    calls = dict.fromkeys(VERDICTS, 0)
+    per_row = []
+
+    def counted(name, fn):
+        def wrapper(f):
+            if row_graph and f.graph == row_graph[0]:
+                calls[name] += 1
+            return fn(f)
+
+        return wrapper
+
+    for name in VERDICTS:
+        monkeypatch.setattr(verify_mod, name, counted(name, getattr(verify_mod, name)))
+    analyze = verify_mod.analyze_graph
+
+    def row(g, *args, **kwargs):
+        row_graph[:] = [g]
+        calls.update(dict.fromkeys(calls, 0))
+        try:
+            return analyze(g, *args, **kwargs)
+        finally:
+            per_row.append(dict(calls))
+            row_graph.clear()
+
+    monkeypatch.setattr(verify_mod, "analyze_graph", row)
+    corpus = once_per_row_corpus()
+    report = run_verification(corpus, checks=ALL_CHECKS, workers=1)
+    assert report.ok and len(per_row) == len(corpus)
+    worst = {name: max(counts[name] for counts in per_row) for name in VERDICTS}
+    assert worst == dict.fromkeys(VERDICTS, 1), worst
+
+
 @pytest.mark.parametrize(
     "item",
     [
