@@ -40,9 +40,8 @@ from .graphs import (
 )
 from .inertia import (
     Inertia,
-    graph_char_poly,
+    certificate_inertia,
     graph_inertia,
-    graph_inertia_oracle,
     unreduced_graph_inertia,
 )
 from .matching import (

@@ -1,6 +1,4 @@
-"""Exact inertia of graph adjacency matrices.
-
-Two routes, kept deliberately separate:
+"""Exact inertia of graph adjacency matrices, with a certificate and its checker.
 
 * :func:`graph_inertia` (production) peels the graph first.  Each
   isolated vertex is one zero eigenvalue, and deleting a pendant vertex
@@ -19,29 +17,28 @@ Two routes, kept deliberately separate:
   first renumber the vertices by ascending degree, so that low-degree
   rows are pivoted first and fill in less; a relabelling leaves the
   inertia as it is.
-* :func:`graph_inertia_oracle` computes the integer characteristic
-  polynomial by a Hessenberg reduction modulo a prime above twice a
-  Hadamard bound on its coefficients, and reads the inertia off the
-  coefficient signs; for a real symmetric matrix all roots are real, so
-  Descartes' rule of signs is exact, not a bound.  The reduction touches
-  only nonzero entries, so it costs O(k^3) only when the reduced matrix
-  fills; a sparse graph whose reduction stays sparse costs far less.
+* Handed a list, :func:`graph_inertia` also records the congruence it
+  applied, A = W^T E W, as one term per peeled pair or pivot, on the
+  graph's own labels.  :func:`certificate_inertia` checks such a
+  certificate exactly and reads the inertia off E, in the manner of
+  certifying algorithms (McConnell, Mehlhorn, Näher and Schweitzer,
+  Computer Science Review 5, 2011).  It costs about as much as summing
+  the terms, far less than recomputing the inertia another way.
 
 The lemmas ``pendant_reduction`` and ``component_additivity`` in
 :mod:`.theorems` test the very rules the peeling applies, so they take
 their subgraph inertias from :func:`unreduced_graph_inertia`; with the
 peeled route they would check the peeling against itself.  The
-congruence routes and the char-poly route share no code, not even the
-construction of the adjacency matrix; only the :class:`Inertia` record
-they return is common, which a test checks on this module's syntax
-tree.  Their agreement is a correctness check used throughout the test
-suite.
+congruence routes and the checker share no code, not the pendant rule
+and not the construction of the adjacency matrix; only the
+:class:`Inertia` record is common, which a test checks on this module's
+syntax tree.  A certificate that the checker accepts proves its inertia
+whatever code produced it, so a wrong count in the congruence route
+shows as a disagreement with the checker.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from itertools import compress
 from typing import NamedTuple, Sequence
 
@@ -70,9 +67,12 @@ class Inertia(NamedTuple):
 
 # Sparse symmetric integer matrix: row i maps column j to the nonzero entry (i, j).
 Rows = list[dict[int, int]]
+# One step of a congruence: its block (one or two indices), one sparse row
+# per block index, and the scalar det (see certificate_inertia).
+Term = tuple[tuple[int, ...], tuple[dict[int, int], ...], int]
 
 
-def _eliminate(rows: Rows) -> Inertia:
+def _eliminate(rows: Rows, terms: list[Term] | None = None, labels: Sequence[int] = ()) -> Inertia:
     """Inertia of a symmetric sparse integer matrix; consumes ``rows``.
 
     Pivot policy (deterministic): take the first nonzero diagonal entry in
@@ -97,6 +97,12 @@ def _eliminate(rows: Rows) -> Inertia:
     and ``first`` only moves forward, because a row that is eliminated
     or all zero never gets an entry again (an empty row is in no other
     row either, by symmetry, so no pivot touches it).
+
+    Given ``terms``, each pivot appends the term it removes, with index i
+    written as ``labels[i]``: its block, the block's rows det * S[b, :]
+    as they stand before the pivot, and det.  A 1x1 pivot d = S[k, k]
+    det removes r r^T / (det d); a 2x2 pivot a = S[i, j] det removes
+    (r_i r_j^T + r_j r_i^T) / (det a).
     """
     size = len(rows)
     stamp = [1] * size
@@ -126,6 +132,8 @@ def _eliminate(rows: Rows) -> Inertia:
                     rb[j] = x * det // s
         if pivot is not None:
             prow = rows[pivot]
+            if terms is not None:
+                terms.append(((labels[pivot],), ({labels[j]: x for j, x in prow.items()},), det))
             d = prow.pop(pivot)
             if (d > 0) == (det > 0):  # S[pivot, pivot] = d / det
                 p += 1
@@ -136,6 +144,12 @@ def _eliminate(rows: Rows) -> Inertia:
         else:
             bj = block[1]
             row_i, row_j = rows[bi], rows[bj]
+            if terms is not None:
+                terms.append((
+                    (labels[bi], labels[bj]),
+                    ({labels[j]: x for j, x in row_i.items()}, {labels[j]: x for j, x in row_j.items()}),
+                    det,
+                ))
             a = row_i.pop(bj)
             del row_j[bi]
             p += 1
@@ -199,8 +213,10 @@ def _eliminate(rows: Rows) -> Inertia:
 _PENDANT_PAIR = Inertia(1, 1, 0)
 
 
-def _degree_ordered_rows(adj: Sequence[frozenset[int]], vertices: Sequence[int], degree: Sequence[int]) -> Rows:
-    """Unit rows of ``vertices`` renumbered by ascending ``degree``, ties by index.
+def _degree_ordered_rows(
+    adj: Sequence[frozenset[int]], vertices: Sequence[int], degree: Sequence[int]
+) -> tuple[list[int], Rows]:
+    """``vertices`` by ascending ``degree``, ties by index, and their unit rows so renumbered.
 
     Low-degree rows come first, so the pivots :func:`_eliminate` takes
     in index order fill in less.  Entries to vertices outside
@@ -208,11 +224,18 @@ def _degree_ordered_rows(adj: Sequence[frozenset[int]], vertices: Sequence[int],
     """
     order = sorted(vertices, key=degree.__getitem__)
     index = {v: i for i, v in enumerate(order)}
-    return [{index[w]: 1 for w in adj[v] if w in index} for v in order]
+    return order, [{index[w]: 1 for w in adj[v] if w in index} for v in order]
 
 
-def graph_inertia(g: Graph) -> Inertia:
-    """Inertia of the adjacency matrix: peel pendants, then eliminate the core."""
+def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
+    """Inertia of the adjacency matrix: peel pendants, then eliminate the core.
+
+    Given ``terms``, it appends the congruence it applied, one term per
+    step on g's labels, for :func:`certificate_inertia` to check.  A
+    pendant u peeled with its neighbour v removes the 2x2 term on (u, v)
+    with rows e_v and A[v, alive] and det 1; isolated vertices remove
+    nothing.
+    """
     adj = g.adj
     degree = list(map(len, adj))  # neighbours still alive
     alive = [True] * g.n
@@ -236,179 +259,106 @@ def graph_inertia(g: Graph) -> Inertia:
                 degree[w] -= 1
                 if degree[w] <= 1:
                     work.append(w)
+        if terms is not None:
+            row = {w: 1 for w in adj[v] if alive[w]}
+            row[u] = 1
+            terms.append(((u, v), ({v: 1}, row), 1))
     dp, dn, deta = _PENDANT_PAIR
     peeled = Inertia(pairs * dp, pairs * dn, isolated + pairs * deta)
     core = list(compress(range(g.n), alive))
     if not core:
         return peeled
-    return peeled + _eliminate(_degree_ordered_rows(adj, core, degree))
+    order, rows = _degree_ordered_rows(adj, core, degree)
+    return peeled + _eliminate(rows, terms, order)
 
 
 def unreduced_graph_inertia(g: Graph) -> Inertia:
     """Inertia of the adjacency matrix by elimination alone, without peeling."""
-    return _eliminate(_degree_ordered_rows(g.adj, range(g.n), list(map(len, g.adj))))
+    return _eliminate(_degree_ordered_rows(g.adj, range(g.n), list(map(len, g.adj)))[1])
 
 
 # ---------------------------------------------------------------------------
-# characteristic-polynomial route
-
-IntPolynomial = list[int]  # coefficients, lowest degree first
+# certificate checker
 
 
-def _modulus(a: list[list[int]]) -> int:
-    """A proven prime P with P > 2B, sized to the bit length of 2B.
+def certificate_inertia(g: Graph, terms: Sequence[Term]) -> Inertia | str:
+    """The inertia that ``terms`` prove for g's adjacency matrix A, or the first condition they fail.
 
-    B = prod_i (1 + ceil(||row_i||_2)).  The coefficient of x^(k-j) in
-    det(xI - A) is a signed sum of the j x j principal minors, each at
-    most the product of its rows' norms (Hadamard), so its magnitude is
-    at most the j-th elementary symmetric function of the row norms,
-    which B bounds.  Residues modulo P then lift to the coefficients.
+    A term is (block, rows, det): one or two block indices, one sparse
+    row (column -> int) per index, and a scalar det.  A 1x1 term on k
+    stands for r r^T / (det d) with d = r[k]; a 2x2 term on (i, j) for
+    (r_i r_j^T + r_j r_i^T) / (det a) with a = r_i[j].  The checks:
+
+    * each block has one or two indices with a row each, no block index
+      is used twice, and every scalar (det, and d or a) is nonzero;
+    * each row has no entry on an earlier term's block index;
+    * each 2x2 block's own matrix [[r_i[i], r_i[j]], [r_j[i], r_j[j]]]
+      is symmetric with a nonzero minor (a 1x1 block's is d);
+    * the terms sum to A exactly.
+
+    Stack the rows as W.  The middle two make W echelon with nonsingular
+    diagonal blocks, so W has full row rank K, and the last gives
+    A = W^T E W with E block diagonal: 1 / (det d) per 1x1 term and
+    [[0, 1], [1, 0]] / (det a) per 2x2 term.  By Sylvester's law
+    In(A) = In(E) + (0, 0, n - K): a 1x1 term counts by the sign of
+    det d, a 2x2 term once each way.  The sums keep one unreduced
+    numerator/denominator pair of ints per entry.  Symmetry pins the
+    scale of a 2x2 term's rows, which its sum alone would not: scaling
+    r_i leaves (r_i r_j^T + r_j r_i^T) / (det a) as it is.
     """
-    bound = 1
-    for row in a:
-        sq = sum(x * x for x in row)
-        norm = math.isqrt(sq)
-        if norm * norm < sq:
-            norm += 1
-        bound *= 1 + norm
-    return _proth_prime((2 * bound).bit_length())
+    used: set[int] = set()
+    total: dict[tuple[int, int], list[int]] = {}  # (i, j), i <= j -> [num, den]
+    p = n = size = 0
+    for t, (block, rows, det) in enumerate(terms):
+        own = [[r.get(b, 0) for b in block] for r in rows]
+        if not 1 <= len(block) == len(rows) <= 2:
+            fault = "its block is not one or two indices with a row each"
+        elif len(set(block)) < len(block) or not used.isdisjoint(block):
+            fault = "a block index is used twice"
+        elif not det or not own[0][-1]:
+            fault = "a scalar is zero"
+        elif not all(used.isdisjoint(r) for r in rows):
+            fault = "a row has an entry on an earlier block index"
+        elif len(block) == 2 and (own[0][1] != own[1][0] or own[0][0] * own[1][1] == own[0][1] ** 2):
+            fault = "its own block is not symmetric and nonsingular"
+        else:
+            fault = ""
+        if fault:
+            return f"term {t} on {block}: {fault}"
+        used.update(block)
+        size += len(block)
+        den = det * own[0][-1]
+        if len(block) == 1:
+            if den > 0:
+                p += 1
+            else:
+                n += 1
+            entries = sorted(rows[0].items())
+            products = [(i, j, x * y) for k, (i, x) in enumerate(entries) for j, y in entries[k:]]
+        else:
+            p += 1
+            n += 1
+            ri, rj = rows
+            keys = sorted(ri.keys() | rj.keys())
+            products = [
+                (i, j, ri.get(i, 0) * rj.get(j, 0) + rj.get(i, 0) * ri.get(j, 0))
+                for k, i in enumerate(keys)
+                for j in keys[k:]
+            ]
+        for i, j, x in products:
+            if not x:
+                continue
+            entry = total.get((i, j))
+            if entry is None or not entry[0]:
+                total[i, j] = [x, den]
+            elif entry[1] == den:
+                entry[0] += x
+            else:
+                entry[0] = entry[0] * den + x * entry[1]
+                entry[1] *= den
+    edges = g.edges
+    if not edges <= total.keys() or any(num != ((i, j) in edges) * den for (i, j), (num, den) in total.items()):
+        return "the terms do not sum to A"
+    return Inertia(p, n, g.n - size)
 
 
-@functools.cache
-def _proth_prime(bits: int) -> int:
-    """A prime N = k 2^e + 1 > 2^bits, k odd, k < 2^e, e = bits // 2 + 1.
-
-    Proth (1878): such an N is prime iff some a has a^((N-1)/2) = -1
-    (mod N); any residue but +-1 proves N composite.
-    """
-    e = bits // 2 + 1
-    for k in range((1 << bits >> e) | 1, 1 << e, 2):
-        n = k << e | 1
-        for a in (3, 5, 7, 11, 13):
-            r = pow(a, n >> 1, n)
-            if r == n - 1:
-                return n
-            if r != 1:
-                break
-    raise AssertionError(f"no Proth prime found above 2^{bits}")
-
-
-def _hessenberg_mod(a: list[list[int]], prime: int) -> list[list[int]]:
-    """Upper Hessenberg H similar to A modulo ``prime`` (Cohen, Alg. 2.2.9).
-
-    Each step touches only nonzero entries: the rows below m with a
-    nonzero in the pivot column, the nonzero entries of row m, and the
-    nonzero products of the column update.  Skipping a zero term leaves
-    every residue as it was, so H is the same as with dense loops; the
-    cost follows the fill of the reduction, k^3 only when H fills.
-    """
-    k = len(a)
-    h = [[x % prime for x in row] for row in a]
-    for m in range(1, k - 1):
-        col = m - 1
-        piv = next((i for i in range(m, k) if h[i][col]), None)
-        if piv is None:
-            continue
-        if piv != m:
-            h[piv], h[m] = h[m], h[piv]
-            for row in h:
-                row[piv], row[m] = row[m], row[piv]
-        hm = h[m]
-        inv = pow(hm[col], -1, prime)
-        us = [(r, h[r][col] * inv % prime) for r in range(m + 1, k) if h[r][col]]
-        if not us:
-            continue
-        # H <- L H L^-1 with L = I - sum_r u_r e_r e_m^T: row r -= u_r * row m
-        # (columns left of col are zero in both), then column m += sum_r
-        # u_r * column r
-        support = [(j, y) for j in range(col, k) if (y := hm[j])]
-        for r, u in us:
-            hr = h[r]
-            for j, y in support:
-                hr[j] = (hr[j] - u * y) % prime
-        for row in h:
-            s = 0
-            for r, u in us:
-                x = row[r]
-                if x:
-                    s += u * x
-            if s:
-                row[m] = (row[m] + s) % prime
-    return h
-
-
-def _char_poly_mod(a: list[list[int]], prime: int) -> IntPolynomial:
-    """det(xI - A) modulo ``prime``, lowest degree first (Cohen, Alg. 2.2.9).
-
-    The recurrence p_m = (x - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ...
-    h_{m,m-1}) p_{i-1} over the leading principal blocks of the Hessenberg
-    form H of A.
-    """
-    k = len(a)
-    h = _hessenberg_mod(a, prime)
-    polys: list[IntPolynomial] = [[1]]
-    for m in range(1, k + 1):
-        prev = polys[-1]
-        diag = h[m - 1][m - 1]
-        cur = [x - diag * y for x, y in zip([0] + prev, prev + [0])]
-        t = 1
-        for i in range(1, m):
-            t = t * h[m - i][m - i - 1] % prime
-            if not t:
-                break
-            c = t * h[m - i - 1][m - 1]
-            if c:
-                q = polys[m - i - 1]
-                cur[: len(q)] = [x - c * y for x, y in zip(cur, q)]
-        polys.append([x % prime for x in cur])
-    return polys[k]
-
-
-def _lifted_char_poly(a: list[list[int]]) -> IntPolynomial:
-    if not a:
-        return [1]
-    prime = _modulus(a)
-    half = prime // 2
-    return [c - prime if c > half else c for c in _char_poly_mod(a, prime)]
-
-
-def _sign_changes(coeffs: Sequence[int]) -> int:
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _descartes_inertia(coeffs: IntPolynomial) -> Inertia:
-    eta = 0
-    while eta < len(coeffs) and coeffs[eta] == 0:
-        eta += 1
-    q = coeffs[eta:]
-    p = _sign_changes(q)
-    n = _sign_changes([c if i % 2 == 0 else -c for i, c in enumerate(q)])
-    return Inertia(p, n, eta)
-
-
-def _integer_adjacency(g: Graph) -> list[list[int]]:
-    a = [[0] * g.n for _ in range(g.n)]
-    for row, nbrs in zip(a, g.adj):
-        for v in nbrs:
-            row[v] = 1
-    return a
-
-
-def graph_inertia_oracle(g: Graph) -> Inertia:
-    """Inertia of the adjacency matrix (characteristic-polynomial route).
-
-    det(xI - A) comes from a Hessenberg reduction modulo a Proth-certified
-    prime P > 2B, where B bounds every coefficient (see :func:`_modulus`),
-    and the symmetric lift of each residue into (-P/2, P/2).  Strip x^eta
-    (eta = multiplicity of the zero eigenvalue), then count sign changes
-    of q(x) for the positive eigenvalues and of q(-x) for the negative
-    ones.  Descartes' rule is exact here because the symmetric matrix A
-    has only real eigenvalues.
-    """
-    return _descartes_inertia(_lifted_char_poly(_integer_adjacency(g)))
-
-
-def graph_char_poly(g: Graph) -> IntPolynomial:
-    """Coefficients of det(xI - A), lowest degree first, exact integers."""
-    return _lifted_char_poly(_integer_adjacency(g))

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .corpus import CorpusItem
 from .graphs import Graph, to_graph6
-from .inertia import graph_inertia, graph_inertia_oracle
+from .inertia import certificate_inertia, graph_inertia
 from .theorems import (
     GENERATOR_RECIPES,
     DifferenceBounds,
@@ -56,7 +56,10 @@ class GraphReport:
     which).  ``conjecture_ok`` is informational only and never makes a
     row a counterexample.  ``counterexample`` is decided when the row is
     built: an oracle mismatch or a check whose ``run`` found one, and
-    ``notes`` then names the failure.
+    ``notes`` then names the failure.  ``oracle_ok`` says that the
+    inertia certificate was accepted and proves the inertia reported;
+    ``certificate_ok`` only that it was accepted (it is not a report
+    column).
     """
 
     graph_id: str
@@ -67,6 +70,7 @@ class GraphReport:
     m: int
     c: int
     oracle_ok: bool
+    certificate_ok: bool = True
     notes: str = ""
     counterexample: bool = False
     bounds_ok: bool | None = None
@@ -278,14 +282,18 @@ def analyze_graph(
     selected = _normalize_checks(checks)
     if residue is not None and (type(residue) is not int or residue not in GENERATOR_RECIPES):
         raise ValueError(f"residue {residue!r} is not one of {(None, *sorted(GENERATOR_RECIPES))}")
-    inert = graph_inertia(g)
-    oracle = graph_inertia_oracle(g)
+    terms: list = []
+    inert = graph_inertia(g, terms)
+    certified = certificate_inertia(g, terms)
     facts = GraphFacts(g, inert)
-    oracle_ok = inert == oracle
+    oracle_ok = inert == certified
+    certificate_ok = not isinstance(certified, str)
     fields: dict[str, object] = {}
-    notes = [] if oracle_ok else [
-        f"oracle mismatch: congruence {tuple(inert)} vs char-poly {tuple(oracle)}"
-    ]
+    notes = []
+    if not certificate_ok:
+        notes.append(f"oracle mismatch: certificate rejected: {certified}")
+    elif not oracle_ok:
+        notes.append(f"oracle mismatch: congruence {tuple(inert)} vs certificate {tuple(certified)}")
     counterexample = not oracle_ok
     for check in (c for c in CHECKS if c.name in selected):
         outcome = check.run(facts, residue)
@@ -298,7 +306,7 @@ def analyze_graph(
         counterexample = counterexample or failed
     return GraphReport(
         graph_id, to_graph6(g), *inert, facts.m, facts.c, oracle_ok=oracle_ok,
-        notes="; ".join(notes), counterexample=counterexample, **fields,
+        certificate_ok=certificate_ok, notes="; ".join(notes), counterexample=counterexample, **fields,
     )
 
 
@@ -412,6 +420,8 @@ def summarize(report: RunReport) -> str:
         f"checks         : {', '.join(report.checks)}",
         f"counterexamples: {len(report.counterexamples)}",
         f"elapsed        : {report.elapsed_seconds:.2f}s",
+        f"certificates   : {len(report.rows)} inertia checked, "
+        f"{sum(not r.certificate_ok for r in report.rows)} rejected",
     ]
     difference_rows = [r for r in report.rows if r.difference is not None]
     if difference_rows:

@@ -28,7 +28,6 @@ from inertia_bounds import (
     cyclomatic_number,
     emit_report,
     graph_inertia,
-    graph_inertia_oracle,
     lemma_suite,
     matching_bruteforce,
     matching_number,
@@ -36,6 +35,7 @@ from inertia_bounds import (
     run_verification,
 )
 from inertia_bounds.corpus import enumerate_labeled, generated_corpus, sample_random
+from charpoly import graph_inertia_oracle
 from conftest import all_trees, random_unicyclic, lower_bound_near_miss
 
 
@@ -135,7 +135,7 @@ def test_criterion_05_near_miss_regression():
 def test_criterion_06_oracle_equivalence(sweep):
     records, _ = sweep
     for g, row, m_blossom, m_brute in records:
-        assert row.oracle_ok, row.graph_id  # congruence vs char-poly route
+        assert row.oracle_ok, row.graph_id  # congruence route vs its checked certificate
         assert m_blossom == m_brute, row.graph_id
 
     rng = random.Random(611)

@@ -136,6 +136,28 @@ def test_verify_clean_run(capsys, tmp_path):
     assert len(rows) == 8
 
 
+def test_verify_counts_inertia_certificates_on_stdout_only(capsys, tmp_path, monkeypatch):
+    import inertia_bounds.verify as verify_mod
+
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "verify", "--corpus", "exhaustive:3", "--out", str(out_path))
+    assert code == 0
+    assert "certificates   : 8 inertia checked, 0 rejected" in out.splitlines()
+    assert "certificate" not in out_path.read_text()
+    # the counts come from the rows: reject the certificates of the three one-edge graphs
+    check = verify_mod.certificate_inertia
+    monkeypatch.setattr(
+        verify_mod,
+        "certificate_inertia",
+        lambda g, terms: "the terms do not sum to A" if g.num_edges == 1 else check(g, terms),
+    )
+    code, out, _ = run_cli(capsys, "verify", "--corpus", "exhaustive:3", "--out", str(out_path))
+    assert code == 1
+    assert "certificates   : 8 inertia checked, 3 rejected" in out.splitlines()
+    rows = json.loads(out_path.read_text())
+    assert sum("certificate rejected" in row["notes"] for row in rows) == 3
+
+
 def test_verify_check_subset_and_csv(capsys, tmp_path):
     out_path = tmp_path / "report.csv"
     code, out, _ = run_cli(

@@ -1,11 +1,14 @@
-"""Exact inertia of graphs: peeled route, unreduced congruence kernel, char-poly oracle.
+"""Exact inertia of graphs: peeled route, unreduced congruence kernel,
+the certificate checker, and the char-poly oracle of ``charpoly.py``.
 
-The congruence routes and the characteristic-polynomial route share no
-code (checked below on the module's syntax tree), so their agreement on
-random and exhaustive corpora is the core correctness argument for all
-three.  The kernels under them, the fraction-free elimination and the
-lifted characteristic polynomial, are also tested directly on integer
-matrices that are not adjacency matrices.
+The congruence routes and the certificate checker share no code (checked
+below on the module's syntax tree), and the characteristic-polynomial
+route lives in the test suite, so their agreement on random and
+exhaustive corpora is the core correctness argument for all of them.
+The checker must also reject mutated certificates.  The kernels under
+the routes, the fraction-free elimination and the lifted characteristic
+polynomial, are also tested directly on integer matrices that are not
+adjacency matrices.
 """
 
 import ast
@@ -22,23 +25,25 @@ from inertia_bounds import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    analyze_graph,
+    certificate_inertia,
     generate_extremal,
-    graph_char_poly,
     graph_inertia,
-    graph_inertia_oracle,
     matching_number,
     path_graph,
     star_graph,
     unreduced_graph_inertia,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
-from inertia_bounds.inertia import (
+from inertia_bounds.inertia import _eliminate
+from charpoly import (
     _descartes_inertia,
-    _eliminate,
     _hessenberg_mod,
     _lifted_char_poly,
     _modulus,
     _proth_prime,
+    graph_char_poly,
+    graph_inertia_oracle,
 )
 from conftest import all_trees, cycle_with_tail, random_tree
 
@@ -150,12 +155,15 @@ def test_inertia_sums_to_vertex_count():
 
 
 # ---------------------------------------------------------------------------
-# the three routes against each other
+# the routes against each other
 
 
 def all_routes(g: Graph) -> Inertia:
-    """Peeled, unreduced and oracle inertia of ``g``; fails unless they agree."""
-    peeled = graph_inertia(g)
+    """Peeled, unreduced, certified and oracle inertia of ``g``; fails unless they agree."""
+    terms = []
+    peeled = graph_inertia(g, terms)
+    assert graph_inertia(g) == peeled
+    assert certificate_inertia(g, terms) == peeled
     assert unreduced_graph_inertia(g) == peeled
     assert graph_inertia_oracle(g) == peeled
     return peeled
@@ -512,10 +520,122 @@ def test_unreduced_graph_inertia_agrees_with_the_other_routes():
 
 
 # ---------------------------------------------------------------------------
+# the certificate checker against mutated certificates
+
+
+def copied(terms):
+    return [(block, tuple(dict(r) for r in rows), det) for block, rows, det in terms]
+
+
+def add_one_to_an_entry(terms, rng):
+    row = rng.choice(rng.choice(terms)[1])
+    row[rng.choice(sorted(row))] += 1
+
+
+def flip_a_scalar(terms, rng):
+    t = rng.randrange(len(terms))
+    block, rows, det = terms[t]
+    terms[t] = (block, rows, -det)
+
+
+def drop_a_term(terms, rng):
+    del terms[rng.randrange(len(terms))]
+
+
+def reuse_a_block_index(terms, rng):
+    t = rng.randrange(1, len(terms))
+    block, rows, det = terms[t]
+    terms[t] = (rng.choice(terms[rng.randrange(t)][0]), *block[1:]), rows, det
+
+
+def enter_an_earlier_block_index(terms, rng):
+    t = rng.randrange(1, len(terms))
+    rng.choice(terms[t][1])[rng.choice(terms[rng.randrange(t)][0])] = 1
+
+
+CONDITIONS = ("used twice", "scalar is zero", "earlier block index", "symmetric and nonsingular", "do not sum to A")
+MUTATIONS = (
+    (add_one_to_an_entry, CONDITIONS),
+    (flip_a_scalar, ("do not sum to A",)),
+    (drop_a_term, ("do not sum to A",)),
+    (reuse_a_block_index, ("used twice",)),
+    (enter_an_earlier_block_index, ("earlier block index",)),
+)
+
+
+def test_certificate_checker_rejects_every_mutated_certificate():
+    rng = random.Random(2011)
+    rejected = {mutate.__name__: 0 for mutate, _ in MUTATIONS}
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        p = rng.choice((0.2, 0.4, 0.6, 0.8))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        terms = []
+        want = graph_inertia(g, terms)
+        assert certificate_inertia(g, terms) == want
+        for mutate, named in MUTATIONS:
+            if len(terms) < (2 if mutate in (reuse_a_block_index, enter_an_earlier_block_index) else 1):
+                continue
+            bad = copied(terms)
+            mutate(bad, rng)
+            reason = certificate_inertia(g, bad)
+            assert isinstance(reason, str), (mutate.__name__, g, bad)
+            assert any(condition in reason for condition in named), (mutate.__name__, reason)
+            rejected[mutate.__name__] += 1
+        assert certificate_inertia(g, terms) == want  # the mutations worked on copies
+    assert min(rejected.values()) >= 200, rejected
+
+
+def test_certificate_checker_refuses_a_block_without_one_row_per_index():
+    # an index without a row would count a zero eigenvalue that no row proves
+    g = cycle_graph(5)
+    terms = []
+    graph_inertia(g, terms)
+    (i, j), rows, det = terms[0]
+    for block, shape in (((i, j, 3), rows), ((i, j), rows[:1]), ((), ())):
+        reason = certificate_inertia(g, [(block, shape, det)] + terms[1:])
+        assert reason == f"term 0 on {block}: its block is not one or two indices with a row each"
+
+
+def test_a_miscounting_elimination_is_caught_by_the_certificate_it_records(monkeypatch):
+    # the terms stay those of a correct congruence; only the count returned is wrong
+    import inertia_bounds.inertia as inertia_mod
+
+    eliminate = inertia_mod._eliminate
+
+    def swapped(*args):
+        p, n, eta = eliminate(*args)
+        return Inertia(n, p, eta)
+
+    assert analyze_graph(cycle_graph(5)).oracle_ok is True
+    monkeypatch.setattr(inertia_mod, "_eliminate", swapped)
+    row = analyze_graph(cycle_graph(5))
+    assert row.oracle_ok is False and row.certificate_ok and row.counterexample
+    assert "oracle mismatch: congruence (2, 3, 0) vs certificate (3, 2, 0)" in row.notes
+
+
+def test_a_rejected_certificate_is_an_oracle_mismatch_that_names_its_condition(monkeypatch):
+    import inertia_bounds.verify as verify_mod
+
+    peel = verify_mod.graph_inertia
+
+    def dropping(g, terms=None):
+        got = peel(g, terms)
+        if terms:
+            terms.pop()
+        return got
+
+    monkeypatch.setattr(verify_mod, "graph_inertia", dropping)
+    row = analyze_graph(cycle_graph(5))
+    assert row.oracle_ok is False and row.certificate_ok is False and row.counterexample
+    assert "oracle mismatch: certificate rejected: the terms do not sum to A" in row.notes
+
+
+# ---------------------------------------------------------------------------
 # route independence, read off the syntax tree of the inertia module
 
 CONGRUENCE_ROOTS = {"graph_inertia", "unreduced_graph_inertia"}
-ORACLE_ROOTS = {"graph_inertia_oracle", "graph_char_poly"}
+CHECKER_ROOTS = {"certificate_inertia"}
 
 
 def names_read(node: ast.AST) -> set[str]:
@@ -574,18 +694,18 @@ def inertia_module_tree() -> ast.Module:
         return ast.parse(fh.read())
 
 
-def test_congruence_and_char_poly_routes_share_only_the_inertia_record():
+def test_congruence_routes_and_the_certificate_checker_share_only_the_inertia_record():
     reads = module_reads(inertia_module_tree())
     congruence = reachable(reads, CONGRUENCE_ROOTS)
-    oracle = reachable(reads, ORACLE_ROOTS)
-    # the walk is transitive: each side reaches its kernels through helpers
-    assert {"_eliminate", "_degree_ordered_rows", "compress"} <= congruence
-    assert {"_hessenberg_mod", "_proth_prime", "math", "functools"} <= oracle
-    assert congruence & oracle == reachable(reads, {"Inertia"}) == {"Inertia", "NamedTuple"}
+    checker = reachable(reads, CHECKER_ROOTS)
+    # the walk is transitive: the routes reach their kernels through helpers
+    assert {"_eliminate", "_degree_ordered_rows", "compress", "_PENDANT_PAIR"} <= congruence
+    assert "_PENDANT_PAIR" not in checker
+    assert congruence & checker == reachable(reads, {"Inertia"}) == {"Inertia", "NamedTuple"}
 
 
 def test_every_public_function_of_the_inertia_module_is_a_route_root():
     # a new entry point has to join one route's roots, and so the check above
     tree = inertia_module_tree()
     public = {s.name for s in tree.body if isinstance(s, ast.FunctionDef) and not s.name.startswith("_")}
-    assert public == CONGRUENCE_ROOTS | ORACLE_ROOTS
+    assert public == CONGRUENCE_ROOTS | CHECKER_ROOTS

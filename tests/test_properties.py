@@ -25,7 +25,6 @@ from inertia_bounds import (
     classify_unicyclic,
     delete_vertices,
     graph_inertia,
-    graph_inertia_oracle,
     matching_bruteforce,
     matching_number,
     parse_edge_list,
@@ -34,6 +33,7 @@ from inertia_bounds import (
     to_graph6,
     unreduced_graph_inertia,
 )
+from charpoly import graph_inertia_oracle
 
 repeatable = settings(derandomize=True, database=None)
 

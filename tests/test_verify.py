@@ -444,7 +444,7 @@ def test_a_check_is_na_on_a_golden_row_exactly_when_its_verdict_answers_none():
 
 ONCE_PER_ROW = (
     ("inertia", "graph_inertia"),
-    ("inertia", "graph_inertia_oracle"),
+    ("inertia", "certificate_inertia"),
     ("matching", "matching_number"),
     ("graphs", "cyclomatic_number"),
     ("graphs", "components"),
@@ -510,8 +510,8 @@ def test_each_invariant_is_computed_once_per_row(monkeypatch):
     assert report.ok and len(per_row) == len(corpus)
     worst = {name: max(counts[name] for counts in per_row) for name in calls}
     assert all(count <= 1 for count in worst.values()), worst
-    # every row computes its own inertia both ways, so the wrappers were live
-    assert worst["graph_inertia"] == worst["graph_inertia_oracle"] == 1
+    # every row computes its own certified inertia and checks it, so the wrappers were live
+    assert worst["graph_inertia"] == worst["certificate_inertia"] == 1
     assert per_row[-1]["frontier_always_avoided"] == 1  # asked twice on the ElCG row
 
 
@@ -661,9 +661,9 @@ def test_vertex_deletions_are_shared_between_interlacing_and_corollaries(monkeyp
     calls = []
     original = theorems_mod.graph_inertia
 
-    def counted(h):
+    def counted(h, *terms):
         calls.append(h)
-        return original(h)
+        return original(h, *terms)
 
     for module in (theorems_mod, verify_mod):
         monkeypatch.setattr(module, "graph_inertia", counted)
