@@ -30,7 +30,6 @@ from .graphs import (
     delete_edges,
     delete_vertices,
     disjoint_union,
-    empty_graph,
     parse_edge_list,
     parse_graph6,
     path_graph,

@@ -100,10 +100,6 @@ class Graph:
 # small constructors
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def path_graph(n: int) -> Graph:
     """Path on ``n`` vertices (n-1 edges)."""
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
@@ -209,15 +205,12 @@ def parse_graph6(text: str) -> Graph:
         if (byte - 63) & (1 << (5 - bit % 6)):
             edges.append((i, j))
         bit += 1
-    # canonical encodings zero-pad the final byte
-    while bit < 6 * need:
-        byte = payload[bit // 6]
-        if (byte - 63) & (1 << (5 - bit % 6)):
-            raise GraphParseError(
-                f"graph6: nonzero padding bit in final byte at offset "
-                f"{base + pos + bit // 6}"
-            )
-        bit += 1
+    # canonical encodings zero-pad the final byte (padding is under 6 bits)
+    if need and (payload[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
+        raise GraphParseError(
+            f"graph6: nonzero padding bit in final byte at offset "
+            f"{base + pos + need - 1}"
+        )
     return Graph(n, edges)
 
 
@@ -308,7 +301,7 @@ def parse_edge_list(text: str) -> Graph:
                 f"edge list line {lineno}: edge ({u}, {v}) out of range "
                 f"for n={n}"
             )
-        edges.append(_normalize_edge(u, v))
+        edges.append((u, v))
     if n is None:
         raise GraphParseError("edge list: no vertex count found")
     return Graph(n, edges)

@@ -57,10 +57,6 @@ class Inertia(NamedTuple):
             return NotImplemented
         return Inertia(self.p + other[0], self.n + other[1], self.eta + other[2])
 
-    @property
-    def rank(self) -> int:
-        return self.p + self.n
-
 
 # ---------------------------------------------------------------------------
 # congruence route

@@ -54,7 +54,8 @@ class GraphFacts:
     frontier edges, and whether some or every maximum matching avoids
     them.  Each vertex deletion and its inertia are kept per vertex (see
     :meth:`deleted`).  A record belongs to one graph; nothing is cached
-    across graphs.
+    across graphs, here or in :mod:`.verify`, which lets go of a row's
+    record when the row is done.
     """
 
     def __init__(self, graph: Graph, inertia: Inertia | None = None) -> None:
@@ -315,12 +316,9 @@ def _pendant_reduction(f: GraphFacts) -> bool | None:
     if not f.pendants:
         return None
     g = f.graph
-    for u in sorted(f.pendants):
-        v = next(iter(g.adj[u]))
-        rest = delete_vertices(g, (u, v))
-        if unreduced_graph_inertia(rest) + (1, 1, 0) != f.inertia:
-            return False
-    return True
+    # the two pendants of a K2 component make one pair
+    pairs = sorted({tuple(sorted((u, *g.adj[u]))) for u in f.pendants})
+    return all(unreduced_graph_inertia(delete_vertices(g, pair)) + (1, 1, 0) == f.inertia for pair in pairs)
 
 
 def _component_additivity(f: GraphFacts) -> bool | None:

@@ -142,8 +142,9 @@ _CLASSIFICATIONS = (
 
 
 # One classification per row: the classifiers and generator checks share
-# the last record's verdicts.  Each verdict is called by its name in this
-# module, so a wrapper or patch on that name still sees every call.
+# the row's verdicts, and analyze_graph clears the cache when the row is
+# done, so no record outlives its row.  Each verdict is called by its name
+# in this module, so a wrapper or patch on that name still sees every call.
 @lru_cache(maxsize=1)
 def _classifications(f: GraphFacts) -> dict[str, UpperClassification | LowerClassification]:
     return {
@@ -295,15 +296,18 @@ def analyze_graph(
     elif not oracle_ok:
         notes.append(f"oracle mismatch: congruence {tuple(inert)} vs certificate {tuple(certified)}")
     counterexample = not oracle_ok
-    for check in (c for c in CHECKS if c.name in selected):
-        outcome = check.run(facts, residue)
-        if outcome is None:
-            notes.append(check.na_note)
-            continue
-        check_fields, check_notes, failed = outcome
-        fields.update(check_fields)
-        notes.extend(check_notes)
-        counterexample = counterexample or failed
+    try:
+        for check in (c for c in CHECKS if c.name in selected):
+            outcome = check.run(facts, residue)
+            if outcome is None:
+                notes.append(check.na_note)
+                continue
+            check_fields, check_notes, failed = outcome
+            fields.update(check_fields)
+            notes.extend(check_notes)
+            counterexample = counterexample or failed
+    finally:
+        _classifications.cache_clear()
     return GraphReport(
         graph_id, to_graph6(g), *inert, facts.m, facts.c, oracle_ok=oracle_ok,
         certificate_ok=certificate_ok, notes="; ".join(notes), counterexample=counterexample, **fields,

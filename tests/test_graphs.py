@@ -17,7 +17,6 @@ from inertia_bounds import (
     delete_edges,
     delete_vertices,
     disjoint_union,
-    empty_graph,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -102,7 +101,7 @@ def test_pickle_round_trip():
 @pytest.mark.parametrize(
     "builder,n,expected_edges",
     [
-        (empty_graph, 4, 0),
+        (Graph, 4, 0),
         (path_graph, 5, 4),
         (cycle_graph, 5, 5),
         (complete_graph, 5, 10),
@@ -190,7 +189,7 @@ def test_induced_subgraph():
 def test_graph6_frozen_strings():
     assert to_graph6(cycle_graph(5)) == "Dhc"
     assert to_graph6(path_graph(2)) == "A_"
-    assert to_graph6(empty_graph(1)) == "@"
+    assert to_graph6(Graph(1)) == "@"
     assert parse_graph6("Dhc") == cycle_graph(5)
     assert parse_graph6("A_") == path_graph(2)
 
@@ -242,6 +241,26 @@ def test_graph6_errors_carry_byte_offsets():
         parse_graph6("~??")
     with pytest.raises(GraphParseError, match="non-ASCII character '\u00ac' at offset 2"):
         parse_graph6("G?\u00ac")  # no longer escaped into graph6 bytes
+
+
+@pytest.mark.parametrize("header", ["", ">>graph6<<"], ids=["bare", "header"])
+def test_graph6_padding_errors_name_the_final_byte(header):
+    # every n below 63 whose bit count leaves padding, and the 4-byte size form
+    widths = set()
+    for n in (*range(63), 63, 64, 65, 71, 100):
+        pad = -(n * (n - 1) // 2) % 6
+        if not pad:
+            continue
+        widths.add(pad)
+        s = header + to_graph6(path_graph(n))
+        last = ord(s[-1]) - 63
+        assert last & ((1 << pad) - 1) == 0
+        assert parse_graph6(s) == path_graph(n)
+        offset = len(s) - 1
+        for value in range(1, 1 << pad):
+            with pytest.raises(GraphParseError, match=f"padding bit in final byte at offset {offset}$"):
+                parse_graph6(s[:-1] + chr(63 + (last | value)))
+    assert widths == {2, 3, 5}
 
 
 def test_graph6_rejects_vertex_counts_above_the_cap():

@@ -366,6 +366,24 @@ def test_pendant_lemmas_do_not_check_the_peeling_against_itself(monkeypatch):
     assert report["component_additivity"] is False
 
 
+def test_pendant_reduction_eliminates_each_pendant_pair_once(monkeypatch):
+    # the two pendants of a K2 component are one pair {u, v}, so one G - u - v
+    import inertia_bounds.theorems as theorems_mod
+
+    eliminated = []
+    original = theorems_mod.unreduced_graph_inertia
+
+    def counted(h):
+        eliminated.append(h)
+        return original(h)
+
+    monkeypatch.setattr(theorems_mod, "unreduced_graph_inertia", counted)
+    f = GraphFacts(disjoint_union(path_graph(2), path_graph(2), star_graph(3)))
+    assert dict(theorems_mod.LEMMAS)["pendant_reduction"](f) is True
+    # {0, 1}, {2, 3} and the star's three leaves with its centre
+    assert len(eliminated) == 5
+
+
 # extremal generator
 
 

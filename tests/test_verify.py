@@ -565,6 +565,36 @@ def test_each_verdict_runs_at_most_once_per_row(monkeypatch):
     assert worst == dict.fromkeys(VERDICTS, 1), worst
 
 
+def test_no_record_outlives_its_row(monkeypatch):
+    # the classification cache lets go of the row's record, with every G - v
+    # it holds, when the row is done, and also when a check raises
+    import gc
+    import weakref
+
+    import inertia_bounds.verify as verify_mod
+
+    records = []
+
+    def tracked(*args):
+        f = GraphFacts(*args)
+        records.append(weakref.ref(f))
+        return f
+
+    monkeypatch.setattr(verify_mod, "GraphFacts", tracked)
+    analyze_graph(cycle_graph(5), residue=1)
+    gc.collect()
+    assert len(records) == 1 and records[0]() is None
+
+    def broken(f):
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(verify_mod, "classify_unicyclic", broken)
+    with pytest.raises(RuntimeError):
+        analyze_graph(cycle_graph(5), residue=1)
+    gc.collect()
+    assert len(records) == 2 and records[1]() is None
+
+
 @pytest.mark.parametrize(
     "item",
     [
