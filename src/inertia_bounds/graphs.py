@@ -10,6 +10,7 @@ supports the graph6 interchange format and a plain edge-list format.
 from __future__ import annotations
 
 from collections import deque
+from math import isqrt
 from typing import Iterable
 
 Edge = tuple[int, int]
@@ -137,12 +138,12 @@ def disjoint_union(*graphs: Graph) -> Graph:
 GRAPH6_HEADER = ">>graph6<<"
 
 
-def _g6_triangle_order(n: int) -> Iterable[Edge]:
-    # bit order of the upper triangle: column by column, (0,1), (0,2),
-    # (1,2), (0,3), ... as fixed by the graph6 format.
-    for j in range(1, n):
-        for i in range(j):
-            yield (i, j)
+# The payload lists the upper triangle column by column, (0,1), (0,2),
+# (1,2), (0,3), ..., as fixed by the graph6 format: pair (i, j), i < j, is
+# bit b = j(j - 1)/2 + i, six bits to a byte, the first bit the highest.
+_G6_BYTES = bytes(range(63, 127))
+# sextet value -> its set bits, as offsets 0..5 from the highest
+_SEXTET_BITS = tuple(tuple(k for k in range(6) if x & (32 >> k)) for x in range(64))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -164,11 +165,12 @@ def parse_graph6(text: str) -> Graph:
     data = data.rstrip(b"\r\n")
     if not data:
         raise GraphParseError("graph6: empty input")
-    for k, byte in enumerate(data):
-        if not (63 <= byte <= 126):
-            raise GraphParseError(
-                f"graph6: invalid byte 0x{byte:02x} at offset {base + k}"
-            )
+    if data.translate(None, _G6_BYTES):
+        for k, byte in enumerate(data):
+            if not (63 <= byte <= 126):
+                raise GraphParseError(
+                    f"graph6: invalid byte 0x{byte:02x} at offset {base + k}"
+                )
     # vertex count
     if data[0] != 126:  # ordinary single-byte size, n <= 62
         n = data[0] - 63
@@ -198,20 +200,22 @@ def parse_graph6(text: str) -> Graph:
             f"graph6: expected {need} payload bytes for n={n}, got "
             f"{len(payload)} (payload starts at offset {base + pos})"
         )
-    edges: list[Edge] = []
-    bit = 0
-    for (i, j) in _g6_triangle_order(n):
-        byte = payload[bit // 6]
-        if (byte - 63) & (1 << (5 - bit % 6)):
-            edges.append((i, j))
-        bit += 1
     # canonical encodings zero-pad the final byte (padding is under 6 bits)
     if need and (payload[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
         raise GraphParseError(
             f"graph6: nonzero padding bit in final byte at offset "
             f"{base + pos + need - 1}"
         )
-    return Graph(n, edges)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for k, byte in enumerate(payload):
+        if byte != 63:
+            for off in _SEXTET_BITS[byte - 63]:
+                b = 6 * k + off
+                j = (isqrt(8 * b + 1) + 1) // 2
+                i = b - j * (j - 1) // 2
+                adj[i].add(j)
+                adj[j].add(i)
+    return Graph._trusted([frozenset(s) for s in adj])
 
 
 def to_graph6(g: Graph) -> str:
@@ -225,18 +229,15 @@ def to_graph6(g: Graph) -> str:
         head = [n + 63]
     else:
         head = [126, 63 + (n >> 12), 63 + ((n >> 6) & 63), 63 + (n & 63)]
-    out = list(head)
-    acc = 0
-    filled = 0
-    for (i, j) in _g6_triangle_order(n):
-        acc = (acc << 1) | (1 if j in g.adj[i] else 0)
-        filled += 1
-        if filled == 6:
-            out.append(63 + acc)
-            acc, filled = 0, 0
-    if filled:
-        out.append(63 + (acc << (6 - filled)))
-    return bytes(out).decode("ascii")
+    sextets = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for j, nbrs in enumerate(g.adj):
+        col = j * (j - 1) // 2
+        for i in nbrs:
+            if i < j:
+                q, r = divmod(col + i, 6)
+                sextets[q] |= 32 >> r
+    # _G6_BYTES * 4 maps each byte x to 63 + x % 64
+    return (bytes(head) + sextets.translate(_G6_BYTES * 4)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -82,11 +82,22 @@ def _eliminate(rows: Rows, terms: list[Term] | None = None, labels: Sequence[int
     det(A[P, P]) of the eliminated index set P, and row i holds
     ``stamp[i] * S[i, j]``, where S = A/P is the Schur complement and
     ``stamp[i]`` the value of ``det`` when row i was last updated.  By
-    Sylvester's identity every such value is a minor of A, so each
-    division below is exact.  A pivot updates only the rows it touches,
-    bringing them from their stamp to the new ``det``; the others keep
-    their stamp until a later pivot touches them.  Nonzero scaling keeps
-    the zero pattern, so the pivot sequence is the one described above.
+    Sylvester's identity det * S[i, j] is a minor of A for every det
+    that P has reached, so converting an entry from its stamp to det,
+    and each division below, is exact.  Nonzero scaling keeps the zero
+    pattern, so the pivot sequence is the one described above.
+
+    A pivot rebuilds only the rows it touches, those with an entry in a
+    block column, each in one pass over its entries: on a touched column
+    the entry is brought from its stamp to det and updated, elsewhere it
+    is rescaled from its stamp to the new det, and the entries that fill
+    in are added.  A row reads only the block rows and itself, so the
+    rows may be rebuilt in any order.  Other rows keep their stamp until
+    a later pivot touches them.  A 2x2 pivot whose block row i or j has
+    no entry outside the block changes no entry of S: each update term
+    pairs an entry of row i with one of row j, so it is zero.  Such a
+    pivot only drops the block columns and moves det; every row keeps
+    its stamp and stays exact by the identity above.
 
     The pivot search does not rescan the rows: ``diag`` holds the live
     rows with a nonzero diagonal, updated on the rows a pivot touches,
@@ -126,6 +137,8 @@ def _eliminate(rows: Rows, terms: list[Term] | None = None, labels: Sequence[int
                 s, rb = stamp[b], rows[b]
                 for j, x in rb.items():
                     rb[j] = x * det // s
+            live[b] = False
+            diag.discard(b)
         if pivot is not None:
             prow = rows[pivot]
             if terms is not None:
@@ -135,71 +148,84 @@ def _eliminate(rows: Rows, terms: list[Term] | None = None, labels: Sequence[int
                 p += 1
             else:
                 n += 1
-            new_det = d
-            touched = sorted(prow)
-        else:
-            bj = block[1]
-            row_i, row_j = rows[bi], rows[bj]
-            if terms is not None:
-                terms.append((
-                    (labels[bi], labels[bj]),
-                    ({labels[j]: x for j, x in row_i.items()}, {labels[j]: x for j, x in row_j.items()}),
-                    det,
-                ))
-            a = row_i.pop(bj)
-            del row_j[bi]
-            p += 1
-            n += 1
-            new_det = -a * a // det
-            touched = sorted(row_i.keys() | row_j.keys())
-        # bring every touched row to det on the touched columns, where the
-        # update below reads it, and to new_det on all others
-        cols = set(touched)
-        for i in touched:
-            ri = rows[i]
-            for b in block:
-                ri.pop(b, None)
-            s = stamp[i]
-            if s != det or new_det != det:
-                for j, x in ri.items():
-                    ri[j] = x * (det if j in cols else new_det) // s
-            stamp[i] = new_det
-        if pivot is not None:
             # (i, j) <- (d (i, j) - (i, pivot) (pivot, j)) / det
-            col = [(i, prow[i]) for i in touched]
-            for k, (i, ci) in enumerate(col):
+            for i, ci in prow.items():
                 ri = rows[i]
-                for j, cj in col[k:]:
-                    w = (d * ri.get(j, 0) - ci * cj) // det
-                    if w:
-                        ri[j] = rows[j][i] = w
+                del ri[pivot]
+                s = stamp[i]
+                new = {}
+                for j, x in ri.items():
+                    cj = prow.get(j)
+                    if cj is None:
+                        new[j] = x * d // s
                     else:
-                        ri.pop(j, None)
-                        rows[j].pop(i, None)
-        else:
-            # (i, j) <- a ((i, bi) (bj, j) + (i, bj) (bi, j) - a (i, j)) / det^2
-            sq = det * det
-            col = [(i, row_i.get(i, 0), row_j.get(i, 0)) for i in touched]
-            for k, (i, ui, vi) in enumerate(col):
-                ri = rows[i]
-                for j, uj, vj in col[k:]:
-                    x = ri.get(j, 0)
-                    t = ui * vj + vi * uj
-                    if x or t:
-                        w = a * (t - a * x) // sq
+                        if s != det:
+                            x = x * det // s
+                        w = (d * x - ci * cj) // det
                         if w:
-                            ri[j] = rows[j][i] = w
-                        else:
-                            ri.pop(j, None)
-                            rows[j].pop(i, None)
+                            new[j] = w
+                for j, cj in prow.items():
+                    if j not in ri:
+                        new[j] = -ci * cj // det
+                rows[i] = new
+                stamp[i] = d
+                if i in new:
+                    diag.add(i)
+                else:
+                    diag.discard(i)
+            det = d
+            continue
+        bj = block[1]
+        row_i, row_j = rows[bi], rows[bj]
+        if terms is not None:
+            terms.append((
+                (labels[bi], labels[bj]),
+                ({labels[j]: x for j, x in row_i.items()}, {labels[j]: x for j, x in row_j.items()}),
+                det,
+            ))
+        a = row_i.pop(bj)
+        del row_j[bi]
+        p += 1
+        n += 1
+        new_det = -a * a // det
+        if not row_i or not row_j:
+            # no change to S: drop the block column from the touched rows
+            for k in row_i:
+                del rows[k][bi]
+            for k in row_j:
+                del rows[k][bj]
+            det = new_det
+            continue
+        # (i, j) <- a ((i, bi) (bj, j) + (i, bj) (bi, j) - a (i, j)) / det^2
+        sq = det * det
+        touched = row_i.keys() | row_j.keys()
         for i in touched:
-            if i in rows[i]:
+            ui, vi = row_i.get(i, 0), row_j.get(i, 0)
+            ri = rows[i]
+            ri.pop(bi, None)
+            ri.pop(bj, None)
+            s = stamp[i]
+            new = {}
+            for j, x in ri.items():
+                if j in touched:
+                    if s != det:
+                        x = x * det // s
+                    w = a * (ui * row_j.get(j, 0) + vi * row_i.get(j, 0) - a * x) // sq
+                    if w:
+                        new[j] = w
+                else:
+                    new[j] = x * new_det // s
+            for j in touched:
+                if j not in ri:
+                    t = ui * row_j.get(j, 0) + vi * row_i.get(j, 0)
+                    if t:
+                        new[j] = a * t // sq
+            rows[i] = new
+            stamp[i] = new_det
+            if i in new:
                 diag.add(i)
             else:
                 diag.discard(i)
-        for b in block:
-            live[b] = False
-            diag.discard(b)
         det = new_det
     return Inertia(p, n, live.count(True))
 

@@ -1,5 +1,6 @@
 """Graph type, constructors, graph6 codec, edge-list parsing."""
 
+import itertools
 import pickle
 import random
 import re
@@ -279,17 +280,22 @@ def test_graph6_encoding_refuses_vertex_counts_above_the_cap():
 
 
 def test_graph6_matches_networkx():
+    # every n up to 70 crosses the switch from the 1-byte to the 4-byte size
+    # header at 62/63; dense payloads set most bits of every byte
     nx = pytest.importorskip("networkx")
     rng = random.Random(11)
-    for _ in range(60):
-        n = rng.randint(1, 20)
-        h = nx.gnp_random_graph(n, 0.3, seed=rng.randrange(2**30))
-        ours = parse_graph6(nx.to_graph6_bytes(h, header=False).decode().strip())
-        assert ours.n == h.number_of_nodes()
-        assert ours.edges == frozenset(tuple(sorted(e)) for e in h.edges())
+    for p, n in itertools.product((0.05, 0.5, 0.95), (*range(71), 100, 200)):
+        h = nx.gnp_random_graph(n, p, seed=rng.randrange(2**30))
+        want = frozenset(tuple(sorted(e)) for e in h.edges())
+        text = nx.to_graph6_bytes(h, header=False).decode().strip()
+        ours = parse_graph6(text)
+        assert ours.n == n
+        assert ours.edges == want
         # and the reverse direction
+        assert to_graph6(ours) == text
         back = nx.from_graph6_bytes(to_graph6(ours).encode())
-        assert frozenset(tuple(sorted(e)) for e in back.edges()) == ours.edges
+        assert back.number_of_nodes() == n
+        assert frozenset(tuple(sorted(e)) for e in back.edges()) == want
 
 
 # edge list format

@@ -497,6 +497,75 @@ def test_integer_kernel_handles_minors_beyond_64_bits():
     assert oracle_inertia(m) == want
 
 
+def pendant_rich_matrix(rng: random.Random) -> tuple[list[list[int]], frozenset[tuple[int, int]]]:
+    """A weighted symmetric matrix on a random tree with one to three more pairs joined, and its edge set.
+
+    Off-diagonal entries are +-1 to +-3 and up to two vertices get a
+    nonzero diagonal; the vertices are shuffled, so leaves come anywhere
+    in the pivot order.
+    """
+    k = rng.randint(2, 12)
+    edges = set(random_tree(k, rng).edges)
+    for _ in range(rng.randint(1, 3)):
+        u, v = rng.sample(range(k), 2)
+        edges.add((min(u, v), max(u, v)))
+    label = list(range(k))
+    rng.shuffle(label)
+    edges = frozenset((min(label[u], label[v]), max(label[u], label[v])) for u, v in edges)
+    m = [[0] * k for _ in range(k)]
+    for u, v in edges:
+        m[u][v] = m[v][u] = rng.choice((-3, -2, -1, 1, 2, 3))
+    for v in rng.sample(range(k), rng.randint(0, min(2, k))):
+        m[v][v] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return m, edges
+
+
+def test_integer_kernel_on_2000_pendant_rich_matrices():
+    # Leaves make 2x2 pivots whose block row has no other entry, which change
+    # no entry of the Schur complement and leave the rows they touch at an
+    # old stamp; the weights and the diagonal make the other pivots rescale
+    # those rows later.  The adjacency matrix of the same graph, eliminated
+    # in the same order, must also record a certificate that the checker
+    # accepts.
+    rng = random.Random(1968)
+    for _ in range(2000):
+        m, edges = pendant_rich_matrix(rng)
+        assert kernel_inertia(m) == oracle_inertia(m), m
+        k = len(m)
+        adjacency = [[int((min(i, j), max(i, j)) in edges) for j in range(k)] for i in range(k)]
+        terms = []
+        got = _eliminate([{j: 1 for j, x in enumerate(r) if x} for r in adjacency], terms, range(k))
+        assert got == oracle_inertia(adjacency) == certificate_inertia(Graph(k, edges), terms), edges
+
+
+def test_a_row_left_at_an_old_stamp_is_brought_to_det_when_touched_again():
+    # Pivots, in order:
+    # 1. 2x2 on (0, 1), a = 2: row 0 has no other entry, so the Schur
+    #    complement does not change; rows 2 and 3 drop column 1 and stay at
+    #    stamp 1 while det becomes -4.
+    # 2. 2x2 on (2, 4), a = -4 * 3 = -12: it touches row 3 at stamp 1, whose
+    #    (3, 5) = 2 must become -4 * 2 before the update; det becomes 36.
+    # 3. 1x1 on 5, S[5, 5] = -2/3 stored as -24: one negative; det -24.
+    # 4. 1x1 on 3, S[3, 3] = 25/6 stored as -100: one positive.
+    m = [
+        [0, 2, 0, 0, 0, 0],
+        [2, 0, 1, 1, 0, 0],
+        [0, 1, 0, 0, 3, 1],
+        [0, 1, 0, 0, 1, 2],
+        [0, 0, 3, 1, 0, 1],
+        [0, 0, 1, 2, 1, 0],
+    ]
+    terms = []
+    assert _eliminate([{j: x for j, x in enumerate(r) if x} for r in m], terms, range(6)) == Inertia(3, 3, 0)
+    assert terms == [
+        ((0, 1), ({1: 2}, {0: 2, 2: 1, 3: 1}), 1),
+        ((2, 4), ({4: -12, 5: -4}, {2: -12, 3: -4, 5: -4}), -4),
+        ((5,), ({3: 60, 5: -24},), 36),
+        ((3,), ({3: -100},), -24),
+    ]
+    assert oracle_inertia(m) == Inertia(3, 3, 0)
+
+
 def test_unreduced_graph_inertia_ignores_the_pendant_rule(monkeypatch):
     # the unreduced route must not share the peeling's pendant rule, or the
     # lemmas that use it would check the peeling against itself
