@@ -10,7 +10,9 @@ Three subcommands:
 * ``generate`` one extremal graph and print its graph6 line.
 
 Exit codes: 0 = verified clean, 1 = at least one counterexample,
-2 = usage error.
+2 = usage error.  Exit 2 covers every refused value, whether the command
+line or the library refuses it: a generated graph over the graph6 cap,
+say, or ``--workers`` below 1.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .corpus import (
     CorpusItem,
@@ -38,22 +40,6 @@ from .verify import (
     run_verification,
     summarize,
 )
-
-def _integer_arg(flag: str, positive: bool = False) -> Callable[[str], int]:
-    """The argparse type of ``flag``: an integer as the edge-list parser reads one."""
-    noun = "a positive integer" if positive else "an integer"
-
-    def parse(raw: str) -> int:
-        try:
-            value = _integer(raw.strip())
-        except ValueError:
-            value = None
-        if value is None or (positive and value < 1):
-            raise argparse.ArgumentTypeError(f"{flag} must be {noun}, got {raw!r}")
-        return value
-
-    return parse
-
 
 def _is_edge_list(text: str) -> bool:
     stripped = text.strip()
@@ -81,7 +67,7 @@ def _analyze_input_graph(spec: str):
         if _is_edge_list(first):
             return parse_edge_list(text)
         items = list(read_graph6_file(spec))
-    except (GraphParseError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{spec!r} is not a graph6 string or a readable graph file: {exc}") from None
     if len(items) != 1:
         raise ValueError(f"{spec!r} holds {len(items)} graphs; analyze takes one")
@@ -205,19 +191,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--out", help="write the row report to this path: CSV if it ends in .csv, else JSON"
     )
-    p_verify.add_argument(
-        "--workers",
-        type=_integer_arg("--workers", positive=True),
-        default=1,
-        help="process count (default 1)",
-    )
+    p_verify.add_argument("--workers", default="1", help="process count (default 1)")
 
     p_generate = sub.add_parser(
         "generate", help="emit one extremal graph as a graph6 line"
     )
-    p_generate.add_argument("--residue", type=_integer_arg("--residue"), choices=sorted(GENERATOR_RECIPES), required=True)
+    residues = ", ".join(map(str, sorted(GENERATOR_RECIPES)))
+    p_generate.add_argument("--residue", required=True, help=f"seed cycle length mod 4: {residues}")
     for key in list(_GENERATOR_KEYS)[1:]:  # an absent flag takes GeneratorParams' default
-        p_generate.add_argument(f"--{key}", type=_integer_arg(f"--{key}"), default=argparse.SUPPRESS)
+        p_generate.add_argument(f"--{key}", default=argparse.SUPPRESS)
     return parser
 
 
@@ -240,35 +222,30 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run(argv: Sequence[str] | None) -> tuple[int, str]:
-    """Parse ``argv`` and do the work; returns the exit code and the text to print."""
+    """Parse ``argv`` and do the work; returns the exit code and the text to print.
+
+    One rule for refused input: a ``ValueError`` or ``OSError`` from any
+    subcommand is a usage error, exit 2.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "analyze":
-        try:
-            g = _analyze_input_graph(args.graph)
-        except (ValueError, OSError) as exc:
-            parser.error(str(exc))
-        row = analyze_graph(g)
-        return (1 if row.is_counterexample() else 0), json.dumps(report_row_dict(row), indent=1)
-
-    if args.command == "verify":
-        try:
+    try:
+        if args.command == "analyze":
+            row = analyze_graph(_analyze_input_graph(args.graph))
+            return (1 if row.is_counterexample() else 0), json.dumps(report_row_dict(row), indent=1)
+        if args.command == "verify":
+            workers = _number("verify", "--workers", args.workers)
             corpus = parse_corpus_spec(args.corpus)
             checks = None if args.checks == "all" else args.checks.split(",")
-            report = run_verification(corpus, checks=checks, workers=args.workers)
+            report = run_verification(corpus, checks=checks, workers=workers)
             if args.out:
                 emit_report(report, args.out)
-        except (ValueError, KeyError, OSError, GraphParseError) as exc:
-            parser.error(str(exc))
-        return (0 if report.ok else 1), summarize(report)
-
-    # the subparsers are required, so the command is "generate"
-    try:
-        params = GeneratorParams(**{f: getattr(args, k) for k, f in _GENERATOR_KEYS.items() if k in args})
-    except ValueError as exc:
+            return (0 if report.ok else 1), summarize(report)
+        # the subparsers are required, so the command is "generate"
+        flags = {f: _number("generate", f"--{k}", getattr(args, k)) for k, f in _GENERATOR_KEYS.items() if k in args}
+        return 0, to_graph6(generate_extremal(GeneratorParams(**flags)))
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    return 0, to_graph6(generate_extremal(params))
 
 
 if __name__ == "__main__":

@@ -221,9 +221,12 @@ def test_verify_rejects_bad_check(capsys):
 
 @pytest.mark.parametrize("value", ["0", "-3", "two", "1_0", "+2", "\u0662"])
 def test_verify_rejects_non_positive_workers(capsys, value):
-    code, _, err = run_cli(capsys, "verify", "--corpus", "exhaustive:2", "--workers", value)
-    assert code == 2
-    assert f"--workers must be a positive integer, got {value!r}" in err
+    code, out, err = run_cli(capsys, "verify", "--corpus", "exhaustive:2", "--workers", value)
+    assert code == 2 and not out
+    if value in ("0", "-3"):  # an integer, which run_verification refuses
+        assert f"workers must be an int >= 1, got {value}" in err
+    else:
+        assert f"--workers must be an integer, got {value!r}" in err
 
 
 def test_verify_reads_graph6_header_with_graph_on_same_line(capsys, tmp_path):
@@ -252,10 +255,6 @@ def test_generate_is_deterministic(capsys):
     assert row["p"] == row["m"] + row["c"]
 
 
-def test_generate_rejects_bad_residue(capsys):
-    assert run_cli(capsys, "generate", "--residue", "2")[0] == 2
-
-
 @pytest.mark.parametrize(
     "argv, graph6",
     [
@@ -276,10 +275,20 @@ def test_generated_corpus_keys_fill_the_same_recipe_as_the_generate_flags(capsys
     assert (item.graph_id, to_graph6(item.graph) + "\n") == ("gen0-seed0", out)
 
 
-def test_generate_names_a_recipe_that_the_generator_refuses(capsys):
-    code, out, err = run_cli(capsys, "generate", "--residue", "1", "--cycles", "-1")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--residue", "1", "--cycles", "-1"), "num_cycles must be non-negative"),
+        (("--residue", "2"), "cycle_residue must be 0, 1 or 3, got 2"),
+        # the recipe is sound, but its graph is too large for graph6
+        (("--residue", "1", "--isolated", "64000"), "capped at 64000 vertices"),
+    ],
+    ids=["cycles", "residue", "graph6-cap"],
+)
+def test_generate_names_a_recipe_that_the_generator_refuses(capsys, argv, message):
+    code, out, err = run_cli(capsys, "generate", *argv)
     assert code == 2 and not out
-    assert "num_cycles must be non-negative" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -294,7 +303,7 @@ def test_generate_names_a_recipe_that_the_generator_refuses(capsys):
     ],
 )
 def test_generate_reads_integers_like_every_other_flag(capsys, flag, value):
-    # int() takes all of these; --workers and the corpus specs do not
+    # int() takes all of these; _number, which reads --workers and the corpus specs too, does not
     args = {"--residue": "1", flag: value}
     code, out, err = run_cli(capsys, "generate", *(x for kv in args.items() for x in kv))
     assert code == 2 and not out
