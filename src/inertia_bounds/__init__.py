@@ -23,13 +23,11 @@ from .cycles import (
 from .graphs import (
     Graph,
     GraphParseError,
-    complete_graph,
     components,
     cycle_graph,
     cyclomatic_number,
     delete_edges,
     delete_vertices,
-    disjoint_union,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -44,11 +42,8 @@ from .inertia import (
     unreduced_graph_inertia,
 )
 from .matching import (
-    BudgetExceededError,
     exists_max_matching_avoiding,
-    matching_bruteforce,
     matching_number,
-    maximum_matching,
 )
 from .theorems import (
     LEMMA_NAMES,

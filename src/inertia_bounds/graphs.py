@@ -113,23 +113,9 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def star_graph(leaves: int) -> Graph:
     """Star with one center (vertex 0) and ``leaves`` pendant vertices."""
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    """Disjoint union; vertex blocks are laid out in argument order."""
-    offset = 0
-    edges: list[Edge] = []
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges)
-        offset += g.n
-    return Graph(offset, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,8 @@
 """Maximum matchings and matching-number queries.
 
 :func:`_mates` is the one solver (blossom contraction, deterministic
-tie-breaking): :func:`matching_number`, the production path, counts its
-matched pairs and :func:`maximum_matching` lists them as edges.
-:func:`matching_bruteforce` exists only as a test oracle and is
-intentionally the dumbest correct algorithm.
+tie-breaking); :func:`matching_number` counts its matched pairs.  The
+tests check it against the brute-force oracle in ``tests/matching_oracle.py``.
 
 The quantified questions (does some or every maximum matching use an
 edge, cover a vertex, avoid an edge set) are answered through matching
@@ -20,28 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .graphs import Edge, Graph, delete_edges
-
-# branch-on-edge recursion is fine up to this many edges (or few vertices)
-BRUTE_FORCE_EDGE_BUDGET = 24
-BRUTE_FORCE_VERTEX_BUDGET = 12
-
-
-class BudgetExceededError(ValueError):
-    """A brute-force oracle was asked to exceed its stated budget."""
-
-
-def maximum_matching(g: Graph) -> frozenset[Edge]:
-    """One maximum matching, as a frozenset of (u, v) pairs with u < v.
-
-    Augmenting-path search with blossom contraction (see :func:`_mates`,
-    which :func:`matching_number` counts without building this set).
-    Only the SIZE of the result is canonical; which matching is returned
-    is deterministic (ascending vertex and neighbor order) but otherwise
-    arbitrary, and callers must not rely on the particular edges chosen.
-    """
-    match = _mates(g)
-    return frozenset((v, u) for v, u in enumerate(match) if u > v)
+from .graphs import Graph, delete_edges
 
 
 def _mates(g: Graph) -> list[int]:
@@ -136,30 +113,6 @@ def _mates(g: Graph) -> list[int]:
 def matching_number(g: Graph) -> int:
     """Size of a maximum matching: half the number of matched vertices."""
     return (g.n - _mates(g).count(-1)) // 2
-
-
-def matching_bruteforce(g: Graph) -> int:
-    """Maximum matching size by recursive branch-on-edge.  Test oracle only.
-
-    Budget: at most 24 edges or at most 12 vertices; beyond that the
-    recursion is unreasonable and the call is rejected.
-    """
-    if g.num_edges > BRUTE_FORCE_EDGE_BUDGET and g.n > BRUTE_FORCE_VERTEX_BUDGET:
-        raise BudgetExceededError(
-            f"brute-force matching limited to {BRUTE_FORCE_EDGE_BUDGET} edges "
-            f"or {BRUTE_FORCE_VERTEX_BUDGET} vertices; "
-            f"got {g.num_edges} edges on {g.n} vertices"
-        )
-
-    def best(edges: tuple[Edge, ...]) -> int:
-        if not edges:
-            return 0
-        u, v = edges[0]
-        skip = best(edges[1:])
-        rest = tuple(e for e in edges[1:] if u not in e and v not in e)
-        return max(skip, 1 + best(rest))
-
-    return best(tuple(sorted(g.edges)))
 
 
 # ---------------------------------------------------------------------------

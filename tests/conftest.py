@@ -11,6 +11,20 @@ import pytest
 from inertia_bounds import Graph
 
 
+def complete_graph(n: int) -> Graph:
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """Disjoint union; vertex blocks are laid out in argument order."""
+    offset = 0
+    edges: list[tuple[int, int]] = []
+    for g in graphs:
+        edges.extend((u + offset, v + offset) for u, v in g.edges)
+        offset += g.n
+    return Graph(offset, edges)
+
+
 def cycle_with_tail(q: int, tail: int) -> Graph:
     """A q-cycle with a path of ``tail`` extra vertices hanging off vertex 0."""
     edges = [(i, (i + 1) % q) for i in range(q)]

@@ -29,7 +29,6 @@ from inertia_bounds import (
     emit_report,
     graph_inertia,
     lemma_suite,
-    matching_bruteforce,
     matching_number,
     render_report,
     run_verification,
@@ -37,6 +36,7 @@ from inertia_bounds import (
 from inertia_bounds.corpus import enumerate_labeled, generated_corpus, sample_random
 from charpoly import graph_inertia_oracle
 from conftest import all_trees, random_unicyclic, lower_bound_near_miss
+from matching_oracle import matching_bruteforce
 
 
 @pytest.fixture(scope="module")

@@ -11,11 +11,9 @@ from inertia_bounds import (
     GraphFacts,
     analyze_cycles,
     biconnected_blocks,
-    complete_graph,
     contract_cycles,
     cycle_graph,
     cyclomatic_number,
-    disjoint_union,
     enumerate_simple_cycles,
     frontier_edges,
     lemma_suite,
@@ -23,7 +21,7 @@ from inertia_bounds import (
     star_graph,
 )
 from inertia_bounds.corpus import generated_corpus, sample_random
-from conftest import cycle_with_tail, lower_bound_near_miss
+from conftest import complete_graph, cycle_with_tail, disjoint_union, lower_bound_near_miss
 
 
 def bowtie() -> Graph:

@@ -1,10 +1,11 @@
 """The documented surface: every narrative script under demos/ runs to
 completion, the README's quick start prints what its comments say, every
-name the package exports resolves, and no package module keeps an import
-it never uses."""
+name the package exports resolves and has a reader outside the tests,
+and no package module, test or demo keeps an import it never uses."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import types
@@ -15,6 +16,7 @@ import pytest
 import inertia_bounds
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "inertia_bounds"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -46,6 +48,62 @@ def test_all_is_consistent():
     assert not [name for name in names if isinstance(namespace[name], types.ModuleType)]
 
 
+def _identifiers(tree: ast.AST) -> set[str]:
+    """The names a piece of code refers to: bare names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _definitions(tree: ast.Module) -> dict[str, set[str]]:
+    """Each top-level def, class or assignment of a module, with the names it refers to."""
+    bodies: dict[str, set[str]] = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            bodies[stmt.name] = _identifiers(stmt)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                bodies.update((t.id, _identifiers(stmt.value)) for t in ast.walk(target) if isinstance(t, ast.Name))
+    return bodies
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    # A reader is another package module, a demo, a bench script or the README.
+    # Inside its own module a name is read only through a definition that is
+    # read itself, so the helpers of test-only code count as test-only too.
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    outside = [
+        _identifiers(ast.parse(p.read_text(encoding="utf-8")))
+        for p in [*DEMOS, *(ROOT / "bench").glob("*.py")]
+    ] + [set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))]
+    home = {
+        alias.name: node.module
+        for node in modules.pop("__init__").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    refers = {stem: _identifiers(tree) for stem, tree in modules.items()}
+    read: set[tuple[str, str]] = set()
+    for stem, tree in modules.items():
+        readers = outside + [ids for s, ids in refers.items() if s != stem]
+        bodies = _definitions(tree)
+        todo = [name for name in bodies if any(name in r for r in readers)]
+        while todo:
+            name = todo.pop()
+            if (stem, name) not in read:
+                read.add((stem, name))
+                todo.extend(bodies[name] & bodies.keys())
+    unread = [name for name in inertia_bounds.__all__ if (home[name], name) not in read]
+    assert not unread, f"exported but read only by the tests: {unread}"
+
+
 def test_readme_quick_start_prints_what_its_comments_say(capsys):
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     block = text.split("```python\n", 1)[1].split("```", 1)[0]
@@ -56,7 +114,8 @@ def test_readme_quick_start_prints_what_its_comments_say(capsys):
 
 def test_no_module_keeps_an_unused_import():
     # __init__.py imports names to re-export them, so it is left out
-    for path in sorted((ROOT / "src" / "inertia_bounds").glob("*.py")):
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *DEMOS]
+    for path in sorted(paths):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -68,4 +127,4 @@ def test_no_module_keeps_an_unused_import():
             for alias in node.names
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert imported <= used, f"{path.name} never uses {sorted(imported - used)}"
+        assert imported <= used, f"{path.relative_to(ROOT)} never uses {sorted(imported - used)}"

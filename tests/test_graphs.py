@@ -11,13 +11,11 @@ from inertia_bounds import (
     Graph,
     GraphFacts,
     GraphParseError,
-    complete_graph,
     components,
     cycle_graph,
     cyclomatic_number,
     delete_edges,
     delete_vertices,
-    disjoint_union,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -26,6 +24,7 @@ from inertia_bounds import (
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
 from inertia_bounds.graphs import MAX_GRAPH6_VERTICES
+from conftest import complete_graph, disjoint_union
 
 
 def test_basic_construction():

@@ -20,10 +20,8 @@ from inertia_bounds import (
     GeneratorParams,
     Graph,
     Inertia,
-    complete_graph,
     components,
     cycle_graph,
-    disjoint_union,
     analyze_graph,
     certificate_inertia,
     generate_extremal,
@@ -44,7 +42,7 @@ from charpoly import (
     graph_char_poly,
     graph_inertia_oracle,
 )
-from conftest import all_trees, cycle_with_tail, random_tree
+from conftest import all_trees, complete_graph, cycle_with_tail, disjoint_union, random_tree
 
 
 def kernel_inertia(m: list[list[int]]) -> Inertia:

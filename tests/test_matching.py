@@ -1,6 +1,9 @@
-"""Maximum matching: blossom implementation, brute-force oracle, queries.
+"""Maximum matching: the blossom solver against the brute-force oracle
+of ``tests/matching_oracle.py`` and networkx, the oracle's budget, and
+the matching queries.
 
-The vertex-deletion queries are asked through ``GraphFacts.m_without``;
+The solver is read through ``_mates``, the partner of each vertex.  The
+vertex-deletion queries are asked through ``GraphFacts.m_without``;
 ``tests/test_properties.py`` checks them against every maximum matching.
 """
 
@@ -9,21 +12,24 @@ import random
 import pytest
 
 from inertia_bounds import (
-    BudgetExceededError,
     Graph,
-    complete_graph,
     cycle_graph,
     GraphFacts,
     delete_edges,
     exists_max_matching_avoiding,
-    matching_bruteforce,
     matching_number,
-    maximum_matching,
     path_graph,
     star_graph,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
-from conftest import petersen
+from inertia_bounds.matching import _mates
+from conftest import complete_graph, petersen
+from matching_oracle import BudgetExceededError, matching_bruteforce
+
+
+def maximum_matching(g: Graph) -> frozenset[tuple[int, int]]:
+    """The solver's maximum matching, as (u, v) pairs with u < v."""
+    return frozenset((v, u) for v, u in enumerate(_mates(g)) if u > v)
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,6 @@ from inertia_bounds import (
     classify_unicyclic,
     delete_vertices,
     graph_inertia,
-    matching_bruteforce,
     matching_number,
     parse_edge_list,
     parse_graph6,
@@ -34,6 +33,7 @@ from inertia_bounds import (
     unreduced_graph_inertia,
 )
 from charpoly import graph_inertia_oracle
+from matching_oracle import every_maximum_matching, matching_bruteforce
 
 repeatable = settings(derandomize=True, database=None)
 
@@ -67,25 +67,6 @@ def sparse_graphs(draw, max_n: int = 8, max_edges: int = 14) -> Graph:
     pairs = list(combinations(range(n), 2))
     k = draw(st.integers(min_value=0, max_value=min(max_edges, len(pairs))))
     return Graph(n, draw(st.lists(st.sampled_from(pairs), min_size=k, max_size=k, unique=True)) if k else [])
-
-
-def every_maximum_matching(g: Graph) -> list[frozenset[tuple[int, int]]]:
-    """Every maximum matching of ``g``, by listing all of its matchings."""
-    edges = sorted(g.edges)
-    matchings = []
-
-    def grow(i: int, chosen: tuple, used: frozenset) -> None:
-        if i == len(edges):
-            matchings.append(frozenset(chosen))
-            return
-        grow(i + 1, chosen, used)
-        u, v = edges[i]
-        if u not in used and v not in used:
-            grow(i + 1, chosen + (edges[i],), used | {u, v})
-
-    grow(0, (), frozenset())
-    top = max(map(len, matchings))
-    return [mm for mm in matchings if len(mm) == top]
 
 
 @settings(derandomize=True, database=None, max_examples=400)

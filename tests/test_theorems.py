@@ -17,10 +17,8 @@ from inertia_bounds import (
     classify_p_lower,
     classify_p_upper,
     classify_unicyclic,
-    complete_graph,
     cycle_graph,
     cyclomatic_number,
-    disjoint_union,
     generate_extremal,
     graph_inertia,
     lemma_suite,
@@ -33,7 +31,7 @@ from inertia_bounds.cli import parse_corpus_spec
 from inertia_bounds.corpus import enumerate_labeled
 from inertia_bounds.theorems import GENERATOR_RECIPES
 from inertia_bounds.verify import analyze_graph
-from conftest import cycle_with_tail, lower_bound_near_miss
+from conftest import complete_graph, cycle_with_tail, disjoint_union, lower_bound_near_miss
 
 
 def test_bounds_hold_on_small_samples():
