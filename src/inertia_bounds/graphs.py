@@ -5,13 +5,16 @@ operation that changes a graph returns a new one.  A graph holds only
 ``n`` and ``adj``, its neighbour sets; ``edges`` builds a new frozenset
 on each access, so a caller reads it once, not in a loop.  Parsing
 supports the graph6 interchange format and a plain edge-list format.
+The kernels that take only a graph keep their answers on small graphs
+for the life of the process (:func:`_memoised`).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import wraps
 from math import isqrt
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 Edge = tuple[int, int]
 
@@ -375,3 +378,49 @@ def delete_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
         drop.add(e)
     return Graph(g.n, present - drop)
 
+
+# ---------------------------------------------------------------------------
+# per-process memo of the graph-only kernels on small graphs
+
+# There are 1 + 1 + 2 + 8 + 64 + 1024 = 1100 labelled graphs on at most
+# five vertices, so a memo capped here is complete and never evicts.
+MEMO_VERTICES = 5
+# _PAIR_BITS[j][i]: pair (i, j)'s bit in a memo key, in graph6 order above
+# the three bits of the vertex count; 0 unless i < j
+_PAIR_BITS = tuple(
+    tuple(8 << (j * (j - 1) // 2 + i) if i < j else 0 for i in range(MEMO_VERTICES))
+    for j in range(MEMO_VERTICES)
+)
+# one memo per kernel, emptied only by the tests
+_MEMOS: list[dict[int, object]] = []
+
+_T = TypeVar("_T")
+
+
+def _memoised(kernel: Callable[[Graph], _T]) -> Callable[..., _T]:
+    """``kernel`` answering each graph on at most :data:`MEMO_VERTICES` vertices once per process.
+
+    Such a graph is looked up by an int key: its upper triangle in
+    graph6 bit order, above the vertex count.  A larger graph, or a call
+    that hands ``kernel`` more than the graph, runs ``kernel`` as it is
+    and stores nothing.  The kernels are pure functions of the graph and
+    return immutable values, so a hit is what a run would give, and no
+    result depends on which graphs the process met before.
+    """
+    memo: dict[int, _T] = {}
+    _MEMOS.append(memo)  # type: ignore[arg-type]
+
+    @wraps(kernel)
+    def memoised(g: Graph, *args, **kwargs) -> _T:
+        if g.n > MEMO_VERTICES or args or kwargs:
+            return kernel(g, *args, **kwargs)
+        key = g.n
+        for bits, nbrs in zip(_PAIR_BITS, g.adj):
+            for i in nbrs:
+                key |= bits[i]
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = kernel(g)
+        return value
+
+    return memoised

@@ -24,6 +24,11 @@
   certifying algorithms (McConnell, Mehlhorn, Näher and Schweitzer,
   Computer Science Review 5, 2011).  It costs about as much as summing
   the terms, far less than recomputing the inertia another way.
+* :func:`graph_inertia` without ``terms`` and :func:`unreduced_graph_inertia`
+  answer each graph on at most ``MEMO_VERTICES`` vertices once per
+  process, from a memo (:func:`.graphs._memoised`): in a sweep the
+  small subgraphs of one row recur in the next.  A call with ``terms``
+  always eliminates, so every certificate is built anew.
 
 The lemmas ``pendant_reduction`` and ``component_additivity`` in
 :mod:`.theorems` test the very rules the peeling applies, so they take
@@ -42,7 +47,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _memoised
 
 
 class Inertia(NamedTuple):
@@ -249,6 +254,7 @@ def _degree_ordered_rows(
     return order, [{index[w]: 1 for w in adj[v] if w in index} for v in order]
 
 
+@_memoised
 def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
     """Inertia of the adjacency matrix: peel pendants, then eliminate the core.
 
@@ -294,6 +300,7 @@ def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
     return peeled + _eliminate(rows, terms, order)
 
 
+@_memoised
 def unreduced_graph_inertia(g: Graph) -> Inertia:
     """Inertia of the adjacency matrix by elimination alone, without peeling."""
     return _eliminate(_degree_ordered_rows(g.adj, range(g.n), list(map(len, g.adj)))[1])

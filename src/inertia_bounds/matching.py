@@ -3,6 +3,8 @@
 :func:`_mates` is the one solver (blossom contraction, deterministic
 tie-breaking); :func:`matching_number` counts its matched pairs.  The
 tests check it against the brute-force oracle in ``tests/matching_oracle.py``.
+:func:`matching_number` answers each graph on at most ``MEMO_VERTICES``
+vertices once per process, from a memo (:func:`.graphs._memoised`).
 
 The quantified questions (does some or every maximum matching use an
 edge, cover a vertex, avoid an edge set) are answered through matching
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .graphs import Graph, delete_edges
+from .graphs import Graph, _memoised, delete_edges
 
 
 def _mates(g: Graph) -> list[int]:
@@ -110,6 +112,7 @@ def _mates(g: Graph) -> list[int]:
     return match
 
 
+@_memoised
 def matching_number(g: Graph) -> int:
     """Size of a maximum matching: half the number of matched vertices."""
     return (g.n - _mates(g).count(-1)) // 2

@@ -53,9 +53,13 @@ class GraphFacts:
     disjoint cycles: the matching number of the contracted forest, the
     frontier edges, and whether some or every maximum matching avoids
     them.  Each vertex deletion and its inertia are kept per vertex (see
-    :meth:`deleted`).  A record belongs to one graph; nothing is cached
-    across graphs, here or in :mod:`.verify`, which lets go of a row's
-    record when the row is done.
+    :meth:`deleted`).  A record belongs to one graph, and :mod:`.verify`
+    lets go of a row's record when the row is done.  Across graphs only
+    the kernels keep anything, on purpose: ``graph_inertia`` without
+    ``terms``, ``unreduced_graph_inertia`` and ``matching_number`` answer
+    each graph on at most ``MEMO_VERTICES`` vertices once per process,
+    from the memo of :func:`.graphs._memoised`, because in a sweep the
+    small subgraphs of one row recur in the next.
     """
 
     def __init__(self, graph: Graph, inertia: Inertia | None = None) -> None:

@@ -9,6 +9,22 @@ import random
 import pytest
 
 from inertia_bounds import Graph
+from inertia_bounds.graphs import _MEMOS
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Empty the kernels' small-graph memos before and after each test.
+
+    A warm memo skips the kernel, so a test that counts kernel runs or
+    patches a kernel's helpers would see what earlier tests left, and a
+    patched run would store its wrong answer past the patch.
+    """
+    for memo in _MEMOS:
+        memo.clear()
+    yield
+    for memo in _MEMOS:
+        memo.clear()
 
 
 def complete_graph(n: int) -> Graph:

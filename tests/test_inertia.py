@@ -32,6 +32,7 @@ from inertia_bounds import (
     unreduced_graph_inertia,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
+from inertia_bounds.graphs import _MEMOS, MEMO_VERTICES
 from inertia_bounds.inertia import _eliminate
 from charpoly import (
     _descartes_inertia,
@@ -43,6 +44,7 @@ from charpoly import (
     graph_inertia_oracle,
 )
 from conftest import all_trees, complete_graph, cycle_with_tail, disjoint_union, random_tree
+from matching_oracle import matching_bruteforce
 
 
 def kernel_inertia(m: list[list[int]]) -> Inertia:
@@ -693,6 +695,48 @@ def test_a_rejected_certificate_is_an_oracle_mismatch_that_names_its_condition(m
     row = analyze_graph(cycle_graph(5))
     assert row.oracle_ok is False and row.certificate_ok is False and row.counterexample
     assert "oracle mismatch: certificate rejected: the terms do not sum to A" in row.notes
+
+
+# ---------------------------------------------------------------------------
+# the per-process memo of the graph-only kernels on small graphs
+
+
+def small_graphs() -> list[Graph]:
+    """Every labelled graph on at most MEMO_VERTICES vertices."""
+    return [item.graph for n in range(MEMO_VERTICES + 1) for item in enumerate_labeled(n)]
+
+
+def sparse_400() -> Graph:
+    """The 400-vertex sparse graph of CI: each pair with probability 3/(n - 1), random.Random(1)."""
+    n, rng = 400, random.Random(1)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 3 / (n - 1)])
+
+
+def test_the_memo_answers_every_small_graph_as_the_oracles_do():
+    graphs = small_graphs()
+    assert len(graphs) == 1100
+    want = [(graph_inertia_oracle(g), matching_bruteforce(g)) for g in graphs]
+    for _ in ("cold", "warm"):
+        for g, (inertia, m) in zip(graphs, want):
+            assert graph_inertia(g) == unreduced_graph_inertia(g) == inertia, g
+            assert matching_number(g) == m, g
+    # one entry per labelled graph: the int keys of distinct graphs differ
+    assert [len(memo) for memo in _MEMOS] == [1100] * 3
+    for g in (cycle_graph(6), sparse_400()):
+        graph_inertia(g), unreduced_graph_inertia(g), matching_number(g)
+    assert [len(memo) for memo in _MEMOS] == [1100] * 3
+
+
+def test_a_warm_memo_still_hands_over_a_checked_certificate():
+    for g in small_graphs():
+        warm = graph_inertia(g)
+        terms: list = []
+        assert graph_inertia(g, terms) == warm
+        assert certificate_inertia(g, terms) == warm
+        assert terms or not g.num_edges, g
+    first, second = analyze_graph(cycle_graph(5)), analyze_graph(cycle_graph(5))
+    assert first.certificate_ok and first.oracle_ok
+    assert first == second
 
 
 # ---------------------------------------------------------------------------

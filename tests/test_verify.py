@@ -32,6 +32,7 @@ from inertia_bounds.corpus import (
     read_graph6_file,
     sample_random,
 )
+from inertia_bounds.graphs import _MEMOS
 from inertia_bounds.theorems import LEMMA_NAMES
 from inertia_bounds.verify import CHECKS, REPORT_FIELDS, report_row_dict, summarize
 from conftest import lower_bound_near_miss
@@ -384,6 +385,19 @@ def test_report_bytes_match_golden_digests(checks, workers):
     for fmt in ("json", "csv"):
         digest = hashlib.sha256(render_report(report, fmt).encode("utf-8")).hexdigest()
         assert digest == GOLDEN_DIGESTS[checks, fmt], fmt
+
+
+def test_report_bytes_do_not_depend_on_what_the_memo_holds():
+    # the kernels' small-graph memo lives as long as the process, so a second
+    # sweep answers every subgraph from it; the report must not show that
+    corpus = list(enumerate_labeled(5))  # the exhaustive:5 corpus
+    for memo in _MEMOS:
+        memo.clear()
+    cold = run_verification(corpus)
+    assert all(_MEMOS)
+    warm = run_verification(corpus)
+    for fmt in ("json", "csv"):
+        assert render_report(warm, fmt) == render_report(cold, fmt), fmt
 
 
 # what the golden corpus exercises: the digests pin only lemmas_ok, so a
