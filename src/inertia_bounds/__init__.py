@@ -26,7 +26,6 @@ from .graphs import (
     components,
     cycle_graph,
     cyclomatic_number,
-    delete_edges,
     delete_vertices,
     parse_edge_list,
     parse_graph6,
@@ -41,10 +40,7 @@ from .inertia import (
     graph_inertia,
     unreduced_graph_inertia,
 )
-from .matching import (
-    exists_max_matching_avoiding,
-    matching_number,
-)
+from .matching import matching_number
 from .theorems import (
     LEMMA_NAMES,
     DifferenceBounds,

@@ -367,18 +367,6 @@ def delete_vertices(g: Graph, vs: Iterable[int]) -> Graph:
     return Graph._trusted([frozenset(map(relabel, adj[v] - drop if v in near else adj[v])) for v in keep])
 
 
-def delete_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Remove the given edges, keeping all vertices.  Absent edge is an error."""
-    present = g.edges
-    drop: set[Edge] = set()
-    for u, v in edges:
-        e = _normalize_edge(u, v)
-        if e not in present:
-            raise ValueError(f"edge {e} not present in graph")
-        drop.add(e)
-    return Graph(g.n, present - drop)
-
-
 # ---------------------------------------------------------------------------
 # per-process memo of the graph-only kernels on small graphs
 

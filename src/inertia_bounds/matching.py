@@ -1,4 +1,4 @@
-"""Maximum matchings and matching-number queries.
+"""Maximum matchings and the matching number.
 
 :func:`_mates` is the one solver (blossom contraction, deterministic
 tie-breaking); :func:`matching_number` counts its matched pairs.  The
@@ -7,20 +7,17 @@ tests check it against the brute-force oracle in ``tests/matching_oracle.py``.
 vertices once per process, from a memo (:func:`.graphs._memoised`).
 
 The quantified questions (does some or every maximum matching use an
-edge, cover a vertex, avoid an edge set) are answered through matching
-numbers of deleted graphs, so they inherit the exactness of the solver
-instead of enumerating matchings.  Vertex deletions are asked through
-:meth:`~.theorems.GraphFacts.m_without`, which solves each vertex set
-once per graph; :func:`exists_max_matching_avoiding`, which deletes
-edges, is the one query left here; it takes m(G) from its caller.
+edge, cover a vertex, avoid the frontier edges) are answered on the
+row's :class:`~.theorems.GraphFacts` through matching numbers of
+deleted graphs, so they inherit the exactness of the solver instead of
+enumerating matchings; this module holds no query of its own.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
 
-from .graphs import Graph, _memoised, delete_edges
+from .graphs import Graph, _memoised
 
 
 def _mates(g: Graph) -> list[int]:
@@ -117,16 +114,3 @@ def matching_number(g: Graph) -> int:
     """Size of a maximum matching: half the number of matched vertices."""
     return (g.n - _mates(g).count(-1)) // 2
 
-
-# ---------------------------------------------------------------------------
-# quantified query by edge deletion (vertex deletions: GraphFacts.m_without)
-
-
-def exists_max_matching_avoiding(g: Graph, edges: Iterable[tuple[int, int]], m: int) -> bool:
-    """Is there a maximum matching using none of ``edges``?  ``m`` is m(G).
-
-    True iff deleting the edges leaves the matching number at ``m``;
-    avoiding no edges at all is vacuous.
-    """
-    f = list(edges)
-    return not f or matching_number(delete_edges(g, f)) == m

@@ -37,7 +37,7 @@ from .graphs import (
     pendant_vertices,
 )
 from .inertia import Inertia, graph_inertia, unreduced_graph_inertia
-from .matching import exists_max_matching_avoiding, matching_number
+from .matching import matching_number
 
 
 class GraphFacts:
@@ -49,17 +49,18 @@ class GraphFacts:
     creation, unless the caller passes in the inertia it already holds.
     Every matching question about a vertex-deleted subgraph is asked
     through :meth:`m_without`, which solves each vertex set at most once.
-    The rest is computed on first use, at most once, and needs pairwise
-    disjoint cycles: the matching number of the contracted forest, the
-    frontier edges, and whether some or every maximum matching avoids
-    them.  Each vertex deletion and its inertia are kept per vertex (see
-    :meth:`deleted`).  A record belongs to one graph, and :mod:`.verify`
-    lets go of a row's record when the row is done.  Across graphs only
-    the kernels keep anything, on purpose: ``graph_inertia`` without
-    ``terms``, ``unreduced_graph_inertia`` and ``matching_number`` answer
-    each graph on at most ``MEMO_VERTICES`` vertices once per process,
-    from the memo of :func:`.graphs._memoised`, because in a sweep the
-    small subgraphs of one row recur in the next.
+    The rest is computed on first use, at most once: the four extremal
+    verdicts (:attr:`classifications`) and, on pairwise disjoint cycles,
+    the contracted forest's matching number, the frontier edges, and
+    whether some or every maximum matching avoids them.  Each vertex
+    deletion and its inertia are kept per vertex (see :meth:`deleted`).
+    A record belongs to one graph, and :mod:`.verify` lets go of a row's
+    record when the row is done.  Across graphs only the kernels keep
+    anything, on purpose: ``graph_inertia`` without ``terms``,
+    ``unreduced_graph_inertia`` and ``matching_number`` answer each graph
+    on at most ``MEMO_VERTICES`` vertices once per process, from the memo
+    of :func:`.graphs._memoised`, because in a sweep the small subgraphs
+    of one row recur in the next.
     """
 
     def __init__(self, graph: Graph, inertia: Inertia | None = None) -> None:
@@ -124,12 +125,25 @@ class GraphFacts:
 
     @cached_property
     def frontier_avoidable(self) -> bool:
-        return exists_max_matching_avoiding(self.graph, self.frontier, self.m)
+        """Does some maximum matching avoid every frontier edge, i.e. m(G - frontier) = m?"""
+        if not self.frontier:
+            return True
+        return matching_number(Graph(self.graph.n, self.graph.edges - self.frontier)) == self.m
 
     @cached_property
     def frontier_always_avoided(self) -> bool:
         """Does no maximum matching use a frontier edge uv, i.e. m(G - u - v) != m - 1?"""
         return all(self.m_without(e) != self.m - 1 for e in self.frontier)
+
+    @cached_property
+    def classifications(self) -> dict[str, UpperClassification | LowerClassification]:
+        """The four extremal verdicts by report field; each ``classify_*`` is called by its name here."""
+        return {
+            "p_upper": classify_p_upper(self),
+            "n_upper": classify_n_upper(self),
+            "p_lower": classify_p_lower(self),
+            "n_lower": classify_n_lower(self),
+        }
 
 
 def check_bounds(f: GraphFacts) -> bool:

@@ -7,7 +7,9 @@ and its verdict, the report ``columns`` it fills, and the ``na_note`` a
 row gets when ``run`` answers ``None``, as it does when its verdict
 does (the premises live in :mod:`~.theorems` only).  The check names,
 ``REPORT_FIELDS``, the row dict, the notes and each row's
-``counterexample`` flag all derive from it.
+``counterexample`` flag all derive from it.  Every fact a check reads,
+the classification that the classifiers and generator checks share
+included, is on the row's record; nothing outlives the row.
 
 A run maps every corpus graph to one :class:`GraphReport` row, collects
 counterexamples, and can emit the rows as JSON or CSV with a stable
@@ -23,7 +25,7 @@ import io
 import json
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 from .corpus import CorpusItem
@@ -38,10 +40,6 @@ from .theorems import (
     check_bounds,
     check_deletion_corollaries,
     check_difference_bounds,
-    classify_n_lower,
-    classify_n_upper,
-    classify_p_lower,
-    classify_p_upper,
     classify_unicyclic,
     lemma_suite,
 )
@@ -141,22 +139,8 @@ _CLASSIFICATIONS = (
 )
 
 
-# One classification per row: the classifiers and generator checks share
-# the row's verdicts, and analyze_graph clears the cache when the row is
-# done, so no record outlives its row.  Each verdict is called by its name
-# in this module, so a wrapper or patch on that name still sees every call.
-@lru_cache(maxsize=1)
-def _classifications(f: GraphFacts) -> dict[str, UpperClassification | LowerClassification]:
-    return {
-        "p_upper": classify_p_upper(f),
-        "n_upper": classify_n_upper(f),
-        "p_lower": classify_p_lower(f),
-        "n_lower": classify_n_lower(f),
-    }
-
-
 def _classifiers(f: GraphFacts, residue: int | None) -> Outcome:
-    fields = _classifications(f)
+    fields = f.classifications
     # the attained flag and every condition form must agree
     notes = [
         f"classifier {field} mismatch: {cls}" for field, cls in fields.items() if len(set(cls)) > 1
@@ -204,7 +188,7 @@ def _generator(f: GraphFacts, residue: int | None) -> Outcome | None:
     """Extremal identity plus classifier conditions for a generated graph."""
     if residue is None:
         return None
-    classified = _classifications(f)
+    classified = f.classifications
     ok = all(all(classified[name]) for name in GENERATOR_RECIPES[residue].classifiers)
     notes = [] if ok else [f"generator identity failed for residue {residue}"]
     return {"generator_ok": ok}, notes, not ok
@@ -296,18 +280,15 @@ def analyze_graph(
     elif not oracle_ok:
         notes.append(f"oracle mismatch: congruence {tuple(inert)} vs certificate {tuple(certified)}")
     counterexample = not oracle_ok
-    try:
-        for check in (c for c in CHECKS if c.name in selected):
-            outcome = check.run(facts, residue)
-            if outcome is None:
-                notes.append(check.na_note)
-                continue
-            check_fields, check_notes, failed = outcome
-            fields.update(check_fields)
-            notes.extend(check_notes)
-            counterexample = counterexample or failed
-    finally:
-        _classifications.cache_clear()
+    for check in (c for c in CHECKS if c.name in selected):
+        outcome = check.run(facts, residue)
+        if outcome is None:
+            notes.append(check.na_note)
+            continue
+        check_fields, check_notes, failed = outcome
+        fields.update(check_fields)
+        notes.extend(check_notes)
+        counterexample = counterexample or failed
     return GraphReport(
         graph_id, to_graph6(g), *inert, facts.m, facts.c, oracle_ok=oracle_ok,
         certificate_ok=certificate_ok, notes="; ".join(notes), counterexample=counterexample, **fields,

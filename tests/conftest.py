@@ -1,10 +1,11 @@
-"""Shared builders for the test suite.
+"""Shared builders and patching helpers for the test suite.
 
 Everything here is deterministic: random constructions take an explicit
 ``random.Random`` instance or a seed, never the global RNG.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -25,6 +26,19 @@ def cold_memos():
     yield
     for memo in _MEMOS:
         memo.clear()
+
+
+def patch_function(monkeypatch, fn, replacement) -> None:
+    """Replace package function ``fn`` in its home module and in every package module bound to it.
+
+    A call reaches the replacement whichever module makes it, so a test
+    does not depend on which module imports the function by name.
+    """
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "inertia_bounds":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 def complete_graph(n: int) -> Graph:

@@ -14,7 +14,6 @@ from inertia_bounds import (
     components,
     cycle_graph,
     cyclomatic_number,
-    delete_edges,
     delete_vertices,
     parse_edge_list,
     parse_graph6,
@@ -163,20 +162,6 @@ def test_delete_vertices_rejects_out_of_range_vertices():
         delete_vertices(cycle_graph(5), [3, 1.0])
     with pytest.raises(ValueError, match=r"vertices \[True\] are not all ints"):
         delete_vertices(cycle_graph(5), [True])
-
-
-def test_delete_edges():
-    g = cycle_graph(4)
-    h = delete_edges(g, [(0, 1)])
-    assert h.n == 4 and len(h.edges) == 3
-    with pytest.raises(ValueError):
-        delete_edges(g, [(0, 2)])  # not present
-
-
-def test_delete_edges_names_a_self_loop():
-    with pytest.raises(ValueError) as err:
-        delete_edges(cycle_graph(4), [(1, 1)])
-    assert str(err.value) == "self-loop at vertex 1 is not allowed"
 
 
 def test_induced_subgraph():

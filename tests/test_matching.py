@@ -3,8 +3,9 @@ of ``tests/matching_oracle.py`` and networkx, the oracle's budget, and
 the matching queries.
 
 The solver is read through ``_mates``, the partner of each vertex.  The
-vertex-deletion queries are asked through ``GraphFacts.m_without``;
-``tests/test_properties.py`` checks them against every maximum matching.
+queries are asked through ``GraphFacts``: ``m_without`` and the frontier
+properties; ``tests/test_properties.py`` checks them against every
+maximum matching.
 """
 
 import random
@@ -15,13 +16,12 @@ from inertia_bounds import (
     Graph,
     cycle_graph,
     GraphFacts,
-    delete_edges,
-    exists_max_matching_avoiding,
     matching_number,
     path_graph,
     star_graph,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
+from inertia_bounds.graphs import _MEMOS
 from inertia_bounds.matching import _mates
 from conftest import complete_graph, petersen
 from matching_oracle import BudgetExceededError, matching_bruteforce
@@ -134,15 +134,11 @@ def test_edge_in_some_maximum_matching():
 def test_avoidance_queries():
     g = path_graph(4)
     f = GraphFacts(g)
-    assert exists_max_matching_avoiding(g, [(1, 2)], f.m)
     assert f.m_without((1, 2)) != f.m - 1  # so every maximum matching avoids 12
-    assert not exists_max_matching_avoiding(g, [(0, 1)], f.m)
     assert f.m_without((0, 1)) == f.m - 1
-    # avoiding the empty set is vacuous, and a graph without cycles has no frontier
-    assert exists_max_matching_avoiding(g, [], f.m)
+    # a graph without cycles has no frontier, and avoiding it is vacuous
     assert f.frontier == frozenset() and f.frontier_avoidable and f.frontier_always_avoided
     c = GraphFacts(cycle_graph(5))
-    assert exists_max_matching_avoiding(c.graph, [(0, 1)], c.m)
     assert c.m_without((0, 1)) == 1  # so some maximum matching uses 01
     # C4 plus the pendant edge 04: {01, 23} misses the frontier, {04, 12} does not
     f = GraphFacts(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)]))
@@ -167,25 +163,20 @@ def test_coverage_queries():
         p.m_without((3,))
 
 
-def test_queries_with_a_known_m_answer_as_without_it(monkeypatch):
+def test_frontier_avoidable_never_solves_the_row_graph(monkeypatch):
+    # m(G) is on the record, so the frontier question solves only G minus its frontier
     import inertia_bounds.matching as matching_mod
 
-    items = list(sample_random(n=7, edge_probability=0.4, count=40, seed=3))
-    for g in (item.graph for item in items):
-        m, brute = matching_number(g), matching_bruteforce(g)
-        edges = sorted(g.edges)
-        for k in range(len(edges) + 1):
-            part = edges[:k]
-            avoidable = matching_bruteforce(delete_edges(g, part)) == brute
-            assert exists_max_matching_avoiding(g, part, m) == avoidable
-    # with m given, no query solves G itself again
-    original = matching_mod._mates
-    g = petersen()
-    m = matching_number(g)
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])  # C4 plus the pendant edge 04
+    f = GraphFacts(g)
+    for memo in _MEMOS:  # a memo hit would hide a solve of G
+        memo.clear()
+    original, solved = matching_mod._mates, []
 
     def solve(h):
-        assert h != g
+        solved.append(h)
         return original(h)
 
     monkeypatch.setattr(matching_mod, "_mates", solve)
-    exists_max_matching_avoiding(g, sorted(g.edges)[:3], m)
+    assert f.frontier_avoidable
+    assert solved == [Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])]

@@ -35,7 +35,7 @@ from inertia_bounds.corpus import (
 from inertia_bounds.graphs import _MEMOS
 from inertia_bounds.theorems import LEMMA_NAMES
 from inertia_bounds.verify import CHECKS, REPORT_FIELDS, report_row_dict, summarize
-from conftest import lower_bound_near_miss
+from conftest import lower_bound_near_miss, patch_function
 
 
 # corpus streams
@@ -205,13 +205,14 @@ FORCED_FAILURES = {
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.name)
 def test_a_failing_check_makes_a_counterexample_with_a_note(check, monkeypatch):
-    import inertia_bounds.verify as verify_mod
+    import inertia_bounds.theorems as theorems_mod
 
     g, residue = cycle_graph(5), 1  # C5 is extremal for p with c = 1, so every check applies
     assert check.run(GraphFacts(g), residue) is not None
     clean = analyze_graph(g, "c5", checks=(check.name,), residue=residue)
     assert not clean.is_counterexample()
-    monkeypatch.setattr(verify_mod, *FORCED_FAILURES[check.name])
+    name, forced = FORCED_FAILURES[check.name]
+    patch_function(monkeypatch, getattr(theorems_mod, name), forced)
     row = analyze_graph(g, "c5", checks=(check.name,), residue=residue)
     assert row.is_counterexample()
     assert report_row_dict(row)["counterexample"] is True
@@ -544,6 +545,7 @@ VERDICTS = (
 
 def test_each_verdict_runs_at_most_once_per_row(monkeypatch):
     # the classifiers and generator checks read one classification of the row
+    import inertia_bounds.theorems as theorems_mod
     import inertia_bounds.verify as verify_mod
 
     row_graph = []
@@ -559,7 +561,8 @@ def test_each_verdict_runs_at_most_once_per_row(monkeypatch):
         return wrapper
 
     for name in VERDICTS:
-        monkeypatch.setattr(verify_mod, name, counted(name, getattr(verify_mod, name)))
+        fn = getattr(theorems_mod, name)
+        patch_function(monkeypatch, fn, counted(name, fn))
     analyze = verify_mod.analyze_graph
 
     def row(g, *args, **kwargs):
@@ -580,8 +583,8 @@ def test_each_verdict_runs_at_most_once_per_row(monkeypatch):
 
 
 def test_no_record_outlives_its_row(monkeypatch):
-    # the classification cache lets go of the row's record, with every G - v
-    # it holds, when the row is done, and also when a check raises
+    # analyze_graph lets go of the row's record, with its classification and
+    # every G - v it holds, when the row is done, and also when a check raises
     import gc
     import weakref
 
