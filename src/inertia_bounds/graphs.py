@@ -1,8 +1,11 @@
 """Simple undirected graphs with exact, deterministic primitives.
 
-Vertices are the integers ``0..n-1``.  Graphs are immutable: every
-operation that changes a graph returns a new one.  A graph holds only
-``n`` and ``adj``, its neighbour sets; ``edges`` builds a new frozenset
+Vertices are the integers ``0..n-1``.  Graphs are immutable: an
+operation that changes a graph returns a new one, except that a vertex
+deletion leaving at most ``MEMO_VERTICES`` vertices returns the one
+graph the process shares for its result, so equal small results are one
+object.  Graphs are compared with ``==``, never ``is``.  A graph holds
+only ``n`` and ``adj``, its neighbour sets; ``edges`` builds a new frozenset
 on each access, so a caller reads it once, not in a loop.  Parsing
 supports the graph6 interchange format and a plain edge-list format.
 The kernels that take only a graph keep their answers on small graphs
@@ -12,7 +15,7 @@ for the life of the process (:func:`_memoised`).
 from __future__ import annotations
 
 from collections import deque
-from functools import wraps
+from functools import cache, wraps
 from math import isqrt
 from typing import Callable, Iterable, TypeVar
 
@@ -347,12 +350,25 @@ def delete_vertices(g: Graph, vs: Iterable[int]) -> Graph:
     """Remove ``vs`` and their incident edges.
 
     Survivors keep their order: a kept vertex ``v`` becomes ``v`` minus
-    the number of deleted vertices below it.  The neighbour sets are
-    relabelled directly, without ``Graph.__init__``: a subgraph of a valid
-    graph holds no self-loop and no pair out of range, so there is
-    nothing to check again.
+    the number of deleted vertices below it.  A result on at most
+    :data:`MEMO_VERTICES` vertices is the one graph the process shares
+    for it (:func:`_small_graph`), found by its memo key, which is read
+    straight off ``g.adj``; equal results are then one object, which no
+    caller may rely on: graphs are compared with ``==``.  A larger result
+    is a new graph whose neighbour sets are relabelled directly, without
+    ``Graph.__init__``: a subgraph of a valid graph holds no self-loop
+    and no pair out of range, so there is nothing to check again.
     """
     n, adj, drop = g.n, g.adj, _checked_vertices(g, vs)
+    if n - len(drop) <= MEMO_VERTICES:
+        keep = [v for v in range(n) if v not in drop]
+        key = len(keep)
+        for j, v in enumerate(keep):
+            nbrs, bits = adj[v], _PAIR_BITS[j]
+            for i in range(j):
+                if keep[i] in nbrs:
+                    key |= bits[i]
+        return _small_graph(key)
     # ``label`` is right on every kept vertex; a deleted one keeps a stale
     # label, so only the neighbours of deleted vertices filter them out
     ds = sorted(drop)
@@ -381,6 +397,36 @@ _PAIR_BITS = tuple(
 )
 # one memo per kernel, emptied only by the tests
 _MEMOS: list[dict[int, object]] = []
+# the 32 neighbour sets a graph on at most five vertices can have, by bit mask
+_SUBSETS = tuple(frozenset(i for i in range(MEMO_VERTICES) if mask >> i & 1) for mask in range(1 << MEMO_VERTICES))
+# id(g) -> (g, its memo key) for every graph _small_graph built; holding g
+# keeps its id from passing to another object
+_INTERNED: dict[int, tuple[Graph, int]] = {}
+
+
+@cache
+def _small_graph(key: int) -> Graph:
+    """The process's one graph with memo ``key``, built on first use from shared neighbour sets."""
+    n = key & 7
+    masks = [0] * n
+    for j in range(n):
+        for i in range(j):
+            if key & _PAIR_BITS[j][i]:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    g = Graph._trusted([_SUBSETS[mask] for mask in masks])
+    _INTERNED[id(g)] = (g, key)
+    return g
+
+
+def _memo_key(g: Graph) -> int:
+    """``g``'s memo key, walked from its neighbour sets."""
+    key = g.n
+    for bits, nbrs in zip(_PAIR_BITS, g.adj):
+        for i in nbrs:
+            key |= bits[i]
+    return key
+
 
 _T = TypeVar("_T")
 
@@ -389,9 +435,11 @@ def _memoised(kernel: Callable[[Graph], _T]) -> Callable[..., _T]:
     """``kernel`` answering each graph on at most :data:`MEMO_VERTICES` vertices once per process.
 
     Such a graph is looked up by an int key: its upper triangle in
-    graph6 bit order, above the vertex count.  A larger graph, or a call
-    that hands ``kernel`` more than the graph, runs ``kernel`` as it is
-    and stores nothing.  The kernels are pure functions of the graph and
+    graph6 bit order, above the vertex count.  The key of a graph that
+    :func:`_small_graph` built is read from :data:`_INTERNED`; any other
+    graph's is walked from its edges.  A larger graph, or a call that
+    hands ``kernel`` more than the graph, runs ``kernel`` as it is and
+    stores nothing.  The kernels are pure functions of the graph and
     return immutable values, so a hit is what a run would give, and no
     result depends on which graphs the process met before.
     """
@@ -402,10 +450,8 @@ def _memoised(kernel: Callable[[Graph], _T]) -> Callable[..., _T]:
     def memoised(g: Graph, *args, **kwargs) -> _T:
         if g.n > MEMO_VERTICES or args or kwargs:
             return kernel(g, *args, **kwargs)
-        key = g.n
-        for bits, nbrs in zip(_PAIR_BITS, g.adj):
-            for i in nbrs:
-                key |= bits[i]
+        interned = _INTERNED.get(id(g))
+        key = _memo_key(g) if interned is None else interned[1]
         value = memo.get(key)
         if value is None:
             value = memo[key] = kernel(g)

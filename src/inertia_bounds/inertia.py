@@ -27,8 +27,11 @@
 * :func:`graph_inertia` without ``terms`` and :func:`unreduced_graph_inertia`
   answer each graph on at most ``MEMO_VERTICES`` vertices once per
   process, from a memo (:func:`.graphs._memoised`): in a sweep the
-  small subgraphs of one row recur in the next.  A call with ``terms``
-  always eliminates, so every certificate is built anew.
+  small subgraphs of one row recur in the next.  :func:`graph_inertia`
+  without ``terms`` also keeps the last core it eliminated, with its
+  inertia, and answers an equal core from it: the G - v of one row
+  mostly peel to the same core.  A call with ``terms`` always
+  eliminates and touches neither, so every certificate is built anew.
 
 The lemmas ``pendant_reduction`` and ``component_additivity`` in
 :mod:`.theorems` test the very rules the peeling applies, so they take
@@ -254,6 +257,12 @@ def _degree_ordered_rows(
     return order, [{index[w]: 1 for w in adj[v] if w in index} for v in order]
 
 
+# The rows and inertia of the last core that graph_inertia eliminated
+# without terms: consecutive G - v of one graph mostly peel to one core.
+# No core is empty, so the initial entry matches none.
+_last_core = ([], Inertia(0, 0, 0))
+
+
 @_memoised
 def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
     """Inertia of the adjacency matrix: peel pendants, then eliminate the core.
@@ -262,7 +271,9 @@ def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
     step on g's labels, for :func:`certificate_inertia` to check.  A
     pendant u peeled with its neighbour v removes the 2x2 term on (u, v)
     with rows e_v and A[v, alive] and det 1; isolated vertices remove
-    nothing.
+    nothing.  Without ``terms``, a core whose degree-ordered rows equal
+    those of the last core eliminated so takes that core's inertia
+    (:data:`_last_core`); a call with ``terms`` neither reads nor writes it.
     """
     adj = g.adj
     degree = list(map(len, adj))  # neighbours still alive
@@ -297,7 +308,15 @@ def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
     if not core:
         return peeled
     order, rows = _degree_ordered_rows(adj, core, degree)
-    return peeled + _eliminate(rows, terms, order)
+    if terms is not None:
+        return peeled + _eliminate(rows, terms, order)
+    global _last_core
+    last_rows, last = _last_core
+    if rows != last_rows:  # equal rows are the same matrix, so the same inertia
+        last_rows = [row.copy() for row in rows]  # _eliminate consumes rows
+        last = _eliminate(rows)
+        _last_core = (last_rows, last)
+    return peeled + last
 
 
 @_memoised

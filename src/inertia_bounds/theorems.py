@@ -55,12 +55,15 @@ class GraphFacts:
     whether some or every maximum matching avoids them.  Each vertex
     deletion and its inertia are kept per vertex (see :meth:`deleted`).
     A record belongs to one graph, and :mod:`.verify` lets go of a row's
-    record when the row is done.  Across graphs only the kernels keep
-    anything, on purpose: ``graph_inertia`` without ``terms``,
-    ``unreduced_graph_inertia`` and ``matching_number`` answer each graph
-    on at most ``MEMO_VERTICES`` vertices once per process, from the memo
-    of :func:`.graphs._memoised`, because in a sweep the small subgraphs
-    of one row recur in the next.
+    record when the row is done.  Across graphs only the graph layer and
+    the kernels keep anything, on purpose: ``delete_vertices`` returns one
+    shared graph per result on at most ``MEMO_VERTICES`` vertices;
+    ``graph_inertia`` without ``terms``, ``unreduced_graph_inertia`` and
+    ``matching_number`` answer each such graph once per process, from the
+    memo of :func:`.graphs._memoised`, because in a sweep the small
+    subgraphs of one row recur in the next; and ``graph_inertia`` without
+    ``terms`` keeps the last core it eliminated, because the G - v of one
+    row mostly peel to the same core.
     """
 
     def __init__(self, graph: Graph, inertia: Inertia | None = None) -> None:

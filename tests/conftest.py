@@ -9,23 +9,33 @@ import sys
 
 import pytest
 
+import inertia_bounds.inertia as inertia_mod
 from inertia_bounds import Graph
 from inertia_bounds.graphs import _MEMOS
 
 
+def empty_memos() -> None:
+    """Empty the kernels' small-graph memos and ``graph_inertia``'s last core.
+
+    The shared small graphs of ``delete_vertices`` stay: they hold graphs
+    and their keys, no answer.
+    """
+    for memo in _MEMOS:
+        memo.clear()
+    inertia_mod._last_core = ([], inertia_mod.Inertia(0, 0, 0))
+
+
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Empty the kernels' small-graph memos before and after each test.
+    """Empty every kept answer (:func:`empty_memos`) before and after each test.
 
     A warm memo skips the kernel, so a test that counts kernel runs or
     patches a kernel's helpers would see what earlier tests left, and a
     patched run would store its wrong answer past the patch.
     """
-    for memo in _MEMOS:
-        memo.clear()
+    empty_memos()
     yield
-    for memo in _MEMOS:
-        memo.clear()
+    empty_memos()
 
 
 def patch_function(monkeypatch, fn, replacement) -> None:

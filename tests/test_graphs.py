@@ -168,6 +168,37 @@ def test_induced_subgraph():
     assert delete_vertices(complete_graph(5), [1, 3]) == complete_graph(3)
 
 
+def relabelled_deletion(g: Graph, drop: set[int]) -> Graph:
+    """G - drop built through ``Graph(...)``, the survivors numbered in their order."""
+    label = {v: i for i, v in enumerate(v for v in range(g.n) if v not in drop)}
+    return Graph(len(label), [(label[u], label[v]) for u, v in g.edges if u in label and v in label])
+
+
+def test_every_vertex_deletion_is_the_relabelled_graph():
+    # small results are the process's shared graphs, larger ones are built; both must
+    # equal the plain relabel, neighbour sets and all
+    rng = random.Random(29)
+    graphs = [item.graph for n in range(6) for item in enumerate_labeled(n)]
+    graphs += [item.graph for n in (6, 7, 8) for item in sample_random(n, 0.5, 10, rng.randrange(1000))]
+    for g in graphs:
+        for k in range(g.n + 1):
+            for drop in itertools.combinations(range(g.n), k):
+                sub = delete_vertices(g, drop)
+                want = relabelled_deletion(g, set(drop))
+                assert sub.adj == want.adj, (g, drop)
+
+
+def test_equal_small_deletions_are_one_graph():
+    # C6 and P6 minus either end vertex are all the path 0-1-2-3-4
+    paths = [delete_vertices(g, (v,)) for g in (cycle_graph(6), path_graph(6)) for v in (0, 5)]
+    assert paths[0] == path_graph(5)
+    assert all(p is paths[0] for p in paths)
+    # a result over the cap is a new graph each time
+    big = cycle_graph(7)
+    assert delete_vertices(big, (0,)) == delete_vertices(big, (6,)) == path_graph(6)
+    assert delete_vertices(big, (0,)) is not delete_vertices(big, (6,))
+
+
 # graph6 codec
 
 

@@ -24,6 +24,7 @@ from inertia_bounds import (
     cycle_graph,
     analyze_graph,
     certificate_inertia,
+    delete_vertices,
     generate_extremal,
     graph_inertia,
     matching_number,
@@ -32,7 +33,8 @@ from inertia_bounds import (
     unreduced_graph_inertia,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
-from inertia_bounds.graphs import _MEMOS, MEMO_VERTICES
+import inertia_bounds.inertia as inertia_mod
+from inertia_bounds.graphs import _INTERNED, _MEMOS, MEMO_VERTICES, _memo_key
 from inertia_bounds.inertia import _eliminate
 from charpoly import (
     _descartes_inertia,
@@ -43,7 +45,7 @@ from charpoly import (
     graph_char_poly,
     graph_inertia_oracle,
 )
-from conftest import all_trees, complete_graph, cycle_with_tail, disjoint_union, random_tree
+from conftest import all_trees, complete_graph, cycle_with_tail, disjoint_union, empty_memos, random_tree
 from matching_oracle import matching_bruteforce
 
 
@@ -739,6 +741,42 @@ def test_a_warm_memo_still_hands_over_a_checked_certificate():
     assert first == second
 
 
+def test_an_interned_graph_is_keyed_as_its_edges_walk():
+    # the memo reads a shared graph's key by its id; it must be the key its edges give
+    for g in small_graphs():
+        shared = delete_vertices(g, ())
+        assert shared == g and _INTERNED[id(shared)] == (shared, _memo_key(g)), g
+    assert len({key for _, key in _INTERNED.values()}) == len(_INTERNED) == 1100
+
+
+def test_a_call_with_terms_certifies_even_when_the_last_core_is_its_own():
+    # the tail peels off as one pendant pair and leaves the 7-cycle core
+    g = cycle_with_tail(7, 2)
+    warm = graph_inertia(g)
+    kept = inertia_mod._last_core
+    for h in (g, cycle_graph(9)):
+        terms: list = []
+        want = graph_inertia_oracle(h)
+        assert graph_inertia(h, terms) == want
+        assert certificate_inertia(h, terms) == want
+        # a term per pivot over the whole rank, the cached core's included
+        assert sum(len(block) for block, _, _ in terms) == h.n - want.eta
+        assert inertia_mod._last_core is kept
+    assert warm == graph_inertia_oracle(g)
+
+
+def test_a_core_answer_from_a_patched_kernel_ends_with_the_test(monkeypatch):
+    # G - 7 and G - 8 peel to the same 7-cycle core, so the second reads the first's answer
+    g = disjoint_union(cycle_graph(7), path_graph(2))
+    with monkeypatch.context() as patched:
+        patched.setattr(inertia_mod, "_eliminate", lambda rows, *args: Inertia(0, 0, len(rows)))
+        assert graph_inertia(delete_vertices(g, (7,))) == (0, 0, 8)
+    # undoing the patch leaves the wrong answer kept; cold_memos empties it after every test
+    assert graph_inertia(delete_vertices(g, (8,))) == (0, 0, 8)
+    empty_memos()
+    assert graph_inertia(delete_vertices(g, (8,))) == graph_inertia_oracle(cycle_graph(7)) + (0, 0, 1) == (3, 4, 1)
+
+
 # ---------------------------------------------------------------------------
 # route independence, read off the syntax tree of the inertia module
 
@@ -775,6 +813,9 @@ def module_reads(tree: ast.Module) -> dict[str, set[str]]:
             for target in stmt.targets:
                 assert isinstance(target, ast.Name), ast.dump(target)
                 reads[target.id] = names_read(stmt.value)
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            assert isinstance(stmt.target, ast.Name), ast.dump(stmt.target)
+            reads[stmt.target.id] = names_read(stmt.value)
         elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
             for alias in stmt.names:
                 reads[(alias.asname or alias.name).split(".")[0]] = set()
@@ -800,6 +841,14 @@ def inertia_module_tree() -> ast.Module:
 
     with open(inertia_mod.__file__, encoding="utf-8") as fh:
         return ast.parse(fh.read())
+
+
+def test_module_reads_takes_an_annotated_assignment_as_a_plain_one():
+    tree = ast.parse(
+        '"""Doc."""\nimport os\nRows = list\nLIMIT: int = os.cpu_count()\ntable: Rows = [LIMIT]\nplain = LIMIT\n'
+    )
+    # the annotation is never evaluated, so ``table`` does not read ``Rows``
+    assert module_reads(tree) == {"os": set(), "Rows": set(), "LIMIT": {"os"}, "table": {"LIMIT"}, "plain": {"LIMIT"}}
 
 
 def test_congruence_routes_and_the_certificate_checker_share_only_the_inertia_record():

@@ -719,6 +719,30 @@ def test_vertex_deletions_are_shared_between_interlacing_and_corollaries(monkeyp
     assert len(calls) == 1 + g.n
 
 
+def test_consecutive_deletions_with_one_core_eliminate_it_once(monkeypatch):
+    # the row of test_vertex_deletions_are_shared_between_interlacing_and_corollaries:
+    # its 19 G - v peel to 4 runs of equal cores, one elimination per run
+    import inertia_bounds.inertia as inertia_mod
+
+    base = GeneratorParams(
+        cycle_residue=1, num_cycles=2, num_isolated_seeds=1, num_steps=4, rng_seed=3
+    )
+    item = next(generated_corpus(base, 1))
+    runs = []
+    original = inertia_mod._eliminate
+
+    def counted(rows, *args):
+        runs.append(rows)
+        return original(rows, *args)
+
+    monkeypatch.setattr(inertia_mod, "_eliminate", counted)
+    row = analyze_graph(item.graph, item.graph_id, checks=ALL_CHECKS, residue=item.residue)
+    assert row.certificate_ok and row.lemmas["deletion_interlacing"] is True
+    # G's certified run, 7 unreduced pendant-pair runs and the 4 cores; 1 + 7 + 19 if
+    # every G - v eliminated its core
+    assert len(runs) == 1 + 7 + 4
+
+
 def test_one_blossom_per_row_on_the_row_graph(monkeypatch):
     # the matching queries take m(G) from the row instead of solving G again;
     # patching the module attribute counts the calls inside matching.py too
