@@ -27,11 +27,13 @@
 * :func:`graph_inertia` without ``terms`` and :func:`unreduced_graph_inertia`
   answer each graph on at most ``MEMO_VERTICES`` vertices once per
   process, from a memo (:func:`.graphs._memoised`): in a sweep the
-  small subgraphs of one row recur in the next.  :func:`graph_inertia`
-  without ``terms`` also keeps the last core it eliminated, with its
-  inertia, and answers an equal core from it: the G - v of one row
-  mostly peel to the same core.  A call with ``terms`` always
-  eliminates and touches neither, so every certificate is built anew.
+  small subgraphs of one row recur in the next.  A call with ``terms``
+  always eliminates, so every certificate is built anew.
+  :func:`deletion_inertia` gives In(G - v) on G's own adjacency, without
+  building G - v: it peels G with v removed, as :func:`graph_inertia`
+  peels G - v, and takes the core's inertia from a dict that the caller
+  keeps for one graph, keyed by the core's vertex set, so that each
+  distinct core of the G - v of one graph is eliminated once.
 
 The lemmas ``pendant_reduction`` and ``component_additivity`` in
 :mod:`.theorems` test the very rules the peeling applies, so they take
@@ -257,28 +259,18 @@ def _degree_ordered_rows(
     return order, [{index[w]: 1 for w in adj[v] if w in index} for v in order]
 
 
-# The rows and inertia of the last core that graph_inertia eliminated
-# without terms: consecutive G - v of one graph mostly peel to one core.
-# No core is empty, so the initial entry matches none.
-_last_core = ([], Inertia(0, 0, 0))
+def _peel(
+    adj: Sequence[frozenset[int]], degree: list[int], alive: list[bool], terms: list[Term] | None = None
+) -> Inertia:
+    """Peel isolated vertices and pendant pairs off the live vertices, in place; the inertia they remove.
 
-
-@_memoised
-def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
-    """Inertia of the adjacency matrix: peel pendants, then eliminate the core.
-
-    Given ``terms``, it appends the congruence it applied, one term per
-    step on g's labels, for :func:`certificate_inertia` to check.  A
-    pendant u peeled with its neighbour v removes the 2x2 term on (u, v)
-    with rows e_v and A[v, alive] and det 1; isolated vertices remove
-    nothing.  Without ``terms``, a core whose degree-ordered rows equal
-    those of the last core eliminated so takes that core's inertia
-    (:data:`_last_core`); a call with ``terms`` neither reads nor writes it.
+    ``degree`` counts each vertex's live neighbours.  A pendant u peeled
+    with its neighbour v removes the 2x2 term on (u, v) with rows e_v and
+    A[v, alive] and det 1, appended to ``terms`` if given; isolated
+    vertices remove nothing.  What is left alive is the core, with
+    minimum degree 2, and ``degree`` holds the degrees within it.
     """
-    adj = g.adj
-    degree = list(map(len, adj))  # neighbours still alive
-    alive = [True] * g.n
-    work = [v for v in range(g.n) if degree[v] <= 1]
+    work = [v for v in range(len(adj)) if alive[v] and degree[v] <= 1]
     pairs = isolated = 0
     while work:
         u = work.pop()
@@ -303,20 +295,55 @@ def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
             row[u] = 1
             terms.append(((u, v), ({v: 1}, row), 1))
     dp, dn, deta = _PENDANT_PAIR
-    peeled = Inertia(pairs * dp, pairs * dn, isolated + pairs * deta)
+    return Inertia(pairs * dp, pairs * dn, isolated + pairs * deta)
+
+
+@_memoised
+def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
+    """Inertia of the adjacency matrix: peel pendants, then eliminate the core.
+
+    Given ``terms``, it appends the congruence it applied, one term per
+    step on g's labels, for :func:`certificate_inertia` to check.
+    """
+    adj = g.adj
+    degree = list(map(len, adj))  # neighbours still alive
+    alive = [True] * g.n
+    peeled = _peel(adj, degree, alive, terms)
     core = list(compress(range(g.n), alive))
     if not core:
         return peeled
     order, rows = _degree_ordered_rows(adj, core, degree)
-    if terms is not None:
-        return peeled + _eliminate(rows, terms, order)
-    global _last_core
-    last_rows, last = _last_core
-    if rows != last_rows:  # equal rows are the same matrix, so the same inertia
-        last_rows = [row.copy() for row in rows]  # _eliminate consumes rows
-        last = _eliminate(rows)
-        _last_core = (last_rows, last)
-    return peeled + last
+    return peeled + _eliminate(rows, terms, order)
+
+
+def deletion_inertia(g: Graph, v: int, cores: dict[tuple[int, ...], Inertia]) -> Inertia:
+    """In(G - v) on g's own adjacency, equal to ``graph_inertia(delete_vertices(g, (v,)))``.
+
+    v is removed in place and the rest peeled as :func:`graph_inertia`
+    peels G - v.  The core's inertia is read from ``cores``, keyed by the
+    core's vertices in g's labels, and eliminated and stored there only
+    if it is missing.  Equal vertex sets S give the same principal
+    submatrix A[S, S], so a hit is the congruence of A - v's own core,
+    not an interlacing bound.  The caller keeps ``cores`` for one graph
+    and lets go of it with the graph.  ``v`` is not checked here.
+    """
+    adj = g.adj
+    degree = list(map(len, adj))
+    alive = [True] * g.n
+    alive[v] = False
+    for w in adj[v]:
+        degree[w] -= 1
+    peeled = _peel(adj, degree, alive)
+    core = list(compress(range(g.n), alive))
+    if not core:
+        return peeled
+    # the key is a tuple of a list: a tuple grown from an iterator
+    # reallocates, and over many rows that fragments the heap
+    key = tuple(core)
+    inertia = cores.get(key)
+    if inertia is None:
+        inertia = cores[key] = _eliminate(_degree_ordered_rows(adj, core, degree)[1])
+    return peeled + inertia
 
 
 @_memoised

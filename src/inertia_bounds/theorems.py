@@ -23,21 +23,22 @@ from typing import Iterable, NamedTuple
 from .cycles import (
     SIMPLE_CYCLE_VERTEX_BUDGET,
     analyze_cycles,
+    biconnected_blocks,
     contract_cycles,
     enumerate_simple_cycles,
     frontier_edges,
 )
 from .graphs import (
+    MEMO_VERTICES,
     Edge,
     Graph,
     _checked_vertices,
     components,
-    cyclomatic_number,
     delete_vertices,
     pendant_vertices,
 )
-from .inertia import Inertia, graph_inertia, unreduced_graph_inertia
-from .matching import matching_number
+from .inertia import Inertia, deletion_inertia, graph_inertia, unreduced_graph_inertia
+from .matching import _mates, matching_number, matching_number_without
 
 
 class GraphFacts:
@@ -52,37 +53,60 @@ class GraphFacts:
     The rest is computed on first use, at most once: the four extremal
     verdicts (:attr:`classifications`) and, on pairwise disjoint cycles,
     the contracted forest's matching number, the frontier edges, and
-    whether some or every maximum matching avoids them.  Each vertex
-    deletion and its inertia are kept per vertex (see :meth:`deleted`).
+    whether some or every maximum matching avoids them.  The inertia of
+    each G - v is kept per vertex (see :meth:`deleted`), and c(G - v) is
+    read off G's blocks (:meth:`c_without`).
+
+    How a G - v question is answered depends on its size.  When G - v has
+    more than ``MEMO_VERTICES`` vertices no G - v is built: its inertia
+    comes from :func:`.inertia.deletion_inertia`, which eliminates each
+    distinct core of the row once through a dict on the record, and
+    m(G - v) from one augmenting search
+    (:func:`.matching.matching_number_without`) on the maximum matching
+    that the record takes, with m, from one blossom run on G.  A smaller
+    G - v is the process's shared graph, and its inertia and matching
+    number come from the kernels' memos.
+
     A record belongs to one graph, and :mod:`.verify` lets go of a row's
     record when the row is done.  Across graphs only the graph layer and
     the kernels keep anything, on purpose: ``delete_vertices`` returns one
-    shared graph per result on at most ``MEMO_VERTICES`` vertices;
+    shared graph per result on at most ``MEMO_VERTICES`` vertices, and
     ``graph_inertia`` without ``terms``, ``unreduced_graph_inertia`` and
     ``matching_number`` answer each such graph once per process, from the
     memo of :func:`.graphs._memoised`, because in a sweep the small
-    subgraphs of one row recur in the next; and ``graph_inertia`` without
-    ``terms`` keeps the last core it eliminated, because the G - v of one
-    row mostly peel to the same core.
+    subgraphs of one row recur in the next.
     """
 
     def __init__(self, graph: Graph, inertia: Inertia | None = None) -> None:
         self.graph = graph
         self.inertia = graph_inertia(graph) if inertia is None else inertia
-        self.m = matching_number(graph)
+        # G - v over the memo size is answered on graph's own adjacency
+        self._in_place = graph.n - 1 > MEMO_VERTICES
+        if self._in_place:
+            self._mates = _mates(graph)
+            self.m = (graph.n - self._mates.count(-1)) // 2
+        else:
+            self.m = matching_number(graph)
         self.components = components(graph)
         self.c = graph.num_edges - graph.n + len(self.components)
         self.cycles = analyze_cycles(graph)
         self.pendants = pendant_vertices(graph)
         # a pendant's neighbour that is not itself a pendant has degree >= 2
         self.quasi_pendants = frozenset(w for u in self.pendants for w in graph.adj[u]) - self.pendants
-        self._deleted: dict[int, tuple[Graph, Inertia]] = {}
+        self._deleted: dict[int, tuple[Graph | None, Inertia]] = {}
+        self._cores: dict[tuple[int, ...], Inertia] = {}
         self._m_without: dict[frozenset[int], int] = {frozenset(): self.m}
 
-    def deleted(self, v: int) -> tuple[Graph, Inertia]:
-        """G - v and its inertia, computed on first use."""
+    def deleted(self, v: int) -> tuple[Graph | None, Inertia]:
+        """G - v and its inertia, computed on first use.
+
+        Above the memo size G - v is not built, and its place holds None.
+        """
         if v in self._deleted:  # True == 1.0 == 1 finds vertex 1: check v as a miss does
             _checked_vertices(self.graph, (v,))
+        elif self._in_place:
+            _checked_vertices(self.graph, (v,))
+            self._deleted[v] = (None, deletion_inertia(self.graph, v, self._cores))
         else:
             h = delete_vertices(self.graph, (v,))
             self._deleted[v] = (h, graph_inertia(h))
@@ -91,16 +115,39 @@ class GraphFacts:
     def m_without(self, vs: Iterable[int]) -> int:
         """m(G - vs), solved at most once per vertex set.
 
-        The empty set gives ``m``; one vertex reuses the G - v of
+        The empty set gives ``m``.  One vertex is one augmenting search
+        above the memo size, and otherwise reuses the G - v of
         :meth:`deleted`.  Out-of-range or non-``int`` vertices raise ``ValueError``.
         """
         key = frozenset(vs)
         if key in self._m_without:  # as in deleted: a hit checks what a miss would
             _checked_vertices(self.graph, key)
+        elif len(key) != 1:
+            self._m_without[key] = matching_number(delete_vertices(self.graph, key))
+        elif self._in_place:
+            [v] = _checked_vertices(self.graph, key)
+            self._m_without[key] = matching_number_without(self.graph, self._mates, v)
         else:
-            h = self.deleted(*key)[0] if len(key) == 1 else delete_vertices(self.graph, key)
-            self._m_without[key] = matching_number(h)
+            self._m_without[key] = matching_number(self.deleted(*key)[0])
         return self._m_without[key]
+
+    def c_without(self, v: int) -> int:
+        """c(G - v): c - deg(v) + the number of G's blocks that hold v, bridges included.
+
+        Deleting v deletes deg(v) edges and one vertex, and splits v's
+        component into one part per block at v (none if v is isolated).
+        """
+        _checked_vertices(self.graph, (v,))
+        return self.c - len(self.graph.adj[v]) + self._blocks_at[v]
+
+    @cached_property
+    def _blocks_at(self) -> list[int]:
+        """The number of biconnected blocks, bridges included, that hold each vertex."""
+        count = [0] * self.graph.n
+        for block in biconnected_blocks(self.graph):
+            for v in {x for edge in block for x in edge}:
+                count[v] += 1
+        return count
 
     @cached_property
     def m_forest(self) -> int:
@@ -256,7 +303,10 @@ def check_deletion_corollaries(f: GraphFacts) -> bool | None:
     satisfy, for the upper case: p drops by 1, stays tight (p = m + c on
     G - v), m is unchanged, c drops by 1, and v is not a quasi-pendant;
     for the lower case: p unchanged, tight below, m drops by 1, c drops
-    by 1, and v is not a quasi-pendant.
+    by 1, and v is not a quasi-pendant.  p, m and c of G - v come from
+    the record (:meth:`GraphFacts.deleted`, :meth:`GraphFacts.m_without`,
+    :meth:`GraphFacts.c_without`), which builds no G - v above the memo
+    size; the interlacing lemma reuses the same per-vertex inertias.
     """
     p, m, c = f.inertia.p, f.m, f.c
     upper, lower = p == m + c, p == m - c
@@ -265,10 +315,9 @@ def check_deletion_corollaries(f: GraphFacts) -> bool | None:
     for v in sorted(f.cycles.cyclic_vertices):
         if v in f.quasi_pendants:
             return False
-        h, inert_h = f.deleted(v)
-        ph = inert_h.p
+        ph = f.deleted(v)[1].p
         mh = f.m_without((v,))
-        ch = cyclomatic_number(h)
+        ch = f.c_without(v)
         if ch != c - 1:
             return False
         if upper and not (ph == p - 1 and ph == mh + ch and mh == m):
@@ -450,7 +499,7 @@ LEMMAS = (
     ("pendant_reduction", _pendant_reduction),
     ("component_additivity", _component_additivity),
     ("deletion_interlacing", _interlacing),
-    # after interlacing, which has put every G - v in the memo
+    # after interlacing, which has put every G - v of a small row in the memo
     ("quasipendant_matching_drop", _quasipendant_matching_drop),
     ("tree_nullity_bound", check_tree_nullity),
     ("leaf_stripping_drop", _leaf_stripping_drop),

@@ -9,20 +9,18 @@ import sys
 
 import pytest
 
-import inertia_bounds.inertia as inertia_mod
 from inertia_bounds import Graph
 from inertia_bounds.graphs import _MEMOS
 
 
 def empty_memos() -> None:
-    """Empty the kernels' small-graph memos and ``graph_inertia``'s last core.
+    """Empty the kernels' small-graph memos, the only answers a process keeps across rows.
 
     The shared small graphs of ``delete_vertices`` stay: they hold graphs
     and their keys, no answer.
     """
     for memo in _MEMOS:
         memo.clear()
-    inertia_mod._last_core = ([], inertia_mod.Inertia(0, 0, 0))
 
 
 @pytest.fixture(autouse=True)

@@ -19,6 +19,7 @@ import pytest
 from inertia_bounds import (
     GeneratorParams,
     Graph,
+    GraphFacts,
     Inertia,
     components,
     cycle_graph,
@@ -45,7 +46,7 @@ from charpoly import (
     graph_char_poly,
     graph_inertia_oracle,
 )
-from conftest import all_trees, complete_graph, cycle_with_tail, disjoint_union, empty_memos, random_tree
+from conftest import all_trees, complete_graph, cycle_with_tail, disjoint_union, random_tree
 from matching_oracle import matching_bruteforce
 
 
@@ -749,38 +750,41 @@ def test_an_interned_graph_is_keyed_as_its_edges_walk():
     assert len({key for _, key in _INTERNED.values()}) == len(_INTERNED) == 1100
 
 
-def test_a_call_with_terms_certifies_even_when_the_last_core_is_its_own():
-    # the tail peels off as one pendant pair and leaves the 7-cycle core
+def test_a_call_with_terms_certifies_even_when_a_record_holds_its_core():
+    # G - 7 leaves the 7-cycle core, and so does G once its tail peels off as one pendant pair
     g = cycle_with_tail(7, 2)
-    warm = graph_inertia(g)
-    kept = inertia_mod._last_core
+    f = GraphFacts(g)
+    assert f.deleted(7)[1] == graph_inertia_oracle(cycle_graph(7)) + (0, 0, 1)
+    kept = dict(f._cores)
+    assert list(kept) == [tuple(range(7))]
     for h in (g, cycle_graph(9)):
         terms: list = []
         want = graph_inertia_oracle(h)
         assert graph_inertia(h, terms) == want
         assert certificate_inertia(h, terms) == want
-        # a term per pivot over the whole rank, the cached core's included
+        # a term per pivot over the whole rank, the recorded core's included
         assert sum(len(block) for block, _, _ in terms) == h.n - want.eta
-        assert inertia_mod._last_core is kept
-    assert warm == graph_inertia_oracle(g)
+    assert f._cores == kept
 
 
-def test_a_core_answer_from_a_patched_kernel_ends_with_the_test(monkeypatch):
+def test_a_core_answer_from_a_patched_kernel_ends_with_its_row(monkeypatch):
     # G - 7 and G - 8 peel to the same 7-cycle core, so the second reads the first's answer
     g = disjoint_union(cycle_graph(7), path_graph(2))
+    f = GraphFacts(g)
     with monkeypatch.context() as patched:
         patched.setattr(inertia_mod, "_eliminate", lambda rows, *args: Inertia(0, 0, len(rows)))
-        assert graph_inertia(delete_vertices(g, (7,))) == (0, 0, 8)
-    # undoing the patch leaves the wrong answer kept; cold_memos empties it after every test
-    assert graph_inertia(delete_vertices(g, (8,))) == (0, 0, 8)
-    empty_memos()
-    assert graph_inertia(delete_vertices(g, (8,))) == graph_inertia_oracle(cycle_graph(7)) + (0, 0, 1) == (3, 4, 1)
+        assert f.deleted(7)[1] == (0, 0, 8)
+    # undoing the patch leaves the wrong answer in the record's cores, and only there
+    assert f.deleted(8)[1] == (0, 0, 8)
+    want = graph_inertia_oracle(cycle_graph(7)) + (0, 0, 1)
+    assert want == (3, 4, 1)
+    assert GraphFacts(g).deleted(8)[1] == graph_inertia(delete_vertices(g, (8,))) == want
 
 
 # ---------------------------------------------------------------------------
 # route independence, read off the syntax tree of the inertia module
 
-CONGRUENCE_ROOTS = {"graph_inertia", "unreduced_graph_inertia"}
+CONGRUENCE_ROOTS = {"graph_inertia", "unreduced_graph_inertia", "deletion_inertia"}
 CHECKER_ROOTS = {"certificate_inertia"}
 
 

@@ -2,7 +2,8 @@
 of ``tests/matching_oracle.py`` and networkx, the oracle's budget, and
 the matching queries.
 
-The solver is read through ``_mates``, the partner of each vertex.  The
+The solver is read through ``_mates``, the partner of each vertex, and
+``matching_number_without`` through the maximum matching it returns.  The
 queries are asked through ``GraphFacts``: ``m_without`` and the frontier
 properties; ``tests/test_properties.py`` checks them against every
 maximum matching.
@@ -16,13 +17,14 @@ from inertia_bounds import (
     Graph,
     cycle_graph,
     GraphFacts,
+    delete_vertices,
     matching_number,
     path_graph,
     star_graph,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
 from inertia_bounds.graphs import _MEMOS
-from inertia_bounds.matching import _mates
+from inertia_bounds.matching import _mates, matching_number_without
 from conftest import complete_graph, petersen
 from matching_oracle import BudgetExceededError, matching_bruteforce
 
@@ -95,6 +97,17 @@ def test_blossom_agrees_with_bruteforce_exhaustively():
 def test_blossom_agrees_with_bruteforce_random():
     for item in sample_random(n=10, edge_probability=0.4, count=200, seed=13):
         assert matching_number(item.graph) == matching_bruteforce(item.graph)
+
+
+def test_one_search_from_the_former_mate_gives_m_of_g_minus_v():
+    # every graph on 5 vertices, odd cycles and blossoms included, and G(10, 0.4)
+    graphs = [item.graph for item in enumerate_labeled(5)]
+    graphs += [item.graph for item in sample_random(n=10, edge_probability=0.4, count=60, seed=17)]
+    for g in graphs:
+        mates = _mates(g)
+        for v in range(g.n):
+            want = matching_bruteforce(delete_vertices(g, (v,)))
+            assert matching_number_without(g, mates, v) == want, (g, v)
 
 
 def test_blossom_agrees_with_networkx():

@@ -1,5 +1,7 @@
 """Bounds, extremal classifiers, unicyclic table, corollaries, lemma suite."""
 
+import random
+
 import pytest
 
 from inertia_bounds import (
@@ -19,6 +21,7 @@ from inertia_bounds import (
     classify_unicyclic,
     cycle_graph,
     cyclomatic_number,
+    delete_vertices,
     generate_extremal,
     graph_inertia,
     lemma_suite,
@@ -28,7 +31,7 @@ from inertia_bounds import (
     star_graph,
 )
 from inertia_bounds.cli import parse_corpus_spec
-from inertia_bounds.corpus import enumerate_labeled
+from inertia_bounds.corpus import enumerate_labeled, generated_corpus
 from inertia_bounds.theorems import GENERATOR_RECIPES
 from inertia_bounds.verify import analyze_graph
 from conftest import complete_graph, cycle_with_tail, disjoint_union, lower_bound_near_miss
@@ -315,6 +318,40 @@ def test_m_without_solves_each_vertex_set_once(monkeypatch):
     assert solved[-1] is f.deleted(1)[0]
 
 
+def deletion_corpus() -> list[Graph]:
+    """Seeded sparse and dense graphs on 2 to 30 vertices, and generator outputs of every residue.
+
+    Up to 6 vertices the record answers G - v through the shared small graphs, above on G itself.
+    """
+    rng = random.Random(30)
+    graphs = [
+        Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for n in range(2, 31)
+        for p in (2.5 / n, 0.5)
+    ]
+    for residue in sorted(GENERATOR_RECIPES):
+        base = GeneratorParams(cycle_residue=residue, num_cycles=2, num_isolated_seeds=1, num_steps=4, rng_seed=residue)
+        graphs += [item.graph for item in generated_corpus(base, 6)]
+    return graphs
+
+
+def test_the_record_answers_every_g_minus_v_as_the_built_g_minus_v_does():
+    # Above the memo size the record builds no G - v: In(G - v) comes from the
+    # row's cores, m(G - v) from one search from v's former mate, c(G - v) from
+    # G's blocks.  Each of these wrong variants fails here: m(G - v) taken as
+    # m - 1 without the search, the search left free to use v, cores keyed by
+    # their size alone, and block counts that skip bridges.
+    checked = 0
+    for g in deletion_corpus():
+        f = GraphFacts(g)
+        for v in range(g.n):
+            h = delete_vertices(g, (v,))
+            want = (graph_inertia(h), matching_number(h), cyclomatic_number(h))
+            assert (f.deleted(v)[1], f.m_without((v,)), f.c_without(v)) == want, (g, v)
+            checked += 1
+    assert checked > 1000 and f.deleted(0)[0] is None
+
+
 def _error(ask):
     with pytest.raises(ValueError) as err:
         ask()
@@ -324,19 +361,23 @@ def _error(ask):
 @pytest.mark.parametrize("vertex", [True, 1.0], ids=["bool", "float"])
 def test_a_warmed_record_refuses_a_vertex_that_only_equals_an_int(vertex):
     # True == 1.0 == 1, so a memo that looked up before checking would
-    # answer for vertex 1 once it held it
-    fresh, warmed = GraphFacts(path_graph(4)), GraphFacts(path_graph(4))
-    warmed.deleted(1)
-    warmed.m_without((1,))
-    warmed.m_without((1, 2))
-    for ask in (
-        lambda f: f.deleted(vertex),
-        lambda f: f.m_without((vertex,)),
-        lambda f: f.m_without((vertex, 2)),
-    ):
-        message = _error(lambda: ask(fresh))
-        assert "are not all ints" in message
-        assert _error(lambda: ask(warmed)) == message
+    # answer for vertex 1 once it held it; P8's G - v are over the memo size,
+    # so its record answers them on P8 itself
+    for g in (path_graph(4), path_graph(8)):
+        fresh, warmed = GraphFacts(g), GraphFacts(g)
+        warmed.deleted(1)
+        warmed.m_without((1,))
+        warmed.m_without((1, 2))
+        warmed.c_without(1)
+        for ask in (
+            lambda f: f.deleted(vertex),
+            lambda f: f.m_without((vertex,)),
+            lambda f: f.m_without((vertex, 2)),
+            lambda f: f.c_without(vertex),
+        ):
+            message = _error(lambda: ask(fresh))
+            assert "are not all ints" in message
+            assert _error(lambda: ask(warmed)) == message
 
 
 def test_lemma_suite_never_false_on_small_corpus():

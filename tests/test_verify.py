@@ -32,7 +32,7 @@ from inertia_bounds.corpus import (
     read_graph6_file,
     sample_random,
 )
-from inertia_bounds.graphs import _MEMOS
+from inertia_bounds.graphs import _MEMOS, MEMO_VERTICES
 from inertia_bounds.theorems import LEMMA_NAMES
 from inertia_bounds.verify import CHECKS, REPORT_FIELDS, report_row_dict, summarize
 from conftest import lower_bound_near_miss, patch_function
@@ -620,6 +620,9 @@ def test_no_record_outlives_its_row(monkeypatch):
         # bridge's m(G - x - y)
         next(generated_corpus(GeneratorParams(0, 1, 0, 1, 4), 1)),
         CorpusItem("El_G", parse_graph6("El_G")),
+        # 8 vertices, so each m(G - v) is one augmenting search on G: the corollaries ask
+        # it for the cycle's vertices, the quasi-pendant lemma for its two quasi-pendants
+        next(generated_corpus(GeneratorParams(0, 1, 0, 2, 4), 1)),
     ],
     ids=lambda item: to_graph6(item.graph),
 )
@@ -645,7 +648,7 @@ def test_no_row_runs_the_blossom_twice_on_one_vertex_set(monkeypatch, item):
     for module in package:
         if vars(module).get("delete_vertices") is delete:
             monkeypatch.setattr(module, "delete_vertices", counted_delete(delete))
-    mates = matching_mod._mates
+    mates, without = matching_mod._mates, matching_mod.matching_number_without
 
     def counted_mates(h):
         if h is g:
@@ -654,12 +657,23 @@ def test_no_row_runs_the_blossom_twice_on_one_vertex_set(monkeypatch, item):
             solved.append(subgraphs[id(h)][1])
         return mates(h)
 
-    monkeypatch.setattr(matching_mod, "_mates", counted_mates)
+    def counted_search(h, row_mates, v):
+        # one augmenting search on g for m(G - v)
+        if h is g:
+            solved.append(frozenset((v,)))
+        return without(h, row_mates, v)
+
+    patch_function(monkeypatch, mates, counted_mates)
+    patch_function(monkeypatch, without, counted_search)
     row = analyze_graph(g, item.graph_id, checks=ALL_CHECKS, residue=item.residue)
     assert row.lemmas["attached_even_cycle"] is True
     repeated = sorted(sorted(vs) for vs in set(solved) if solved.count(vs) > 1)
     assert not repeated
     assert frozenset() in solved and any(len(vs) == 2 for vs in solved)
+    # some m(G - v) was solved: on a built G - v only when it fits the memo
+    assert any(len(vs) == 1 for vs in solved)
+    built = [vs for _, vs in subgraphs.values() if len(vs) == 1]
+    assert bool(built) == (g.n - 1 <= MEMO_VERTICES)
 
 
 def once_per_row_corpus():
@@ -695,33 +709,38 @@ def test_cycle_structure_is_analysed_once_per_row_and_never_on_a_subgraph(monkey
 
 
 def test_vertex_deletions_are_shared_between_interlacing_and_corollaries(monkeypatch):
-    # one inertia for the row graph, one per deleted vertex: the corollaries
-    # reuse the deletions that the interlacing lemma already made
+    # one inertia for the row graph, one per deleted vertex: the interlacing lemma
+    # reuses the deletion inertias that the corollaries already computed
     import inertia_bounds.theorems as theorems_mod
-    import inertia_bounds.verify as verify_mod
 
     base = GeneratorParams(
         cycle_residue=1, num_cycles=2, num_isolated_seeds=1, num_steps=4, rng_seed=3
     )
     item = next(generated_corpus(base, 1))
     g = item.graph
-    calls = []
-    original = theorems_mod.graph_inertia
+    calls, deleted = [], []
+    original, deletion = theorems_mod.graph_inertia, theorems_mod.deletion_inertia
 
     def counted(h, *terms):
         calls.append(h)
         return original(h, *terms)
 
-    for module in (theorems_mod, verify_mod):
-        monkeypatch.setattr(module, "graph_inertia", counted)
+    def counted_deletion(h, v, cores):
+        deleted.append(v)
+        return deletion(h, v, cores)
+
+    patch_function(monkeypatch, original, counted)
+    patch_function(monkeypatch, deletion, counted_deletion)
     row = analyze_graph(g, item.graph_id, checks=ALL_CHECKS, residue=item.residue)
     assert row.corollaries_ok is True and row.lemmas["deletion_interlacing"] is True
-    assert len(calls) == 1 + g.n
+    # G - v has 18 vertices, over the memo size: no G - v graph gets an inertia
+    assert calls == [g]
+    assert sorted(deleted) == list(range(g.n))
 
 
 def test_consecutive_deletions_with_one_core_eliminate_it_once(monkeypatch):
     # the row of test_vertex_deletions_are_shared_between_interlacing_and_corollaries:
-    # its 19 G - v peel to 4 runs of equal cores, one elimination per run
+    # its 19 G - v peel to 4 distinct cores, one elimination per core
     import inertia_bounds.inertia as inertia_mod
 
     base = GeneratorParams(
@@ -743,27 +762,81 @@ def test_consecutive_deletions_with_one_core_eliminate_it_once(monkeypatch):
     assert len(runs) == 1 + 7 + 4
 
 
+def test_a_row_over_the_memo_size_builds_no_g_minus_v_and_eliminates_each_core_once(monkeypatch):
+    # the row of test_consecutive_deletions_with_one_core_eliminate_it_once
+    import inertia_bounds.inertia as inertia_mod
+    import inertia_bounds.theorems as theorems_mod
+
+    base = GeneratorParams(
+        cycle_residue=1, num_cycles=2, num_isolated_seeds=1, num_steps=4, rng_seed=3
+    )
+    item = next(generated_corpus(base, 1))
+    g = item.graph
+    single = []  # one-vertex deletions of g
+    handed = {}  # id -> each cores dict handed to a deletion inertia
+    inside = []  # one entry per open deletion inertia
+    eliminated = []  # one entry per elimination run inside a deletion inertia
+    delete, deletion, eliminate = theorems_mod.delete_vertices, theorems_mod.deletion_inertia, inertia_mod._eliminate
+
+    def counted_delete(h, vs):
+        vs = list(vs)
+        if h is g and len(vs) == 1:
+            single.append(vs)
+        return delete(h, vs)
+
+    def counted_deletion(h, v, cores):
+        handed[id(cores)] = cores
+        inside.append(v)
+        try:
+            return deletion(h, v, cores)
+        finally:
+            inside.pop()
+
+    def counted_eliminate(rows, *args):
+        if inside:
+            eliminated.append(inside[-1])
+        return eliminate(rows, *args)
+
+    patch_function(monkeypatch, delete, counted_delete)
+    patch_function(monkeypatch, deletion, counted_deletion)
+    monkeypatch.setattr(inertia_mod, "_eliminate", counted_eliminate)
+    row = analyze_graph(g, item.graph_id, checks=ALL_CHECKS, residue=item.residue)
+    assert row.lemmas["deletion_interlacing"] is True and g.n - 1 > MEMO_VERTICES
+    assert not single
+    [cores] = handed.values()  # one dict for the row
+    # one elimination per distinct core, however many G - v peel to it
+    assert len(eliminated) == len(cores) < g.n
+
+
 def test_one_blossom_per_row_on_the_row_graph(monkeypatch):
     # the matching queries take m(G) from the row instead of solving G again;
-    # patching the module attribute counts the calls inside matching.py too
+    # patch_function replaces every binding, matching.py's own and the record's
     import inertia_bounds.matching as matching_mod
     import inertia_bounds.verify as verify_mod
 
     row_graph = []
     per_row = []
-    original = matching_mod._mates
+    searches = []  # per row, the v of each one-vertex search on the row graph
+    original, without = matching_mod._mates, matching_mod.matching_number_without
 
     def counted(g):
         if row_graph and g == row_graph[0]:
             per_row[-1] += 1
         return original(g)
 
-    monkeypatch.setattr(matching_mod, "_mates", counted)
+    def counted_search(g, mates, v):
+        if row_graph and g == row_graph[0]:
+            searches[-1].append(v)
+        return without(g, mates, v)
+
+    patch_function(monkeypatch, original, counted)
+    patch_function(monkeypatch, without, counted_search)
     analyze = verify_mod.analyze_graph
 
     def row(g, *args, **kwargs):
         row_graph[:] = [g]
         per_row.append(0)
+        searches.append([])
         try:
             return analyze(g, *args, **kwargs)
         finally:
@@ -774,6 +847,10 @@ def test_one_blossom_per_row_on_the_row_graph(monkeypatch):
     report = run_verification(corpus, checks=ALL_CHECKS, workers=1)
     assert report.ok and len(per_row) == len(corpus)
     assert max(per_row) == 1
+    # a row over the memo size misses the memo, so it solves G exactly once
+    assert all(count == 1 for item, count in zip(corpus, per_row) if item.graph.n > MEMO_VERTICES)
+    # m(G - v) is one search per vertex, never a second blossom run on G
+    assert any(searches) and all(len(set(vs)) == len(vs) for vs in searches)
 
 
 def test_read_graph6_file_names_the_line_of_a_malformed_graph(tmp_path):
