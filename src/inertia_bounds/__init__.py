@@ -38,7 +38,6 @@ from .inertia import (
     Inertia,
     certificate_inertia,
     graph_inertia,
-    unreduced_graph_inertia,
 )
 from .matching import matching_number
 from .theorems import (

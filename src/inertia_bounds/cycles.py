@@ -90,12 +90,14 @@ class CycleStructure:
     cycle and no vertex lies on two cycles; only then is ``cycles`` the
     explicit list of all simple cycles, each as its sorted vertex tuple,
     sorted by smallest vertex.  ``cyclic_vertices`` always holds every
-    vertex lying on at least one simple cycle.
+    vertex lying on at least one simple cycle, and ``blocks_at[v]`` the
+    number of biconnected blocks, bridges included, that hold v.
     """
 
     cycles: tuple[tuple[int, ...], ...]
     cyclic_vertices: frozenset[int]
     disjoint: bool
+    blocks_at: tuple[int, ...]
 
 
 def analyze_cycles(g: Graph) -> CycleStructure:
@@ -103,18 +105,23 @@ def analyze_cycles(g: Graph) -> CycleStructure:
     cyclic: set[int] = set()
     cycles: list[tuple[int, ...]] = []
     disjoint = True
+    blocks_at = [0] * g.n
     for block in biconnected_blocks(g):
         if len(block) == 1:
+            for v in next(iter(block)):  # a bridge
+                blocks_at[v] += 1
             continue
         verts = {v for e in block for v in e}
+        for v in verts:
+            blocks_at[v] += 1
         # a plain cycle has as many edges as vertices (no chord) and meets
         # no earlier block
         disjoint = disjoint and len(block) == len(verts) and cyclic.isdisjoint(verts)
         cyclic.update(verts)
         cycles.append(tuple(sorted(verts)))
     if not disjoint:
-        return CycleStructure((), frozenset(cyclic), False)
-    return CycleStructure(tuple(sorted(cycles)), frozenset(cyclic), True)
+        return CycleStructure((), frozenset(cyclic), False, tuple(blocks_at))
+    return CycleStructure(tuple(sorted(cycles)), frozenset(cyclic), True, tuple(blocks_at))
 
 
 def _require_disjoint(cs: CycleStructure) -> None:

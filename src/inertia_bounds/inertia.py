@@ -6,15 +6,13 @@
   negative eigenvalue (the pendant lemma; on trees this amounts to
   Jacobs and Trevisan's linear-time diagonalisation at zero).  Peeling
   is O(n + |E|); only the core that remains, with minimum degree 2, is
-  eliminated.  :func:`unreduced_graph_inertia` (the unreduced kernel)
-  eliminates the whole graph without peeling.  Both diagonalise the
-  adjacency matrix by symmetric congruence (:func:`_eliminate`),
-  storing only the nonzero entries of each row; by Sylvester's law of
-  inertia the signs of the pivots count positive and negative
-  eigenvalues.  The elimination is fraction-free integer arithmetic
-  (Bareiss 1968): every stored entry is an integer minor of the matrix
-  (Sylvester's determinant identity), so each division is exact.  Both
-  first renumber the vertices by ascending degree, so that low-degree
+  eliminated, by symmetric congruence (:func:`_eliminate`), storing
+  only the nonzero entries of each row; by Sylvester's law of inertia
+  the signs of the pivots count positive and negative eigenvalues.  The
+  elimination is fraction-free integer arithmetic (Bareiss 1968): every
+  stored entry is an integer minor of the matrix (Sylvester's
+  determinant identity), so each division is exact.  The core's
+  vertices are first renumbered by ascending degree, so that low-degree
   rows are pivoted first and fill in less; a relabelling leaves the
   inertia as it is.
 * Handed a list, :func:`graph_inertia` also records the congruence it
@@ -24,22 +22,32 @@
   certifying algorithms (McConnell, Mehlhorn, Näher and Schweitzer,
   Computer Science Review 5, 2011).  It costs about as much as summing
   the terms, far less than recomputing the inertia another way.
-* :func:`graph_inertia` without ``terms`` and :func:`unreduced_graph_inertia`
-  answer each graph on at most ``MEMO_VERTICES`` vertices once per
-  process, from a memo (:func:`.graphs._memoised`): in a sweep the
-  small subgraphs of one row recur in the next.  A call with ``terms``
-  always eliminates, so every certificate is built anew.
-  :func:`deletion_inertia` gives In(G - v) on G's own adjacency, without
-  building G - v: it peels G with v removed, as :func:`graph_inertia`
-  peels G - v, and takes the core's inertia from a dict that the caller
-  keeps for one graph, keyed by the core's vertex set, so that each
-  distinct core of the G - v of one graph is eliminated once.
+* :func:`graph_inertia` without ``terms`` answers each graph on at most
+  ``MEMO_VERTICES`` vertices once per process, from a memo
+  (:func:`.graphs._memoised`): in a sweep the small subgraphs of one row
+  recur in the next.  A call with ``terms`` always eliminates, so every
+  certificate is built anew.  :func:`deletion_inertia` gives In(G - v)
+  on G's own adjacency, without building G - v: it peels G with v
+  removed, as :func:`graph_inertia` peels G - v, and takes the core's
+  inertia from a dict that the caller keeps for one graph, keyed by the
+  core's vertex set, so that each distinct core of the G - v of one
+  graph is eliminated once.
 
 The lemmas ``pendant_reduction`` and ``component_additivity`` in
-:mod:`.theorems` test the very rules the peeling applies, so they take
-their subgraph inertias from :func:`unreduced_graph_inertia`; with the
-peeled route they would check the peeling against itself.  The
-congruence routes and the checker share no code, not the pendant rule
+:mod:`.theorems` test the very rules the peeling applies, so they read
+only subgraph inertias that a checked certificate proves, and no
+elimination runs for them.  Once :func:`certificate_inertia` has
+accepted a graph's certificate, the sub-checks below read more off it
+without summing it again: :func:`_component_inertias` proves In(A[C, C])
+of each component C from C's share of the terms, and
+:func:`_certified_core` proves In(A[S, S]) of the core S from the terms
+after the peel.  Leaf removal leaves the same core whatever the order of
+removal (Bauer and Golinelli, Eur. Phys. J. B 24, 2001), so G - u - w
+for a pendant pair peels to S as well: :func:`_peel_part_inertia`
+checks only that peel's terms, in O(row entries), against
+A(G - u - w) - A[S, S], and adds S's proven inertia.  A peel that
+leaves another core fails the check.  The congruence routes and the
+checker, its sub-checks included, share no code, not the pendant rule
 and not the construction of the adjacency matrix; only the
 :class:`Inertia` record is common, which a test checks on this module's
 syntax tree.  A certificate that the checker accepts proves its inertia
@@ -49,8 +57,8 @@ shows as a disagreement with the checker.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import NamedTuple, Sequence
+from itertools import combinations_with_replacement, compress
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import Graph, _memoised
 
@@ -298,6 +306,24 @@ def _peel(
     return Inertia(pairs * dp, pairs * dn, isolated + pairs * deta)
 
 
+def _peel_without(
+    g: Graph, drop: Iterable[int], terms: list[Term] | None = None
+) -> tuple[Inertia, list[bool], list[int]]:
+    """Peel g with the vertices ``drop`` removed, in place on g's adjacency.
+
+    Returns what :func:`_peel` returns and the live vertices and their
+    degrees; ``drop`` is not checked here.
+    """
+    adj = g.adj
+    degree = list(map(len, adj))
+    alive = [True] * g.n
+    for v in drop:
+        alive[v] = False
+        for w in adj[v]:
+            degree[w] -= 1
+    return _peel(adj, degree, alive, terms), alive, degree
+
+
 @_memoised
 def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
     """Inertia of the adjacency matrix: peel pendants, then eliminate the core.
@@ -305,14 +331,11 @@ def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
     Given ``terms``, it appends the congruence it applied, one term per
     step on g's labels, for :func:`certificate_inertia` to check.
     """
-    adj = g.adj
-    degree = list(map(len, adj))  # neighbours still alive
-    alive = [True] * g.n
-    peeled = _peel(adj, degree, alive, terms)
+    peeled, alive, degree = _peel_without(g, (), terms)
     core = list(compress(range(g.n), alive))
     if not core:
         return peeled
-    order, rows = _degree_ordered_rows(adj, core, degree)
+    order, rows = _degree_ordered_rows(g.adj, core, degree)
     return peeled + _eliminate(rows, terms, order)
 
 
@@ -327,13 +350,7 @@ def deletion_inertia(g: Graph, v: int, cores: dict[tuple[int, ...], Inertia]) ->
     not an interlacing bound.  The caller keeps ``cores`` for one graph
     and lets go of it with the graph.  ``v`` is not checked here.
     """
-    adj = g.adj
-    degree = list(map(len, adj))
-    alive = [True] * g.n
-    alive[v] = False
-    for w in adj[v]:
-        degree[w] -= 1
-    peeled = _peel(adj, degree, alive)
+    peeled, alive, degree = _peel_without(g, (v,))
     core = list(compress(range(g.n), alive))
     if not core:
         return peeled
@@ -342,14 +359,8 @@ def deletion_inertia(g: Graph, v: int, cores: dict[tuple[int, ...], Inertia]) ->
     key = tuple(core)
     inertia = cores.get(key)
     if inertia is None:
-        inertia = cores[key] = _eliminate(_degree_ordered_rows(adj, core, degree)[1])
+        inertia = cores[key] = _eliminate(_degree_ordered_rows(g.adj, core, degree)[1])
     return peeled + inertia
-
-
-@_memoised
-def unreduced_graph_inertia(g: Graph) -> Inertia:
-    """Inertia of the adjacency matrix by elimination alone, without peeling."""
-    return _eliminate(_degree_ordered_rows(g.adj, range(g.n), list(map(len, g.adj)))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -383,42 +394,37 @@ def certificate_inertia(g: Graph, terms: Sequence[Term]) -> Inertia | str:
     """
     used: set[int] = set()
     total: dict[tuple[int, int], list[int]] = {}  # (i, j), i <= j -> [num, den]
-    p = n = size = 0
     for t, (block, rows, det) in enumerate(terms):
-        own = [[r.get(b, 0) for b in block] for r in rows]
         if not 1 <= len(block) == len(rows) <= 2:
             fault = "its block is not one or two indices with a row each"
         elif len(set(block)) < len(block) or not used.isdisjoint(block):
             fault = "a block index is used twice"
-        elif not det or not own[0][-1]:
+        # the scalar: d = r[k] of a 1x1 term on k, a = r_i[j] of a 2x2 term on (i, j)
+        elif not det or not (scalar := rows[0].get(block[-1], 0)):
             fault = "a scalar is zero"
-        elif not all(used.isdisjoint(r) for r in rows):
+        elif not all(map(used.isdisjoint, rows)):
             fault = "a row has an entry on an earlier block index"
-        elif len(block) == 2 and (own[0][1] != own[1][0] or own[0][0] * own[1][1] == own[0][1] ** 2):
+        elif len(block) == 2 and (
+            rows[1].get(block[0], 0) != scalar or rows[0].get(block[0], 0) * rows[1].get(block[1], 0) == scalar**2
+        ):
             fault = "its own block is not symmetric and nonsingular"
         else:
             fault = ""
         if fault:
             return f"term {t} on {block}: {fault}"
         used.update(block)
-        size += len(block)
-        den = det * own[0][-1]
+        den = det * scalar
         if len(block) == 1:
-            if den > 0:
-                p += 1
-            else:
-                n += 1
-            entries = sorted(rows[0].items())
-            products = [(i, j, x * y) for k, (i, x) in enumerate(entries) for j, y in entries[k:]]
+            pairs = combinations_with_replacement(sorted(rows[0].items()), 2)
+            products = [(i, j, x * y) for (i, x), (j, y) in pairs]
         else:
-            p += 1
-            n += 1
+            # r_i r_j^T + r_j r_i^T, one product per pair of entries: a pair
+            # (i, j) adds to (i, j) and (j, i), a shared column k twice to (k, k)
             ri, rj = rows
-            keys = sorted(ri.keys() | rj.keys())
             products = [
-                (i, j, ri.get(i, 0) * rj.get(j, 0) + rj.get(i, 0) * ri.get(j, 0))
-                for k, i in enumerate(keys)
-                for j in keys[k:]
+                (i, j, x * y) if i < j else (j, i, x * y) if j < i else (i, i, 2 * x * y)
+                for i, x in ri.items()
+                for j, y in rj.items()
             ]
         for i, j, x in products:
             if not x:
@@ -434,6 +440,136 @@ def certificate_inertia(g: Graph, terms: Sequence[Term]) -> Inertia | str:
     edges = g.edges
     if not edges <= total.keys() or any(num != ((i, j) in edges) * den for (i, j), (num, den) in total.items()):
         return "the terms do not sum to A"
-    return Inertia(p, n, g.n - size)
+    return _read_inertia(terms, g.n)
 
 
+def _read_inertia(terms: Sequence[Term], size: int) -> Inertia:
+    """The inertia that checked ``terms`` prove for a matrix on ``size`` indices.
+
+    A 1x1 term counts by the sign of det d, a 2x2 term once each way;
+    ``size`` less the number of block indices is the nullity.
+    """
+    p = n = rank = 0
+    for block, rows, det in terms:
+        rank += len(block)
+        if len(block) == 2:
+            p += 1
+            n += 1
+        elif det * rows[0][block[0]] > 0:
+            p += 1
+        else:
+            n += 1
+    return Inertia(p, n, size - rank)
+
+
+def _pendant_shaped(block: tuple[int, ...], rows: tuple[dict[int, int], ...], det: int) -> bool:
+    """Is the term a pair (u, v) with det 1, rows e_v and r, r all ones, holding u but not v?
+
+    Such a term is e_v r^T + r e_v^T: it sets the entries (v, x) and
+    (x, v) to 1 for each x in r, and nothing else.
+    """
+    if len(block) != 2 or len(rows) != 2 or det != 1:
+        return False
+    u, v = block
+    head, row = rows
+    return (
+        len(head) == 1
+        and head.get(v) == 1
+        and row.get(u) == 1
+        and v not in row
+        and list(row.values()).count(1) == len(row)
+    )
+
+
+def _certified_core(terms: Sequence[Term]) -> tuple[frozenset[int], Inertia]:
+    """G's core S and In(A[S, S]), from a certificate that :func:`certificate_inertia` accepted for G.
+
+    The peel terms are the longest prefix of pendant-shaped terms (see
+    :func:`_pendant_shaped`), and S is every index that a later term's
+    block or rows hold.  No term is summed again.  Why the later terms
+    prove In(A[S, S]): the terms sum to A, and W is echelon.  A peel term
+    on (u, v) sets the entries (v, x), x in its row, to 1; its block
+    comes before every core term, so no core row holds u or v, and
+    neither is in S.  The core terms sum to a matrix on S x S, and the
+    peel terms, which add and never cancel, to one off S x S: each
+    claimed (v, x) is an edge of G, claimed once, and the core terms sum
+    to A[S, S], a certificate of its own.
+    """
+    k = 0
+    while k < len(terms) and _pendant_shaped(*terms[k]):
+        k += 1
+    core_terms = terms[k:]
+    core: set[int] = set()
+    for block, rows, _ in core_terms:
+        core.update(block)
+        for r in rows:
+            core.update(r)
+    return frozenset(core), _read_inertia(core_terms, len(core))
+
+
+def _component_inertias(g: Graph, terms: Sequence[Term], parts: Sequence[frozenset[int]]) -> list[Inertia] | None:
+    """In(A[C, C]) for each part C of a partition of g's vertices, from a certificate accepted for g.
+
+    Each term must lie inside one part, block and rows; None if one does
+    not.  Then the terms of C sum to A[C, C], since all of them sum to A,
+    and they are a certificate of their own: C's peel terms and C's
+    share of the core's.
+    """
+    part_of = [0] * g.n
+    for i, part in enumerate(parts):
+        for v in part:
+            part_of[v] = i
+    split: list[list[Term]] = [[] for _ in parts]
+    for term in terms:
+        block, rows, _ = term
+        c = part_of[block[0]]
+        if not (parts[c].issuperset(block) and all(map(parts[c].issuperset, rows))):
+            return None
+        split[c].append(term)
+    return [_read_inertia(own, len(part)) for own, part in zip(split, parts)]
+
+
+def _peel_part_inertia(
+    g: Graph, drop: Sequence[int], terms: Sequence[Term], core: frozenset[int], core_inertia: Inertia
+) -> Inertia | None:
+    """In(A(G - drop)) from its peel terms and a proven core, or None if a check fails.
+
+    ``core`` is a vertex set S of g and ``core_inertia`` the inertia
+    that g's certificate proves for A[S, S] (:func:`_certified_core`).
+    Only ``terms`` are checked, against A(G - drop) - A[S, S], in
+    O(row entries) plus O(|E(S)|): each must be pendant-shaped, the
+    certificate of ``terms`` followed by S's core terms must be echelon
+    (no block index used twice, in S or in ``drop``, no row entry on an
+    earlier block index or in ``drop``), every claimed (v, x) must be an
+    edge of G, each vertex of S must have a neighbour in S, and the
+    claims plus |E(S)| must be |E(G - drop)|.  The echelon rule claims
+    no edge twice and no claim lies in S, so the claims and E(S) then
+    make up E(G - drop) exactly: the terms and S's core terms sum to
+    A(G - drop), and S is the core that the peel leaves.  A 2x2 term
+    counts once each way, as in :func:`certificate_inertia`.
+    """
+    adj = g.adj
+    barred = set(drop)  # no block index or row entry may fall here
+    if not barred.isdisjoint(core):
+        return None
+    # twice |E(G - drop)|: each edge inside ``drop`` is subtracted at both ends
+    twice = 2 * g.num_edges
+    for v in drop:
+        twice -= 2 * len(adj[v]) - len(adj[v] & barred)
+    size = g.n - len(barred)
+    claims = 0
+    for block, rows, det in terms:
+        if not _pendant_shaped(block, rows, det):
+            return None
+        v = block[1]
+        row = rows[1]
+        if v in barred or not (core.isdisjoint(block) and barred.isdisjoint(row) and row.keys() <= adj[v]):
+            return None
+        barred.update(block)
+        claims += len(row)
+    inner = [len(adj[v] & core) for v in core]
+    if 0 in inner or 2 * claims + sum(inner) != twice:
+        return None
+    k = len(terms)
+    p, n, eta = core_inertia
+    return Inertia(k + p, k + n, size - 2 * k - len(core) + eta)

@@ -18,12 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .cycles import (
     SIMPLE_CYCLE_VERTEX_BUDGET,
     analyze_cycles,
-    biconnected_blocks,
     contract_cycles,
     enumerate_simple_cycles,
     frontier_edges,
@@ -37,25 +36,49 @@ from .graphs import (
     delete_vertices,
     pendant_vertices,
 )
-from .inertia import Inertia, deletion_inertia, graph_inertia, unreduced_graph_inertia
+from .inertia import (
+    Inertia,
+    Term,
+    _certified_core,
+    _component_inertias,
+    _peel_part_inertia,
+    _peel_without,
+    certificate_inertia,
+    deletion_inertia,
+    graph_inertia,
+)
 from .matching import _mates, matching_number, matching_number_without
 
 
 class GraphFacts:
     """The invariants of one graph that the verdicts share.
 
-    ``inertia``, ``m`` (matching number), ``c`` (cyclomatic number),
-    ``cycles`` (the :class:`CycleStructure`), ``components`` and the
-    ``pendants`` and ``quasi_pendants`` vertex sets are computed on
-    creation, unless the caller passes in the inertia it already holds.
-    Every matching question about a vertex-deleted subgraph is asked
-    through :meth:`m_without`, which solves each vertex set at most once.
-    The rest is computed on first use, at most once: the four extremal
-    verdicts (:attr:`classifications`) and, on pairwise disjoint cycles,
-    the contracted forest's matching number, the frontier edges, and
-    whether some or every maximum matching avoids them.  The inertia of
-    each G - v is kept per vertex (see :meth:`deleted`), and c(G - v) is
-    read off G's blocks (:meth:`c_without`).
+    On creation the record checks the graph's certified inertia:
+    ``inertia`` is what ``graph_inertia(graph, terms)`` computes, and
+    ``certified`` what :func:`.inertia.certificate_inertia` proves from
+    the terms of that run, or the first condition they fail; the two
+    differ only on a counterexample.  The record runs the congruence
+    itself unless the caller passes the answer and the terms of its own
+    run, as :func:`.verify.analyze_graph` does.  ``m`` (matching number),
+    ``c`` (cyclomatic number), ``cycles`` (the :class:`CycleStructure`),
+    ``components`` and the ``pendants`` and ``quasi_pendants`` vertex
+    sets are computed on creation too.  Every matching question about a
+    vertex-deleted subgraph is asked through :meth:`m_without`, which
+    solves each vertex set at most once.  The rest is computed on first
+    use, at most once: the four extremal verdicts
+    (:attr:`classifications`) and, on pairwise disjoint cycles, the
+    contracted forest's matching number, the frontier edges, and whether
+    some or every maximum matching avoids them.  The inertia of each
+    G - v is kept per vertex (see :meth:`deleted`), and c(G - v) is read
+    off the block counts of ``cycles`` (:meth:`c_without`).
+
+    The pendant-pair and component lemmas read their subgraph inertias
+    off the accepted certificate, without eliminating: G's core S and
+    In(A[S, S]) (:func:`.inertia._certified_core`, once, on first use)
+    and each component's share of the terms
+    (:func:`.inertia._component_inertias`).  S's inertia also seeds the
+    dict of cores below, so a G - v that peels to G's own core
+    eliminates nothing.
 
     How a G - v question is answered depends on its size.  When G - v has
     more than ``MEMO_VERTICES`` vertices no G - v is built: its inertia
@@ -71,15 +94,20 @@ class GraphFacts:
     record when the row is done.  Across graphs only the graph layer and
     the kernels keep anything, on purpose: ``delete_vertices`` returns one
     shared graph per result on at most ``MEMO_VERTICES`` vertices, and
-    ``graph_inertia`` without ``terms``, ``unreduced_graph_inertia`` and
-    ``matching_number`` answer each such graph once per process, from the
-    memo of :func:`.graphs._memoised`, because in a sweep the small
-    subgraphs of one row recur in the next.
+    ``graph_inertia`` without ``terms`` and ``matching_number`` answer
+    each such graph once per process, from the memo of
+    :func:`.graphs._memoised`, because in a sweep the small subgraphs of
+    one row recur in the next.
     """
 
-    def __init__(self, graph: Graph, inertia: Inertia | None = None) -> None:
+    def __init__(self, graph: Graph, inertia: Inertia | None = None, terms: Sequence[Term] = ()) -> None:
         self.graph = graph
-        self.inertia = graph_inertia(graph) if inertia is None else inertia
+        if inertia is None:
+            terms = []
+            inertia = graph_inertia(graph, terms)
+        self.inertia = inertia
+        self._terms = terms
+        self.certified = certificate_inertia(graph, terms)
         # G - v over the memo size is answered on graph's own adjacency
         self._in_place = graph.n - 1 > MEMO_VERTICES
         if self._in_place:
@@ -94,8 +122,20 @@ class GraphFacts:
         # a pendant's neighbour that is not itself a pendant has degree >= 2
         self.quasi_pendants = frozenset(w for u in self.pendants for w in graph.adj[u]) - self.pendants
         self._deleted: dict[int, tuple[Graph | None, Inertia]] = {}
-        self._cores: dict[tuple[int, ...], Inertia] = {}
         self._m_without: dict[frozenset[int], int] = {frozenset(): self.m}
+
+    @cached_property
+    def _proven_core(self) -> tuple[frozenset[int], Inertia] | None:
+        """G's core S and the In(A[S, S]) that the certificate proves; None if it was rejected."""
+        return None if isinstance(self.certified, str) else _certified_core(self._terms)
+
+    @cached_property
+    def _cores(self) -> dict[tuple[int, ...], Inertia]:
+        """The inertia of each core that a G - v peels to, keyed by its vertices; G's proven core to start."""
+        if self._proven_core is None:
+            return {}
+        core, core_inertia = self._proven_core
+        return {tuple(sorted(core)): core_inertia}
 
     def deleted(self, v: int) -> tuple[Graph | None, Inertia]:
         """G - v and its inertia, computed on first use.
@@ -138,16 +178,7 @@ class GraphFacts:
         component into one part per block at v (none if v is isolated).
         """
         _checked_vertices(self.graph, (v,))
-        return self.c - len(self.graph.adj[v]) + self._blocks_at[v]
-
-    @cached_property
-    def _blocks_at(self) -> list[int]:
-        """The number of biconnected blocks, bridges included, that hold each vertex."""
-        count = [0] * self.graph.n
-        for block in biconnected_blocks(self.graph):
-            for v in {x for edge in block for x in edge}:
-                count[v] += 1
-        return count
+        return self.c - len(self.graph.adj[v]) + self.cycles.blocks_at[v]
 
     @cached_property
     def m_forest(self) -> int:
@@ -378,25 +409,41 @@ def check_difference_bounds(f: GraphFacts) -> DifferenceBounds | None:
 # (counterexample!), None (premise absent).
 
 # graph_inertia peels pendants and isolated vertices, which applies the
-# pendant and additivity rules; the lemmas that test those rules take their
-# subgraph inertias from unreduced_graph_inertia instead.
+# pendant and additivity rules; the lemmas that test those rules read only
+# subgraph inertias that the row's checked certificate proves, so the
+# peeling is not checked against itself.  A component's inertia is its
+# share of the terms (inertia._component_inertias).  A pendant pair's
+# G - u - w is peeled afresh on G's adjacency, and only its peel terms are
+# checked (inertia._peel_part_inertia), on top of G's proven core
+# (inertia._certified_core): leaf removal leaves the same core in any
+# order, so G - u - w peels to G's core, and any other core fails.
 
 
 def _pendant_reduction(f: GraphFacts) -> bool | None:
     if not f.pendants:
         return None
+    if f._proven_core is None:
+        return False
     g = f.graph
+    core, core_inertia = f._proven_core
     # the two pendants of a K2 component make one pair
-    pairs = sorted({tuple(sorted((u, *g.adj[u]))) for u in f.pendants})
-    return all(unreduced_graph_inertia(delete_vertices(g, pair)) + (1, 1, 0) == f.inertia for pair in pairs)
+    for pair in sorted({(u, w) if u < w else (w, u) for u in f.pendants for w in g.adj[u]}):
+        terms: list[Term] = []
+        _peel_without(g, pair, terms)
+        sub = _peel_part_inertia(g, pair, terms, core, core_inertia)
+        # In(G) = In(G - u - w) + (1, 1, 0)
+        if sub is None or (sub.p + 1, sub.n + 1, sub.eta) != f.inertia:
+            return False
+    return True
 
 
 def _component_additivity(f: GraphFacts) -> bool | None:
     if len(f.components) < 2:
         return None
-    g = f.graph
-    parts = (delete_vertices(g, set(range(g.n)) - comp) for comp in f.components)
-    return sum(map(unreduced_graph_inertia, parts), Inertia(0, 0, 0)) == f.inertia
+    if isinstance(f.certified, str):
+        return False
+    parts = _component_inertias(f.graph, f._terms, f.components)
+    return parts is not None and sum(parts, Inertia(0, 0, 0)) == f.inertia
 
 
 def _interlacing(f: GraphFacts) -> bool | None:

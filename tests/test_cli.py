@@ -11,6 +11,7 @@ import pytest
 from inertia_bounds import cycle_graph, to_graph6
 from inertia_bounds.cli import main, parse_corpus_spec
 from inertia_bounds.corpus import CorpusItem
+from conftest import patch_function
 
 
 def run_cli(capsys, *argv):
@@ -137,7 +138,7 @@ def test_verify_clean_run(capsys, tmp_path):
 
 
 def test_verify_counts_inertia_certificates_on_stdout_only(capsys, tmp_path, monkeypatch):
-    import inertia_bounds.verify as verify_mod
+    from inertia_bounds import certificate_inertia as check
 
     out_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "--corpus", "exhaustive:3", "--out", str(out_path))
@@ -145,10 +146,9 @@ def test_verify_counts_inertia_certificates_on_stdout_only(capsys, tmp_path, mon
     assert "certificates   : 8 inertia checked, 0 rejected" in out.splitlines()
     assert "certificate" not in out_path.read_text()
     # the counts come from the rows: reject the certificates of the three one-edge graphs
-    check = verify_mod.certificate_inertia
-    monkeypatch.setattr(
-        verify_mod,
-        "certificate_inertia",
+    patch_function(
+        monkeypatch,
+        check,
         lambda g, terms: "the terms do not sum to A" if g.num_edges == 1 else check(g, terms),
     )
     code, out, _ = run_cli(capsys, "verify", "--corpus", "exhaustive:3", "--out", str(out_path))

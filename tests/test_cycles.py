@@ -61,6 +61,20 @@ def test_biconnected_blocks_match_networkx():
         assert ours == theirs
 
 
+def test_the_cycle_structure_counts_the_blocks_at_each_vertex():
+    # bridges are blocks too; an isolated vertex is in none
+    graphs = [bowtie(), path_graph(4), Graph(3), cycle_with_tail(5, 2)]
+    graphs += [item.graph for item in sample_random(n=10, edge_probability=0.25, count=60, seed=19)]
+    for g in graphs:
+        want = [0] * g.n
+        for block in biconnected_blocks(g):
+            for v in {x for edge in block for x in edge}:
+                want[v] += 1
+        assert analyze_cycles(g).blocks_at == tuple(want), g
+    assert analyze_cycles(bowtie()).blocks_at == (2, 1, 1, 1, 1)
+    assert analyze_cycles(path_graph(4)).blocks_at == (1, 2, 2, 1)
+
+
 def test_analyze_cycles_single_cycle():
     cs = analyze_cycles(cycle_graph(5))
     assert cs.disjoint

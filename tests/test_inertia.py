@@ -1,5 +1,5 @@
-"""Exact inertia of graphs: peeled route, unreduced congruence kernel,
-the certificate checker, and the char-poly oracle of ``charpoly.py``.
+"""Exact inertia of graphs: the peeled congruence route, the certificate
+checker, and the char-poly oracle of ``charpoly.py``.
 
 The congruence routes and the certificate checker share no code (checked
 below on the module's syntax tree), and the characteristic-polynomial
@@ -31,12 +31,11 @@ from inertia_bounds import (
     matching_number,
     path_graph,
     star_graph,
-    unreduced_graph_inertia,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
 import inertia_bounds.inertia as inertia_mod
 from inertia_bounds.graphs import _INTERNED, _MEMOS, MEMO_VERTICES, _memo_key
-from inertia_bounds.inertia import _eliminate
+from inertia_bounds.inertia import _component_inertias, _eliminate, _peel_part_inertia, _peel_without
 from charpoly import (
     _descartes_inertia,
     _hessenberg_mod,
@@ -159,12 +158,11 @@ def test_inertia_sums_to_vertex_count():
 
 
 def all_routes(g: Graph) -> Inertia:
-    """Peeled, unreduced, certified and oracle inertia of ``g``; fails unless they agree."""
+    """Peeled, certified and oracle inertia of ``g``; fails unless they agree."""
     terms = []
     peeled = graph_inertia(g, terms)
     assert graph_inertia(g) == peeled
     assert certificate_inertia(g, terms) == peeled
-    assert unreduced_graph_inertia(g) == peeled
     assert graph_inertia_oracle(g) == peeled
     return peeled
 
@@ -421,7 +419,6 @@ def test_engine_matches_numpy_eigvalsh(n):
             continue  # too close to zero to classify in floating point
         want = Inertia(int(np.sum(ev > 1e-6)), int(np.sum(ev < -1e-6)), int(np.sum(np.abs(ev) <= 1e-9)))
         assert graph_inertia(g) == want
-        assert unreduced_graph_inertia(g) == want
         if n <= 50:
             assert graph_inertia_oracle(g) == want
         checked += 1
@@ -569,25 +566,6 @@ def test_a_row_left_at_an_old_stamp_is_brought_to_det_when_touched_again():
     assert oracle_inertia(m) == Inertia(3, 3, 0)
 
 
-def test_unreduced_graph_inertia_ignores_the_pendant_rule(monkeypatch):
-    # the unreduced route must not share the peeling's pendant rule, or the
-    # lemmas that use it would check the peeling against itself
-    import inertia_bounds.inertia as inertia_mod
-
-    g = disjoint_union(cycle_with_tail(5, 2), star_graph(3), path_graph(4))
-    want = graph_inertia_oracle(g)
-    assert unreduced_graph_inertia(g) == graph_inertia(g) == want
-    monkeypatch.setattr(inertia_mod, "_PENDANT_PAIR", Inertia(1, 0, 1))
-    assert graph_inertia(g) != want
-    assert unreduced_graph_inertia(g) == want
-
-
-def test_unreduced_graph_inertia_agrees_with_the_other_routes():
-    for item in sample_random(n=11, edge_probability=0.3, count=100, seed=12):
-        assert unreduced_graph_inertia(item.graph) == all_routes(item.graph)
-    assert unreduced_graph_inertia(Graph(0)) == Inertia(0, 0, 0)
-
-
 # ---------------------------------------------------------------------------
 # the certificate checker against mutated certificates
 
@@ -700,6 +678,172 @@ def test_a_rejected_certificate_is_an_oracle_mismatch_that_names_its_condition(m
     assert "oracle mismatch: certificate rejected: the terms do not sum to A" in row.notes
 
 
+def test_a_2x2_term_whose_rows_share_a_column_adds_twice_their_product_there():
+    # K3 has no diagonal, so its first pivot is the 2x2 block on (0, 1), and both
+    # block rows hold column 2: the term puts 2 * 1 * 1 on (2, 2), which the 1x1
+    # term on 2 cancels
+    g = complete_graph(3)
+    terms = []
+    assert graph_inertia(g, terms) == certificate_inertia(g, terms) == Inertia(1, 2, 0)
+    (block, (ri, rj), det), (last, (rk,), d) = terms
+    assert block == (0, 1) and ri == {1: 1, 2: 1} and rj == {0: 1, 2: 1} and det == 1
+    assert last == (2,) and rk == {2: 2} and d == -1
+    # the product counted once on the diagonal leaves 1 - 2 on (2, 2)
+    halved = [((0, 1), ({1: 1, 2: 1}, {0: 1, 2: 1}), 1), ((2,), ({2: 1},), -1)]
+    assert certificate_inertia(g, halved) == "the terms do not sum to A"
+
+
+# ---------------------------------------------------------------------------
+# pendant pairs and components proven on the row's own certificate
+
+
+def pendant_rich_graphs() -> list[Graph]:
+    """Seeded sparse graphs on 4 to 30 vertices and generator outputs: pendants, and most with a core."""
+    rng = random.Random(2001)
+    graphs = [
+        Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for n in range(4, 31)
+        for p in (1.5 / n, 2.5 / n, 4 / n)
+    ]
+    graphs += [generate_extremal(GeneratorParams(residue, 2, 1, 5, seed)) for residue in (0, 1, 3) for seed in range(6)]
+    return graphs
+
+
+def peel_parts() -> list[tuple[Graph, tuple[int, int], list, frozenset[int], Inertia]]:
+    """(g, pendant pair, the pair's peel terms, g's proven core, its inertia) over :func:`pendant_rich_graphs`."""
+    out = []
+    for g in pendant_rich_graphs():
+        f = GraphFacts(g)
+        for pair in sorted({tuple(sorted((u, *g.adj[u]))) for u in f.pendants}):
+            terms: list = []
+            _peel_without(g, pair, terms)
+            out.append((g, pair, terms, *f._proven_core))
+    return out
+
+
+def drop_a_claim(terms, rng, keep=()):
+    """Delete one row entry other than its term's pendant, none in ``keep``; False if there is none."""
+    entries = [
+        (t, x) for t, ((u, _), (_, row), _) in enumerate(terms) for x in sorted(row) if x != u and (t, x) not in keep
+    ]
+    if not entries:
+        return False
+    t, x = rng.choice(entries)
+    del terms[t][1][1][x]
+    return True
+
+
+def drop_a_row_entry(g, pair, terms, core, rng):
+    return (terms, core) if drop_a_claim(terms, rng) else None
+
+
+def set_a_row_entry_to_two(g, pair, terms, core, rng):
+    entries = [(t, x) for t, ((u, _), (_, row), _) in enumerate(terms) for x in sorted(row) if x != u]
+    if not entries:
+        return None
+    t, x = rng.choice(entries)
+    terms[t][1][1][x] = 2
+    return terms, core
+
+
+def enter_a_deleted_vertex(g, pair, terms, core, rng):
+    if terms:
+        rng.choice(terms)[1][1][rng.choice(pair)] = 1
+        return terms, core
+    return None
+
+
+# The mutants below keep the number of claims: each adds one and drops one
+# elsewhere, so only the condition they aim at can catch them.
+
+
+def put_a_block_on_a_core_vertex(g, pair, terms, core, rng):
+    # a pair (t, s) inside the core claims the core edge {s, t} a second time
+    edges = [(s, t) for s in sorted(core) for t in sorted(g.adj[s] & core)]
+    if edges and drop_a_claim(terms, rng):
+        s, t = rng.choice(edges)
+        terms.append(((t, s), ({s: 1}, {t: 1}), 1))
+        return terms, core
+    return None
+
+
+def claim_an_edge_from_both_ends(g, pair, terms, core, rng):
+    # a claims {v_a, v_b} from v_a's side; b claims it again from v_b's
+    both = [
+        (a, b)
+        for a, ((_, va), (_, row_a), _) in enumerate(terms)
+        for b, ((_, vb), _, _) in enumerate(terms)
+        if vb in row_a
+    ]
+    if both:
+        a, b = rng.choice(both)
+        va, vb = terms[a][0][1], terms[b][0][1]
+        if drop_a_claim(terms, rng, keep={(a, vb)}):
+            terms[b][1][1][va] = 1
+            return terms, core
+    return None
+
+
+def claim_a_non_edge(g, pair, terms, core, rng):
+    # the new claim {v, x} is no edge of G, and x is no earlier block index
+    blocks = set(pair)
+    options = []
+    for t, ((u, v), _, _) in enumerate(terms):
+        options += [(t, x) for x in range(g.n) if x != v and x not in blocks and x not in g.adj[v]]
+        blocks.update((u, v))
+    if options and drop_a_claim(terms, rng):
+        t, x = rng.choice(options)
+        terms[t][1][1][x] = 1
+        return terms, core
+    return None
+
+
+def move_a_vertex_into_the_core(g, pair, terms, core, rng):
+    outside = sorted(set(range(g.n)) - core)
+    return (terms, core | {rng.choice(outside)}) if core and outside else None
+
+
+def move_a_vertex_out_of_the_core(g, pair, terms, core, rng):
+    return (terms, core - {rng.choice(sorted(core))}) if core else None
+
+
+PEEL_MUTATIONS = (
+    drop_a_row_entry,
+    set_a_row_entry_to_two,
+    enter_a_deleted_vertex,
+    put_a_block_on_a_core_vertex,
+    claim_an_edge_from_both_ends,
+    claim_a_non_edge,
+    move_a_vertex_into_the_core,
+    move_a_vertex_out_of_the_core,
+)
+
+
+def test_the_peel_part_check_rejects_every_mutated_peel():
+    rng = random.Random(2011)
+    rejected = {mutate.__name__: 0 for mutate in PEEL_MUTATIONS}
+    for g, pair, terms, core, core_inertia in peel_parts():
+        want = graph_inertia(delete_vertices(g, pair))
+        assert _peel_part_inertia(g, pair, terms, core, core_inertia) == want, (g, pair)
+        for mutate in PEEL_MUTATIONS:
+            mutated = mutate(g, pair, copied(terms), core, rng)
+            if mutated is not None:
+                assert _peel_part_inertia(g, pair, *mutated, core_inertia) is None, (mutate.__name__, g, pair)
+                rejected[mutate.__name__] += 1
+        assert _peel_part_inertia(g, pair, terms, core, core_inertia) == want  # the mutations worked on copies
+    assert min(rejected.values()) >= 100, rejected
+
+
+def test_a_component_inertia_needs_every_term_inside_its_part():
+    # P2 split into {0} and {1}: its one term, the pair (0, 1), spans both parts
+    g = disjoint_union(path_graph(2), cycle_graph(5))
+    terms = []
+    graph_inertia(g, terms)
+    parts = components(g)
+    assert _component_inertias(g, terms, parts) == [Inertia(1, 1, 0), Inertia(3, 2, 0)]
+    assert _component_inertias(g, terms, [frozenset({0}), frozenset({1}), parts[1]]) is None
+
+
 # ---------------------------------------------------------------------------
 # the per-process memo of the graph-only kernels on small graphs
 
@@ -721,13 +865,13 @@ def test_the_memo_answers_every_small_graph_as_the_oracles_do():
     want = [(graph_inertia_oracle(g), matching_bruteforce(g)) for g in graphs]
     for _ in ("cold", "warm"):
         for g, (inertia, m) in zip(graphs, want):
-            assert graph_inertia(g) == unreduced_graph_inertia(g) == inertia, g
+            assert graph_inertia(g) == inertia, g
             assert matching_number(g) == m, g
     # one entry per labelled graph: the int keys of distinct graphs differ
-    assert [len(memo) for memo in _MEMOS] == [1100] * 3
+    assert [len(memo) for memo in _MEMOS] == [1100] * 2
     for g in (cycle_graph(6), sparse_400()):
-        graph_inertia(g), unreduced_graph_inertia(g), matching_number(g)
-    assert [len(memo) for memo in _MEMOS] == [1100] * 3
+        graph_inertia(g), matching_number(g)
+    assert [len(memo) for memo in _MEMOS] == [1100] * 2
 
 
 def test_a_warm_memo_still_hands_over_a_checked_certificate():
@@ -768,23 +912,24 @@ def test_a_call_with_terms_certifies_even_when_a_record_holds_its_core():
 
 
 def test_a_core_answer_from_a_patched_kernel_ends_with_its_row(monkeypatch):
-    # G - 7 and G - 8 peel to the same 7-cycle core, so the second reads the first's answer
-    g = disjoint_union(cycle_graph(7), path_graph(2))
+    # G - 7 and G - 8 open the 4-cycle into a path that peels away, so both peel to
+    # the 7-cycle core, which is not G's core: the second reads the first's answer
+    g = disjoint_union(cycle_graph(7), cycle_graph(4))
     f = GraphFacts(g)
     with monkeypatch.context() as patched:
         patched.setattr(inertia_mod, "_eliminate", lambda rows, *args: Inertia(0, 0, len(rows)))
-        assert f.deleted(7)[1] == (0, 0, 8)
+        assert f.deleted(7)[1] == (1, 1, 8)
     # undoing the patch leaves the wrong answer in the record's cores, and only there
-    assert f.deleted(8)[1] == (0, 0, 8)
-    want = graph_inertia_oracle(cycle_graph(7)) + (0, 0, 1)
-    assert want == (3, 4, 1)
+    assert f.deleted(8)[1] == (1, 1, 8)
+    want = graph_inertia_oracle(cycle_graph(7)) + (1, 1, 1)
+    assert want == (4, 5, 1)
     assert GraphFacts(g).deleted(8)[1] == graph_inertia(delete_vertices(g, (8,))) == want
 
 
 # ---------------------------------------------------------------------------
 # route independence, read off the syntax tree of the inertia module
 
-CONGRUENCE_ROOTS = {"graph_inertia", "unreduced_graph_inertia", "deletion_inertia"}
+CONGRUENCE_ROOTS = {"graph_inertia", "deletion_inertia"}
 CHECKER_ROOTS = {"certificate_inertia"}
 
 
@@ -863,6 +1008,14 @@ def test_congruence_routes_and_the_certificate_checker_share_only_the_inertia_re
     assert {"_eliminate", "_degree_ordered_rows", "compress", "_PENDANT_PAIR"} <= congruence
     assert "_PENDANT_PAIR" not in checker
     assert congruence & checker == reachable(reads, {"Inertia"}) == {"Inertia", "NamedTuple"}
+
+
+def test_the_sub_checks_share_only_the_inertia_record_with_the_routes():
+    # the pendant-pair and component lemmas read subgraph inertias that these prove
+    reads = module_reads(inertia_module_tree())
+    sub_checks = reachable(reads, {"_certified_core", "_component_inertias", "_peel_part_inertia"})
+    assert "_pendant_shaped" in sub_checks and "_PENDANT_PAIR" not in sub_checks
+    assert sub_checks & reachable(reads, CONGRUENCE_ROOTS) == {"Inertia", "NamedTuple"}
 
 
 def test_every_public_function_of_the_inertia_module_is_a_route_root():

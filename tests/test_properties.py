@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from inertia_bounds import (
     Graph,
     GraphFacts,
+    certificate_inertia,
     check_deletion_corollaries,
     check_difference_bounds,
     check_tree_nullity,
@@ -30,7 +31,6 @@ from inertia_bounds import (
     parse_graph6,
     path_graph,
     to_graph6,
-    unreduced_graph_inertia,
 )
 from charpoly import graph_inertia_oracle
 from matching_oracle import every_maximum_matching, matching_bruteforce
@@ -51,7 +51,9 @@ def graphs(draw, max_n: int = 9) -> Graph:
 def test_the_three_inertia_routes_agree(g):
     expected = graph_inertia_oracle(g)
     assert graph_inertia(g) == expected
-    assert unreduced_graph_inertia(g) == expected
+    terms: list = []
+    assert graph_inertia(g, terms) == expected
+    assert certificate_inertia(g, terms) == expected
     assert sum(expected) == g.n
 
 
@@ -133,10 +135,9 @@ def test_delete_vertices_equals_the_graph_built_from_its_edges(data):
 
 @repeatable
 @given(st.data())
-def test_peeled_and_unreduced_inertia_ignore_the_vertex_labels(data):
-    # both eliminate in degree order, which must not leak into a result
+def test_peeled_inertia_ignores_the_vertex_labels(data):
+    # the core is eliminated in degree order, which must not leak into a result
     g = data.draw(graphs())
     perm = data.draw(st.permutations(range(g.n)))
     h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     assert graph_inertia(h) == graph_inertia(g)
-    assert unreduced_graph_inertia(h) == unreduced_graph_inertia(g)

@@ -32,9 +32,12 @@ from inertia_bounds import (
 )
 from inertia_bounds.cli import parse_corpus_spec
 from inertia_bounds.corpus import enumerate_labeled, generated_corpus
-from inertia_bounds.theorems import GENERATOR_RECIPES
+from inertia_bounds.graphs import MEMO_VERTICES
+from inertia_bounds.inertia import _component_inertias, _peel_part_inertia, _peel_without
+from inertia_bounds.theorems import GENERATOR_RECIPES, LEMMAS
 from inertia_bounds.verify import analyze_graph
-from conftest import complete_graph, cycle_with_tail, disjoint_union, lower_bound_near_miss
+from charpoly import graph_inertia_oracle
+from conftest import complete_graph, cycle_with_tail, disjoint_union, lower_bound_near_miss, patch_function
 
 
 def test_bounds_hold_on_small_samples():
@@ -352,6 +355,71 @@ def test_the_record_answers_every_g_minus_v_as_the_built_g_minus_v_does():
     assert checked > 1000 and f.deleted(0)[0] is None
 
 
+def certified_pair_inertia(f: GraphFacts, pair: tuple[int, int]) -> Inertia | None:
+    """In(G - u - w) as pendant_reduction proves it: the pair's peel terms checked on G's proven core."""
+    terms: list = []
+    _peel_without(f.graph, pair, terms)
+    return _peel_part_inertia(f.graph, pair, terms, *f._proven_core)
+
+
+def certified_subgraph_corpus() -> list[Graph]:
+    """Seeded graphs on 3 to 30 vertices, most with pendants, and generator outputs of every residue."""
+    rng = random.Random(18)
+    graphs = [
+        Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        for n in range(3, 31)
+        for p in (1 / n, 2 / n, 3 / n, 0.3)
+        for _ in range(6)
+    ]
+    for residue in sorted(GENERATOR_RECIPES):
+        base = GeneratorParams(cycle_residue=residue, num_cycles=2, num_isolated_seeds=2, num_steps=6, rng_seed=residue)
+        graphs += [item.graph for item in generated_corpus(base, 8)]
+    return graphs
+
+
+def test_pendant_pairs_and_components_are_certified_as_the_built_subgraphs_are():
+    # The lemmas read In(G - u - w) and each In(G[C]) off the row's certificate,
+    # with no elimination: every pair must peel to G's own core, and every
+    # component's share of the terms must prove its inertia.
+    pairs = parts = 0
+    for g in certified_subgraph_corpus():
+        f = GraphFacts(g)
+        for pair in sorted({tuple(sorted((u, *g.adj[u]))) for u in f.pendants}):
+            h = delete_vertices(g, pair)
+            want = graph_inertia(h)
+            assert certified_pair_inertia(f, pair) == want, (g, pair)
+            assert h.n > 12 or graph_inertia_oracle(h) == want
+            pairs += 1
+        inertias = _component_inertias(g, f._terms, f.components)
+        assert len(inertias) == len(f.components)
+        for comp, got in zip(f.components, inertias):
+            h = delete_vertices(g, set(range(g.n)) - comp)
+            assert got == graph_inertia(h), (g, comp)
+            assert h.n > 12 or graph_inertia_oracle(h) == got
+            parts += 1
+    assert pairs > 2000 and parts > 2000
+
+
+def test_the_pendant_and_component_lemmas_eliminate_nothing(monkeypatch):
+    # a row over the memo size with pendant pairs, a core and four components
+    import inertia_bounds.inertia as inertia_mod
+
+    g = disjoint_union(generate_extremal(GeneratorParams(1, 2, 0, 6, 5)), cycle_with_tail(7, 3))
+    f = GraphFacts(g)
+    assert g.n > MEMO_VERTICES + 1 and len(f.components) == 4 and f._proven_core[0]
+    eliminated = []
+    eliminate = inertia_mod._eliminate
+
+    def counted(rows, *args):
+        eliminated.append(rows)
+        return eliminate(rows, *args)
+
+    monkeypatch.setattr(inertia_mod, "_eliminate", counted)
+    rules = dict(LEMMAS)
+    assert rules["pendant_reduction"](f) is True and rules["component_additivity"](f) is True
+    assert not eliminated
+
+
 def _error(ask):
     with pytest.raises(ValueError) as err:
         ask()
@@ -406,21 +474,29 @@ def test_pendant_lemmas_do_not_check_the_peeling_against_itself(monkeypatch):
 
 
 def test_pendant_reduction_eliminates_each_pendant_pair_once(monkeypatch):
-    # the two pendants of a K2 component are one pair {u, v}, so one G - u - v
+    # the two pendants of a K2 component are one pair {u, v}, so one G - u - v,
+    # whose peel terms are checked once and which eliminates nothing
+    import inertia_bounds.inertia as inertia_mod
     import inertia_bounds.theorems as theorems_mod
 
-    eliminated = []
-    original = theorems_mod.unreduced_graph_inertia
+    checked, eliminated = [], []
+    check, eliminate = inertia_mod._peel_part_inertia, inertia_mod._eliminate
 
-    def counted(h):
-        eliminated.append(h)
-        return original(h)
+    def counted(g, drop, *args):
+        checked.append(drop)
+        return check(g, drop, *args)
 
-    monkeypatch.setattr(theorems_mod, "unreduced_graph_inertia", counted)
+    def counted_eliminate(rows, *args):
+        eliminated.append(rows)
+        return eliminate(rows, *args)
+
     f = GraphFacts(disjoint_union(path_graph(2), path_graph(2), star_graph(3)))
+    patch_function(monkeypatch, check, counted)
+    monkeypatch.setattr(inertia_mod, "_eliminate", counted_eliminate)
     assert dict(theorems_mod.LEMMAS)["pendant_reduction"](f) is True
     # {0, 1}, {2, 3} and the star's three leaves with its centre
-    assert len(eliminated) == 5
+    assert sorted(checked) == [(0, 1), (2, 3), (4, 5), (4, 6), (4, 7)]
+    assert not eliminated
 
 
 # extremal generator

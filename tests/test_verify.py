@@ -740,7 +740,8 @@ def test_vertex_deletions_are_shared_between_interlacing_and_corollaries(monkeyp
 
 def test_consecutive_deletions_with_one_core_eliminate_it_once(monkeypatch):
     # the row of test_vertex_deletions_are_shared_between_interlacing_and_corollaries:
-    # its 19 G - v peel to 4 distinct cores, one elimination per core
+    # its 19 G - v peel to 4 distinct cores, one of them G's own, one elimination per
+    # core other than G's
     import inertia_bounds.inertia as inertia_mod
 
     base = GeneratorParams(
@@ -757,9 +758,10 @@ def test_consecutive_deletions_with_one_core_eliminate_it_once(monkeypatch):
     monkeypatch.setattr(inertia_mod, "_eliminate", counted)
     row = analyze_graph(item.graph, item.graph_id, checks=ALL_CHECKS, residue=item.residue)
     assert row.certificate_ok and row.lemmas["deletion_interlacing"] is True
-    # G's certified run, 7 unreduced pendant-pair runs and the 4 cores; 1 + 7 + 19 if
-    # every G - v eliminated its core
-    assert len(runs) == 1 + 7 + 4
+    # G's certified run and the 3 cores other than G's, which the row's certificate
+    # proves; the 7 pendant pairs eliminate nothing; 1 + 19 if every G - v
+    # eliminated its core
+    assert len(runs) == 1 + 0 + 3
 
 
 def test_a_row_over_the_memo_size_builds_no_g_minus_v_and_eliminates_each_core_once(monkeypatch):
@@ -804,8 +806,9 @@ def test_a_row_over_the_memo_size_builds_no_g_minus_v_and_eliminates_each_core_o
     assert row.lemmas["deletion_interlacing"] is True and g.n - 1 > MEMO_VERTICES
     assert not single
     [cores] = handed.values()  # one dict for the row
-    # one elimination per distinct core, however many G - v peel to it
-    assert len(eliminated) == len(cores) < g.n
+    # one elimination per distinct core, however many G - v peel to it, except G's
+    # own, which the row's certificate proves
+    assert len(eliminated) == len(cores) - 1 < g.n
 
 
 def test_one_blossom_per_row_on_the_row_graph(monkeypatch):
