@@ -26,9 +26,11 @@
   ``MEMO_VERTICES`` vertices once per process, from a memo
   (:func:`.graphs._memoised`): in a sweep the small subgraphs of one row
   recur in the next.  A call with ``terms`` always eliminates, so every
-  certificate is built anew.  :func:`deletion_inertia` gives In(G - v)
-  on G's own adjacency, without building G - v: it peels G with v
-  removed, as :func:`graph_inertia` peels G - v, and takes the core's
+  certificate is built anew.  :func:`deletion_inertias` gives In(G - v)
+  for every v on G's own adjacency, without building any G - v, by one
+  walk of G's peel: just before a step removes a vertex d, the walk
+  branches off a copy of the peel's state with d deleted and finishes
+  that peel, which is G - d's own.  Each core it ends in takes its
   inertia from a dict that the caller keeps for one graph, keyed by the
   core's vertex set, so that each distinct core of the G - v of one
   graph is eliminated once.
@@ -58,7 +60,7 @@ shows as a disagreement with the checker.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import Graph, _memoised
 
@@ -267,8 +269,19 @@ def _degree_ordered_rows(
     return order, [{index[w]: 1 for w in adj[v] if w in index} for v in order]
 
 
+def _peeled(pairs: int, isolated: int) -> Inertia:
+    """The inertia that ``pairs`` pendant pairs and ``isolated`` isolated vertices remove."""
+    dp, dn, deta = _PENDANT_PAIR
+    return Inertia(pairs * dp, pairs * dn, isolated + pairs * deta)
+
+
 def _peel(
-    adj: Sequence[frozenset[int]], degree: list[int], alive: list[bool], terms: list[Term] | None = None
+    adj: Sequence[frozenset[int]],
+    degree: list[int],
+    alive: list[bool],
+    terms: list[Term] | None = None,
+    work: list[int] | None = None,
+    branch: Callable[[int, list[int], Inertia], None] | None = None,
 ) -> Inertia:
     """Peel isolated vertices and pendant pairs off the live vertices, in place; the inertia they remove.
 
@@ -277,21 +290,34 @@ def _peel(
     A[v, alive] and det 1, appended to ``terms`` if given; isolated
     vertices remove nothing.  What is left alive is the core, with
     minimum degree 2, and ``degree`` holds the degrees within it.
+
+    ``work`` is the pending worklist, every live vertex of degree at
+    most 1 if not given; it is consumed.  ``branch``, if given, is called
+    as ``branch(d, work, peeled)`` just before a step removes the vertex
+    d, with the worklist and the inertia peeled so far as they stand
+    before the step; a pair step calls it for u, then for v.
     """
-    work = [v for v in range(len(adj)) if alive[v] and degree[v] <= 1]
+    if work is None:
+        work = [v for v in range(len(adj)) if alive[v] and degree[v] <= 1]
     pairs = isolated = 0
     while work:
         u = work.pop()
         if not alive[u]:
             continue
-        alive[u] = False
         if not degree[u]:
+            if branch is not None:
+                branch(u, work, _peeled(pairs, isolated))
+            alive[u] = False
             isolated += 1
             continue
         for v in adj[u]:  # u's one live neighbour
             if alive[v]:
                 break
-        alive[v] = False
+        if branch is not None:
+            peeled = _peeled(pairs, isolated)
+            branch(u, work, peeled)
+            branch(v, work, peeled)
+        alive[u] = alive[v] = False
         pairs += 1
         for w in adj[v]:
             if alive[w]:
@@ -302,8 +328,7 @@ def _peel(
             row = {w: 1 for w in adj[v] if alive[w]}
             row[u] = 1
             terms.append(((u, v), ({v: 1}, row), 1))
-    dp, dn, deta = _PENDANT_PAIR
-    return Inertia(pairs * dp, pairs * dn, isolated + pairs * deta)
+    return _peeled(pairs, isolated)
 
 
 def _peel_without(
@@ -339,28 +364,60 @@ def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
     return peeled + _eliminate(rows, terms, order)
 
 
-def deletion_inertia(g: Graph, v: int, cores: dict[tuple[int, ...], Inertia]) -> Inertia:
-    """In(G - v) on g's own adjacency, equal to ``graph_inertia(delete_vertices(g, (v,)))``.
+def deletion_inertias(g: Graph, cores: dict[tuple[int, ...], Inertia]) -> list[Inertia]:
+    """In(G - v) for every vertex v, by one walk of g's peel; entry v equals ``graph_inertia(delete_vertices(g, (v,)))``.
 
-    v is removed in place and the rest peeled as :func:`graph_inertia`
-    peels G - v.  The core's inertia is read from ``cores``, keyed by the
-    core's vertices in g's labels, and eliminated and stored there only
-    if it is missing.  Equal vertex sets S give the same principal
-    submatrix A[S, S], so a hit is the congruence of A - v's own core,
-    not an interlacing bound.  The caller keeps ``cores`` for one graph
-    and lets go of it with the graph.  ``v`` is not checked here.
+    No G - v is built.  Just before a step of g's peel removes a vertex
+    d, the walk copies the live vertices, their degrees and the pending
+    worklist, deletes d there, queues d's neighbours that drop to degree
+    at most 1, and finishes that peel with :func:`_peel`.  Each vertex of
+    g's core branches the same way from the state the peel ends in.
+
+    This is a peel of G - d.  A step of g's peel stays legal in G - d
+    until it removes d: it removes an isolated vertex, or a pendant u
+    with its one live neighbour, neither of them d, and deleting d only
+    takes neighbours away, so u is isolated or pendant on the same
+    neighbour in G - d too and the step removes the same inertia.  The
+    branch peels the rest of G - d from there, and leaf removal leaves
+    one core whatever the order (Bauer and Golinelli, Eur. Phys. J. B 24,
+    2001), so the core that the branch ends in is G - d's.
+
+    The core's inertia is read from ``cores``, keyed by the core's
+    vertices in g's labels, and eliminated and stored there only if it
+    is missing.  Equal vertex sets S give the same principal submatrix
+    A[S, S], so a hit is the congruence of G - d's own core, not an
+    interlacing bound.  The caller keeps ``cores`` for one graph and
+    lets go of it with the graph.
     """
-    peeled, alive, degree = _peel_without(g, (v,))
-    core = list(compress(range(g.n), alive))
-    if not core:
-        return peeled
-    # the key is a tuple of a list: a tuple grown from an iterator
-    # reallocates, and over many rows that fragments the heap
-    key = tuple(core)
-    inertia = cores.get(key)
-    if inertia is None:
-        inertia = cores[key] = _eliminate(_degree_ordered_rows(g.adj, core, degree)[1])
-    return peeled + inertia
+    adj = g.adj
+    degree = list(map(len, adj))
+    alive = [True] * g.n
+    answers = [Inertia(0, 0, 0)] * g.n
+
+    def branch(d: int, work: list[int], peeled: Inertia) -> None:
+        live, deg, todo = alive.copy(), degree.copy(), work.copy()
+        live[d] = False
+        for w in adj[d]:
+            if live[w]:
+                deg[w] -= 1
+                if deg[w] <= 1:
+                    todo.append(w)
+        peeled += _peel(adj, deg, live, work=todo)
+        core = list(compress(range(g.n), live))
+        if core:
+            # the key is a tuple of a list: a tuple grown from an iterator
+            # reallocates, and over many rows that fragments the heap
+            key = tuple(core)
+            inertia = cores.get(key)
+            if inertia is None:
+                inertia = cores[key] = _eliminate(_degree_ordered_rows(adj, core, deg)[1])
+            peeled += inertia
+        answers[d] = peeled
+
+    peeled = _peel(adj, degree, alive, branch=branch)
+    for v in compress(range(g.n), alive):
+        branch(v, [], peeled)
+    return answers
 
 
 # ---------------------------------------------------------------------------

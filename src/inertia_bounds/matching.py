@@ -5,9 +5,14 @@ tie-breaking); :func:`matching_number` counts its matched pairs.  The
 tests check it against the brute-force oracle in ``tests/matching_oracle.py``.
 :func:`matching_number` answers each graph on at most ``MEMO_VERTICES``
 vertices once per process, from a memo (:func:`.graphs._memoised`).
-:func:`matching_number_without` answers m(G - v) from a maximum matching
-of G by one augmenting search; it and :func:`_mates` share that search
-(:func:`_augment`).
+:func:`matching_number_without` answers m(G - S) for a vertex set S
+from a maximum matching of G, without building G - S: it drops S's
+vertices from the matching one at a time, and each drop costs at most
+one augmenting search, from the vertex's former mate.
+:func:`matching_number_without_edges` drops matched edges the same way,
+with at most one search from each end.  Both rest on Berge's theorem:
+after a drop, every augmenting path ends at a vertex that lost its
+mate.  They and :func:`_mates` share that search (:func:`_augment`).
 
 The quantified questions (does some or every maximum matching use an
 edge, cover a vertex, avoid the frontier edges) are answered on the
@@ -21,23 +26,23 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .graphs import Graph, _memoised
+from .graphs import Edge, Graph, _memoised
 
 
-def _augment(adj: Sequence[Iterable[int]], match: list[int], root: int, dead: int = -1) -> bool:
+def _augment(adj: Sequence[Iterable[int]], match: list[int], root: int, dead: Iterable[int] = ()) -> bool:
     """Search for an augmenting path from the exposed ``root``; flip it into ``match`` if found.
 
     Edmonds' search: a BFS over alternating paths that contracts each odd
     cycle it closes (a blossom) to its stem.  A single search from one
     root finds an augmenting path that starts there whenever one exists.
-    ``dead``, if given, is a vertex that nothing is matched to; it is
-    marked as reached before the search starts, so no edge to it is
-    followed and the search runs on the graph without it.
+    ``dead`` holds vertices that nothing is matched to; they are marked
+    as reached before the search starts, so no edge to them is followed
+    and the search runs on the graph without them.
     """
     n = len(adj)
     parent, base, in_queue = [-1] * n, list(range(n)), [False] * n
-    if dead >= 0:
-        parent[dead] = dead
+    for d in dead:
+        parent[d] = d
 
     def lca(a: int, b: int) -> int:
         on_path = [False] * n
@@ -130,20 +135,69 @@ def matching_number(g: Graph) -> int:
     return (g.n - _mates(g).count(-1)) // 2
 
 
-def matching_number_without(g: Graph, mates: Sequence[int], v: int) -> int:
-    """m(G - v), given ``mates``, a maximum matching M of g as :func:`_mates` returns it.
+def matching_number_without(g: Graph, mates: Sequence[int], vs: Iterable[int]) -> int:
+    """m(G - vs), given ``mates``, a maximum matching M of g as :func:`_mates` returns it.
 
-    If M leaves v exposed, M is a matching of G - v and m(G - v) = m.
-    Otherwise M minus v's edge uv is a matching of G - v of size m - 1.
-    By Berge's theorem an augmenting path for it in G - v ends at u: one
-    that avoided u would end at two vertices that M leaves exposed, and
-    would augment M in G.  So one search from u in G - v decides
-    m(G - v) = m - 1 + [the search finds a path]; G - v is never built.
+    The vertices are dropped one at a time, in ascending order, from a
+    copy of M, which stays a maximum matching of G minus the vertices
+    dropped so far; those are dead to every search.  Dropping a vertex v
+    that the matching leaves exposed keeps it maximum.  Otherwise the
+    matching minus v's edge uv has one edge fewer, and by Berge's
+    theorem an augmenting path for it ends at u, the vertex that lost
+    its mate: a path that avoided u would end at two vertices that the
+    matching left exposed before the drop, and would augment it then.
+    So one search from u decides whether the size comes back, and flips
+    the path in if it does.  If u is in ``vs`` too, both go at once with
+    no search: a path that avoided both would augment the matching
+    before the drop.  No G - vs is built, and ``vs`` is not checked here.
     """
-    m = (g.n - mates.count(-1)) // 2
-    u = mates[v]
-    if u == -1:
-        return m
+    drop = set(vs)
     match = list(mates)
-    match[u] = match[v] = -1
-    return m - 1 + _augment(g.adj, match, u, dead=v)
+    m = (g.n - match.count(-1)) // 2
+    dead: set[int] = set()
+    for v in sorted(drop):
+        if v in dead:  # dropped with its mate
+            continue
+        dead.add(v)
+        u = match[v]
+        if u == -1:
+            continue
+        match[u] = match[v] = -1
+        if u in drop:
+            dead.add(u)
+            m -= 1
+        elif not _augment(g.adj, match, u, dead):
+            m -= 1
+    return m
+
+
+def matching_number_without_edges(g: Graph, mates: Sequence[int], edges: Iterable[Edge]) -> int:
+    """m(G - edges), given ``mates``, a maximum matching M of g as :func:`_mates` returns it.
+
+    The searches run on G minus every edge in ``edges``, from a copy of
+    M.  An edge of ``edges`` that the matching holds is still followed,
+    as a matched edge, until it is dropped, so the matching stays a
+    maximum matching of G minus the edges of ``edges`` that it does not
+    hold.  The matched edges xy of ``edges`` are dropped in ascending
+    order.  By Berge's theorem an augmenting path for the matching minus
+    xy ends at x or at y, the vertices that lost their mates, as in
+    :func:`matching_number_without`.  A failed search changes nothing,
+    so one search from x and, if that finds none, one from y decide
+    whether the size comes back.  A search only matches edges of
+    G - edges, so an edge of ``edges`` that a found path unmatches is
+    dropped by that path.  No G - edges is built.
+    """
+    edges = sorted(edges)
+    adj = list(g.adj)
+    for x, y in edges:
+        adj[x] = adj[x] - {y}
+        adj[y] = adj[y] - {x}
+    match = list(mates)
+    m = (g.n - match.count(-1)) // 2
+    for x, y in edges:
+        if match[x] != y:
+            continue
+        match[x] = match[y] = -1
+        if not (_augment(adj, match, x) or _augment(adj, match, y)):
+            m -= 1
+    return m

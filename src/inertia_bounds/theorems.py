@@ -44,10 +44,10 @@ from .inertia import (
     _peel_part_inertia,
     _peel_without,
     certificate_inertia,
-    deletion_inertia,
+    deletion_inertias,
     graph_inertia,
 )
-from .matching import _mates, matching_number, matching_number_without
+from .matching import _mates, matching_number, matching_number_without, matching_number_without_edges
 
 
 class GraphFacts:
@@ -81,14 +81,19 @@ class GraphFacts:
     eliminates nothing.
 
     How a G - v question is answered depends on its size.  When G - v has
-    more than ``MEMO_VERTICES`` vertices no G - v is built: its inertia
-    comes from :func:`.inertia.deletion_inertia`, which eliminates each
-    distinct core of the row once through a dict on the record, and
-    m(G - v) from one augmenting search
-    (:func:`.matching.matching_number_without`) on the maximum matching
-    that the record takes, with m, from one blossom run on G.  A smaller
-    G - v is the process's shared graph, and its inertia and matching
-    number come from the kernels' memos.
+    more than ``MEMO_VERTICES`` vertices no G - v or G - S is built.  The
+    inertia of every G - v comes from one walk of G's peel
+    (:func:`.inertia.deletion_inertias`), on first use, which branches
+    off G - v's own peel just before G's peel removes v and eliminates
+    each distinct core of the row once through a dict on the record.
+    m(G - S) comes from the maximum matching that the record takes, with
+    m, from one blossom run on G: S's vertices are dropped from it one
+    at a time, each at most one augmenting search from its former mate
+    (:func:`.matching.matching_number_without`), and the frontier's
+    matched edges are dropped the same way for
+    :attr:`frontier_avoidable`.  A smaller G - v is the process's shared
+    graph, and its inertia and matching number come from the kernels'
+    memos.
 
     A record belongs to one graph, and :mod:`.verify` lets go of a row's
     record when the row is done.  Across graphs only the graph layer and
@@ -121,7 +126,7 @@ class GraphFacts:
         self.pendants = pendant_vertices(graph)
         # a pendant's neighbour that is not itself a pendant has degree >= 2
         self.quasi_pendants = frozenset(w for u in self.pendants for w in graph.adj[u]) - self.pendants
-        self._deleted: dict[int, tuple[Graph | None, Inertia]] = {}
+        self._deleted: dict[int, tuple[Graph, Inertia]] = {}  # rows under the memo size only
         self._m_without: dict[frozenset[int], int] = {frozenset(): self.m}
 
     @cached_property
@@ -137,16 +142,22 @@ class GraphFacts:
         core, core_inertia = self._proven_core
         return {tuple(sorted(core)): core_inertia}
 
+    @cached_property
+    def _deletion_inertias(self) -> list[Inertia]:
+        """In(G - v) for every vertex v, from one walk of G's peel."""
+        return deletion_inertias(self.graph, self._cores)
+
     def deleted(self, v: int) -> tuple[Graph | None, Inertia]:
         """G - v and its inertia, computed on first use.
 
-        Above the memo size G - v is not built, and its place holds None.
+        Above the memo size G - v is not built, and its place holds None;
+        the first call answers every vertex at once.
         """
+        if self._in_place:
+            [v] = _checked_vertices(self.graph, (v,))
+            return None, self._deletion_inertias[v]
         if v in self._deleted:  # True == 1.0 == 1 finds vertex 1: check v as a miss does
             _checked_vertices(self.graph, (v,))
-        elif self._in_place:
-            _checked_vertices(self.graph, (v,))
-            self._deleted[v] = (None, deletion_inertia(self.graph, v, self._cores))
         else:
             h = delete_vertices(self.graph, (v,))
             self._deleted[v] = (h, graph_inertia(h))
@@ -155,18 +166,20 @@ class GraphFacts:
     def m_without(self, vs: Iterable[int]) -> int:
         """m(G - vs), solved at most once per vertex set.
 
-        The empty set gives ``m``.  One vertex is one augmenting search
-        above the memo size, and otherwise reuses the G - v of
-        :meth:`deleted`.  Out-of-range or non-``int`` vertices raise ``ValueError``.
+        The empty set gives ``m``.  Above the memo size the vertices are
+        dropped from the record's maximum matching, at most one augmenting
+        search each; below it one vertex reuses the G - v of
+        :meth:`deleted`, and a larger set builds G - vs.  Out-of-range or
+        non-``int`` vertices raise ``ValueError``.
         """
         key = frozenset(vs)
-        if key in self._m_without:  # as in deleted: a hit checks what a miss would
+        if key in self._m_without:  # True == 1.0 == 1 finds vertex 1: a hit checks what a miss would
             _checked_vertices(self.graph, key)
+        elif self._in_place:
+            _checked_vertices(self.graph, key)
+            self._m_without[key] = matching_number_without(self.graph, self._mates, key)
         elif len(key) != 1:
             self._m_without[key] = matching_number(delete_vertices(self.graph, key))
-        elif self._in_place:
-            [v] = _checked_vertices(self.graph, key)
-            self._m_without[key] = matching_number_without(self.graph, self._mates, v)
         else:
             self._m_without[key] = matching_number(self.deleted(*key)[0])
         return self._m_without[key]
@@ -206,9 +219,15 @@ class GraphFacts:
 
     @cached_property
     def frontier_avoidable(self) -> bool:
-        """Does some maximum matching avoid every frontier edge, i.e. m(G - frontier) = m?"""
+        """Does some maximum matching avoid every frontier edge, i.e. m(G - frontier) = m?
+
+        Above the memo size G - frontier is not built: the matched frontier
+        edges are dropped from the record's maximum matching instead.
+        """
         if not self.frontier:
             return True
+        if self._in_place:
+            return matching_number_without_edges(self.graph, self._mates, self.frontier) == self.m
         return matching_number(Graph(self.graph.n, self.graph.edges - self.frontier)) == self.m
 
     @cached_property

@@ -929,7 +929,7 @@ def test_a_core_answer_from_a_patched_kernel_ends_with_its_row(monkeypatch):
 # ---------------------------------------------------------------------------
 # route independence, read off the syntax tree of the inertia module
 
-CONGRUENCE_ROOTS = {"graph_inertia", "deletion_inertia"}
+CONGRUENCE_ROOTS = {"graph_inertia", "deletion_inertias"}
 CHECKER_ROOTS = {"certificate_inertia"}
 
 

@@ -10,6 +10,7 @@ maximum matching.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +25,7 @@ from inertia_bounds import (
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
 from inertia_bounds.graphs import _MEMOS
-from inertia_bounds.matching import _mates, matching_number_without
+from inertia_bounds.matching import _mates, matching_number_without, matching_number_without_edges
 from conftest import complete_graph, petersen
 from matching_oracle import BudgetExceededError, matching_bruteforce
 
@@ -107,7 +108,30 @@ def test_one_search_from_the_former_mate_gives_m_of_g_minus_v():
         mates = _mates(g)
         for v in range(g.n):
             want = matching_bruteforce(delete_vertices(g, (v,)))
-            assert matching_number_without(g, mates, v) == want, (g, v)
+            assert matching_number_without(g, mates, (v,)) == want, (g, v)
+
+
+def test_dropping_vertices_or_edges_from_a_maximum_matching_gives_m_of_the_subgraph():
+    # the set versions against the brute-force oracle, which shares no code with
+    # the searches: on every graph on 5 vertices each 2- and 3-vertex set, each
+    # set of one or two edges and the whole edge set; on G(10, 0.4) seeded sets
+    rng = random.Random(32)
+    graphs = [item.graph for item in enumerate_labeled(5)]
+    graphs += [item.graph for item in sample_random(n=10, edge_probability=0.4, count=60, seed=17)]
+    for g in graphs:
+        mates, edges = _mates(g), sorted(g.edges)
+        if g.n == 5:
+            vertex_sets = [vs for k in (2, 3) for vs in combinations(range(g.n), k)]
+            edge_sets = [es for k in (1, 2) for es in combinations(edges, k)]
+        else:
+            vertex_sets = [rng.sample(range(g.n), k) for k in (2, 3, 4, 6)]
+            edge_sets = [rng.sample(edges, min(k, len(edges))) for k in (2, 4, 8)]
+        for vs in vertex_sets:
+            want = matching_bruteforce(delete_vertices(g, vs))
+            assert matching_number_without(g, mates, vs) == want, (g, vs)
+        for es in edge_sets + [edges]:
+            want = matching_bruteforce(Graph(g.n, g.edges - set(es)))
+            assert matching_number_without_edges(g, mates, es) == want, (g, es)
 
 
 def test_blossom_agrees_with_networkx():

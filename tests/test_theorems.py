@@ -335,15 +335,24 @@ def deletion_corpus() -> list[Graph]:
     for residue in sorted(GENERATOR_RECIPES):
         base = GeneratorParams(cycle_residue=residue, num_cycles=2, num_isolated_seeds=1, num_steps=4, rng_seed=residue)
         graphs += [item.graph for item in generated_corpus(base, 6)]
+    # the first step of the peel removes the pendant 6 and its neighbour 5
+    graphs.append(Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6)]))
+    # the first step removes the pendant 6 and its neighbour 4, which leaves 5 isolated
+    graphs.append(Graph(8, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (4, 6), (6, 7)]))
+    # isolated vertices, first and last, and K2 components beside a triangle
+    graphs.append(Graph(10, [(1, 2), (3, 4), (5, 6), (6, 7), (5, 7), (7, 8)]))
+    # G peels to nothing, but G - 7 keeps the triangle: a deletion that creates a core
+    graphs.append(Graph(8, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7)]))
     return graphs
 
 
 def test_the_record_answers_every_g_minus_v_as_the_built_g_minus_v_does():
-    # Above the memo size the record builds no G - v: In(G - v) comes from the
-    # row's cores, m(G - v) from one search from v's former mate, c(G - v) from
-    # G's blocks.  Each of these wrong variants fails here: m(G - v) taken as
-    # m - 1 without the search, the search left free to use v, cores keyed by
-    # their size alone, and block counts that skip bridges.
+    # Above the memo size the record builds no G - v: In(G - v) comes from one
+    # walk of G's peel and the row's cores, m(G - v) from one search from v's
+    # former mate, c(G - v) from G's blocks.  Each of these wrong variants fails
+    # here: m(G - v) taken as m - 1 without the search, the search left free to
+    # use v, cores keyed by their size alone, block counts that skip bridges,
+    # and the walk branching after a step of the peel instead of before it.
     checked = 0
     for g in deletion_corpus():
         f = GraphFacts(g)
@@ -375,6 +384,33 @@ def certified_subgraph_corpus() -> list[Graph]:
         base = GeneratorParams(cycle_residue=residue, num_cycles=2, num_isolated_seeds=2, num_steps=6, rng_seed=residue)
         graphs += [item.graph for item in generated_corpus(base, 8)]
     return graphs
+
+
+def test_the_record_answers_every_m_of_g_minus_s_as_the_built_subgraph_does():
+    # Above the memo size no G - S is built: m(G - S) comes from dropping S's
+    # vertices one at a time from G's maximum matching, and frontier_avoidable
+    # from dropping the matched frontier edges the same way on G minus the
+    # frontier.  Each of these wrong variants fails here: a search only from the
+    # first former mate, and a search from only one end of a dropped matched edge.
+    rng = random.Random(32)
+    sets = frontiers = 0
+    for g in deletion_corpus() + certified_subgraph_corpus():
+        if g.n - 1 <= MEMO_VERTICES:
+            continue
+        f = GraphFacts(g)
+        asked = [f.cycles.cyclic_vertices]
+        if f.cycles.disjoint:
+            asked += f.frontier
+            want = matching_number(Graph(g.n, g.edges - f.frontier)) == f.m
+            assert f.frontier_avoidable is want, g
+            frontiers += any(f._mates[x] == y for x, y in f.frontier)  # a matched edge is dropped
+        asked += [rng.sample(range(g.n), k) for k in (2, 2, 3, 3)]
+        for vs in asked:
+            assert f.m_without(vs) == matching_number(delete_vertices(g, vs)), (g, vs)
+            sets += 1
+        for vs in [(g.n,), (0, -1), (True, 2), (0, 1.0, 3)]:
+            assert _error(lambda: f.m_without(vs)) == _error(lambda: delete_vertices(g, vs)), (g, vs)
+    assert sets > 3000 and frontiers > 30
 
 
 def test_pendant_pairs_and_components_are_certified_as_the_built_subgraphs_are():
@@ -457,7 +493,8 @@ def test_lemma_suite_never_false_on_small_corpus():
 
 def test_pendant_lemmas_do_not_check_the_peeling_against_itself(monkeypatch):
     # A wrong pendant rule in the peeled route must be caught by the oracle
-    # and by both lemmas, which take their subgraph inertias unreduced.
+    # and by both lemmas, which read their subgraph inertias off the row's
+    # checked certificate, not off the pendant rule.
     import inertia_bounds.inertia as inertia_mod
 
     g = disjoint_union(cycle_with_tail(5, 2), star_graph(3), path_graph(4))

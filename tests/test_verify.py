@@ -620,8 +620,9 @@ def test_no_record_outlives_its_row(monkeypatch):
         # bridge's m(G - x - y)
         next(generated_corpus(GeneratorParams(0, 1, 0, 1, 4), 1)),
         CorpusItem("El_G", parse_graph6("El_G")),
-        # 8 vertices, so each m(G - v) is one augmenting search on G: the corollaries ask
-        # it for the cycle's vertices, the quasi-pendant lemma for its two quasi-pendants
+        # 8 vertices, so each m(G - S) is answered by augmenting searches from G's maximum
+        # matching: the corollaries ask it for the cycle's vertices, the quasi-pendant lemma
+        # for its two quasi-pendants, the contraction test for the cycle
         next(generated_corpus(GeneratorParams(0, 1, 0, 2, 4), 1)),
     ],
     ids=lambda item: to_graph6(item.graph),
@@ -657,11 +658,12 @@ def test_no_row_runs_the_blossom_twice_on_one_vertex_set(monkeypatch, item):
             solved.append(subgraphs[id(h)][1])
         return mates(h)
 
-    def counted_search(h, row_mates, v):
-        # one augmenting search on g for m(G - v)
+    def counted_search(h, row_mates, vs):
+        # augmenting searches on g for m(G - vs)
+        vs = frozenset(vs)
         if h is g:
-            solved.append(frozenset((v,)))
-        return without(h, row_mates, v)
+            solved.append(vs)
+        return without(h, row_mates, vs)
 
     patch_function(monkeypatch, mates, counted_mates)
     patch_function(monkeypatch, without, counted_search)
@@ -670,10 +672,11 @@ def test_no_row_runs_the_blossom_twice_on_one_vertex_set(monkeypatch, item):
     repeated = sorted(sorted(vs) for vs in set(solved) if solved.count(vs) > 1)
     assert not repeated
     assert frozenset() in solved and any(len(vs) == 2 for vs in solved)
-    # some m(G - v) was solved: on a built G - v only when it fits the memo
+    # some m(G - v) was solved: on a built G - v, or any built G - S, only when G - v fits
+    # the memo
     assert any(len(vs) == 1 for vs in solved)
     built = [vs for _, vs in subgraphs.values() if len(vs) == 1]
-    assert bool(built) == (g.n - 1 <= MEMO_VERTICES)
+    assert bool(built) == bool(subgraphs) == (g.n - 1 <= MEMO_VERTICES)
 
 
 def once_per_row_corpus():
@@ -709,8 +712,8 @@ def test_cycle_structure_is_analysed_once_per_row_and_never_on_a_subgraph(monkey
 
 
 def test_vertex_deletions_are_shared_between_interlacing_and_corollaries(monkeypatch):
-    # one inertia for the row graph, one per deleted vertex: the interlacing lemma
-    # reuses the deletion inertias that the corollaries already computed
+    # one inertia for the row graph, one walk of its peel for every deleted vertex: the
+    # interlacing lemma reuses the deletion inertias that the corollaries already read
     import inertia_bounds.theorems as theorems_mod
 
     base = GeneratorParams(
@@ -718,16 +721,16 @@ def test_vertex_deletions_are_shared_between_interlacing_and_corollaries(monkeyp
     )
     item = next(generated_corpus(base, 1))
     g = item.graph
-    calls, deleted = [], []
-    original, deletion = theorems_mod.graph_inertia, theorems_mod.deletion_inertia
+    calls, walks = [], []
+    original, deletion = theorems_mod.graph_inertia, theorems_mod.deletion_inertias
 
     def counted(h, *terms):
         calls.append(h)
         return original(h, *terms)
 
-    def counted_deletion(h, v, cores):
-        deleted.append(v)
-        return deletion(h, v, cores)
+    def counted_deletion(h, cores):
+        walks.append(h)
+        return deletion(h, cores)
 
     patch_function(monkeypatch, original, counted)
     patch_function(monkeypatch, deletion, counted_deletion)
@@ -735,7 +738,7 @@ def test_vertex_deletions_are_shared_between_interlacing_and_corollaries(monkeyp
     assert row.corollaries_ok is True and row.lemmas["deletion_interlacing"] is True
     # G - v has 18 vertices, over the memo size: no G - v graph gets an inertia
     assert calls == [g]
-    assert sorted(deleted) == list(range(g.n))
+    assert walks == [g]
 
 
 def test_consecutive_deletions_with_one_core_eliminate_it_once(monkeypatch):
@@ -775,10 +778,10 @@ def test_a_row_over_the_memo_size_builds_no_g_minus_v_and_eliminates_each_core_o
     item = next(generated_corpus(base, 1))
     g = item.graph
     single = []  # one-vertex deletions of g
-    handed = {}  # id -> each cores dict handed to a deletion inertia
-    inside = []  # one entry per open deletion inertia
-    eliminated = []  # one entry per elimination run inside a deletion inertia
-    delete, deletion, eliminate = theorems_mod.delete_vertices, theorems_mod.deletion_inertia, inertia_mod._eliminate
+    handed = []  # each cores dict handed to a walk of deletion inertias
+    inside = []  # one entry per open walk
+    eliminated = []  # one entry per elimination run inside a walk
+    delete, deletion, eliminate = theorems_mod.delete_vertices, theorems_mod.deletion_inertias, inertia_mod._eliminate
 
     def counted_delete(h, vs):
         vs = list(vs)
@@ -786,11 +789,11 @@ def test_a_row_over_the_memo_size_builds_no_g_minus_v_and_eliminates_each_core_o
             single.append(vs)
         return delete(h, vs)
 
-    def counted_deletion(h, v, cores):
-        handed[id(cores)] = cores
-        inside.append(v)
+    def counted_deletion(h, cores):
+        handed.append(cores)
+        inside.append(h)
         try:
-            return deletion(h, v, cores)
+            return deletion(h, cores)
         finally:
             inside.pop()
 
@@ -805,7 +808,7 @@ def test_a_row_over_the_memo_size_builds_no_g_minus_v_and_eliminates_each_core_o
     row = analyze_graph(g, item.graph_id, checks=ALL_CHECKS, residue=item.residue)
     assert row.lemmas["deletion_interlacing"] is True and g.n - 1 > MEMO_VERTICES
     assert not single
-    [cores] = handed.values()  # one dict for the row
+    [cores] = handed  # one walk, and one dict, for the row
     # one elimination per distinct core, however many G - v peel to it, except G's
     # own, which the row's certificate proves
     assert len(eliminated) == len(cores) - 1 < g.n
@@ -819,7 +822,7 @@ def test_one_blossom_per_row_on_the_row_graph(monkeypatch):
 
     row_graph = []
     per_row = []
-    searches = []  # per row, the v of each one-vertex search on the row graph
+    searches = []  # per row, the vertex set of each m(G - S) answered on the row graph
     original, without = matching_mod._mates, matching_mod.matching_number_without
 
     def counted(g):
@@ -827,10 +830,11 @@ def test_one_blossom_per_row_on_the_row_graph(monkeypatch):
             per_row[-1] += 1
         return original(g)
 
-    def counted_search(g, mates, v):
+    def counted_search(g, mates, vs):
+        vs = frozenset(vs)
         if row_graph and g == row_graph[0]:
-            searches[-1].append(v)
-        return without(g, mates, v)
+            searches[-1].append(vs)
+        return without(g, mates, vs)
 
     patch_function(monkeypatch, original, counted)
     patch_function(monkeypatch, without, counted_search)
@@ -852,7 +856,8 @@ def test_one_blossom_per_row_on_the_row_graph(monkeypatch):
     assert max(per_row) == 1
     # a row over the memo size misses the memo, so it solves G exactly once
     assert all(count == 1 for item, count in zip(corpus, per_row) if item.graph.n > MEMO_VERTICES)
-    # m(G - v) is one search per vertex, never a second blossom run on G
+    # m(G - S) is answered once per vertex set from G's matching, never by a second
+    # blossom run on G
     assert any(searches) and all(len(set(vs)) == len(vs) for vs in searches)
 
 
