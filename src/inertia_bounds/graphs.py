@@ -8,7 +8,7 @@ object.  Graphs are compared with ``==``, never ``is``.  A graph holds
 only ``n`` and ``adj``, its neighbour sets; ``edges`` builds a new frozenset
 on each access, so a caller reads it once, not in a loop.  Parsing
 supports the graph6 interchange format and a plain edge-list format.
-The kernels that take only a graph keep their answers on small graphs
+``graph_inertia`` without ``terms`` keeps its answers on small graphs
 for the life of the process (:func:`_memoised`).
 """
 
@@ -384,7 +384,7 @@ def delete_vertices(g: Graph, vs: Iterable[int]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# per-process memo of the graph-only kernels on small graphs
+# per-process memo of graph_inertia on small graphs
 
 # There are 1 + 1 + 2 + 8 + 64 + 1024 = 1100 labelled graphs on at most
 # five vertices, so a memo capped here is complete and never evicts.
@@ -395,7 +395,7 @@ _PAIR_BITS = tuple(
     tuple(8 << (j * (j - 1) // 2 + i) if i < j else 0 for i in range(MEMO_VERTICES))
     for j in range(MEMO_VERTICES)
 )
-# one memo per kernel, emptied only by the tests
+# one memo per memoised kernel (graph_inertia is the one), emptied only by the tests
 _MEMOS: list[dict[int, object]] = []
 # the 32 neighbour sets a graph on at most five vertices can have, by bit mask
 _SUBSETS = tuple(frozenset(i for i in range(MEMO_VERTICES) if mask >> i & 1) for mask in range(1 << MEMO_VERTICES))

@@ -3,8 +3,6 @@
 :func:`_mates` is the one solver (blossom contraction, deterministic
 tie-breaking); :func:`matching_number` counts its matched pairs.  The
 tests check it against the brute-force oracle in ``tests/matching_oracle.py``.
-:func:`matching_number` answers each graph on at most ``MEMO_VERTICES``
-vertices once per process, from a memo (:func:`.graphs._memoised`).
 :func:`matching_number_without` answers m(G - S) for a vertex set S
 from a maximum matching of G, without building G - S: it drops S's
 vertices from the matching one at a time, and each drop costs at most
@@ -17,8 +15,9 @@ mate.  They and :func:`_mates` share that search (:func:`_augment`).
 The quantified questions (does some or every maximum matching use an
 edge, cover a vertex, avoid the frontier edges) are answered on the
 row's :class:`~.theorems.GraphFacts` through matching numbers of
-deleted graphs, so they inherit the exactness of the solver instead of
-enumerating matchings.
+deleted graphs, each dropped from the row's one maximum matching, so
+they inherit the exactness of the solver instead of enumerating
+matchings.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .graphs import Edge, Graph, _memoised
+from .graphs import Edge, Graph
 
 
 def _augment(adj: Sequence[Iterable[int]], match: list[int], root: int, dead: Iterable[int] = ()) -> bool:
@@ -129,7 +128,6 @@ def _mates(g: Graph) -> list[int]:
     return match
 
 
-@_memoised
 def matching_number(g: Graph) -> int:
     """Size of a maximum matching: half the number of matched vertices."""
     return (g.n - _mates(g).count(-1)) // 2

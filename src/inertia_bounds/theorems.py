@@ -59,53 +59,52 @@ class GraphFacts:
     the terms of that run, or the first condition they fail; the two
     differ only on a counterexample.  The record runs the congruence
     itself unless the caller passes the answer and the terms of its own
-    run, as :func:`.verify.analyze_graph` does.  ``m`` (matching number),
-    ``c`` (cyclomatic number), ``cycles`` (the :class:`CycleStructure`),
-    ``components`` and the ``pendants`` and ``quasi_pendants`` vertex
-    sets are computed on creation too.  Every matching question about a
-    vertex-deleted subgraph is asked through :meth:`m_without`, which
-    solves each vertex set at most once.  The rest is computed on first
-    use, at most once: the four extremal verdicts
+    run, as :func:`.verify.analyze_graph` does; it passes both or
+    neither, or raises ``ValueError``.  ``m`` (matching number), with the
+    maximum matching it counts, ``c`` (cyclomatic number), ``cycles``
+    (the :class:`CycleStructure`), ``components`` and the ``pendants`` and
+    ``quasi_pendants`` vertex sets are computed on creation too.  The rest
+    is computed on first use, at most once: the four extremal verdicts
     (:attr:`classifications`) and, on pairwise disjoint cycles, the
     contracted forest's matching number, the frontier edges, and whether
-    some or every maximum matching avoids them.  The inertia of each
-    G - v is kept per vertex (see :meth:`deleted`), and c(G - v) is read
-    off the block counts of ``cycles`` (:meth:`c_without`).
+    some or every maximum matching avoids them.
+
+    A question about a vertex-deleted subgraph is asked through
+    :meth:`inertia_without`, :meth:`m_without` or :meth:`c_without`, and
+    builds no G - S for matching.  m(G - S) comes from the record's
+    maximum matching, solved once per vertex set: S's vertices are
+    dropped from it one at a time, each at most one augmenting search
+    from its former mate (:func:`.matching.matching_number_without`),
+    and the frontier's matched edges are dropped the same way for
+    :attr:`frontier_avoidable`.  c(G - v) is read off the block counts of
+    ``cycles``.  In(G - v) is answered for every vertex at once, on first
+    use.  When G - v has more than ``MEMO_VERTICES`` vertices it comes
+    from one walk of G's peel (:func:`.inertia.deletion_inertias`), which
+    branches off G - v's own peel just before G's peel removes v and
+    eliminates each distinct core of the row once through a dict on the
+    record.  A smaller G - v is the process's shared graph, and its
+    inertia comes from ``graph_inertia``'s memo.
 
     The pendant-pair and component lemmas read their subgraph inertias
     off the accepted certificate, without eliminating: G's core S and
     In(A[S, S]) (:func:`.inertia._certified_core`, once, on first use)
     and each component's share of the terms
     (:func:`.inertia._component_inertias`).  S's inertia also seeds the
-    dict of cores below, so a G - v that peels to G's own core
-    eliminates nothing.
-
-    How a G - v question is answered depends on its size.  When G - v has
-    more than ``MEMO_VERTICES`` vertices no G - v or G - S is built.  The
-    inertia of every G - v comes from one walk of G's peel
-    (:func:`.inertia.deletion_inertias`), on first use, which branches
-    off G - v's own peel just before G's peel removes v and eliminates
-    each distinct core of the row once through a dict on the record.
-    m(G - S) comes from the maximum matching that the record takes, with
-    m, from one blossom run on G: S's vertices are dropped from it one
-    at a time, each at most one augmenting search from its former mate
-    (:func:`.matching.matching_number_without`), and the frontier's
-    matched edges are dropped the same way for
-    :attr:`frontier_avoidable`.  A smaller G - v is the process's shared
-    graph, and its inertia and matching number come from the kernels'
-    memos.
+    dict of cores, so a G - v that peels to G's own core eliminates
+    nothing.
 
     A record belongs to one graph, and :mod:`.verify` lets go of a row's
     record when the row is done.  Across graphs only the graph layer and
-    the kernels keep anything, on purpose: ``delete_vertices`` returns one
-    shared graph per result on at most ``MEMO_VERTICES`` vertices, and
-    ``graph_inertia`` without ``terms`` and ``matching_number`` answer
-    each such graph once per process, from the memo of
-    :func:`.graphs._memoised`, because in a sweep the small subgraphs of
-    one row recur in the next.
+    the inertia kernel keep anything, on purpose: ``delete_vertices``
+    returns one shared graph per result on at most ``MEMO_VERTICES``
+    vertices, and ``graph_inertia`` without ``terms`` answers each such
+    graph once per process, from the memo of :func:`.graphs._memoised`,
+    because in a sweep the small subgraphs of one row recur in the next.
     """
 
-    def __init__(self, graph: Graph, inertia: Inertia | None = None, terms: Sequence[Term] = ()) -> None:
+    def __init__(self, graph: Graph, inertia: Inertia | None = None, terms: Sequence[Term] | None = None) -> None:
+        if (inertia is None) != (terms is None):
+            raise ValueError("pass the inertia together with the terms of its run, or neither")
         self.graph = graph
         if inertia is None:
             terms = []
@@ -113,20 +112,14 @@ class GraphFacts:
         self.inertia = inertia
         self._terms = terms
         self.certified = certificate_inertia(graph, terms)
-        # G - v over the memo size is answered on graph's own adjacency
-        self._in_place = graph.n - 1 > MEMO_VERTICES
-        if self._in_place:
-            self._mates = _mates(graph)
-            self.m = (graph.n - self._mates.count(-1)) // 2
-        else:
-            self.m = matching_number(graph)
+        self._mates = _mates(graph)
+        self.m = (graph.n - self._mates.count(-1)) // 2
         self.components = components(graph)
         self.c = graph.num_edges - graph.n + len(self.components)
         self.cycles = analyze_cycles(graph)
         self.pendants = pendant_vertices(graph)
         # a pendant's neighbour that is not itself a pendant has degree >= 2
         self.quasi_pendants = frozenset(w for u in self.pendants for w in graph.adj[u]) - self.pendants
-        self._deleted: dict[int, tuple[Graph, Inertia]] = {}  # rows under the memo size only
         self._m_without: dict[frozenset[int], int] = {frozenset(): self.m}
 
     @cached_property
@@ -144,44 +137,30 @@ class GraphFacts:
 
     @cached_property
     def _deletion_inertias(self) -> list[Inertia]:
-        """In(G - v) for every vertex v, from one walk of G's peel."""
-        return deletion_inertias(self.graph, self._cores)
+        """In(G - v) for every vertex v: the memo's answer when G - v fits it, else one walk of G's peel."""
+        g = self.graph
+        if g.n - 1 <= MEMO_VERTICES:
+            return [graph_inertia(delete_vertices(g, (v,))) for v in range(g.n)]
+        return deletion_inertias(g, self._cores)
 
-    def deleted(self, v: int) -> tuple[Graph | None, Inertia]:
-        """G - v and its inertia, computed on first use.
-
-        Above the memo size G - v is not built, and its place holds None;
-        the first call answers every vertex at once.
-        """
-        if self._in_place:
-            [v] = _checked_vertices(self.graph, (v,))
-            return None, self._deletion_inertias[v]
-        if v in self._deleted:  # True == 1.0 == 1 finds vertex 1: check v as a miss does
-            _checked_vertices(self.graph, (v,))
-        else:
-            h = delete_vertices(self.graph, (v,))
-            self._deleted[v] = (h, graph_inertia(h))
-        return self._deleted[v]
+    def inertia_without(self, v: int) -> Inertia:
+        """In(G - v); the first call answers every vertex at once."""
+        [v] = _checked_vertices(self.graph, (v,))
+        return self._deletion_inertias[v]
 
     def m_without(self, vs: Iterable[int]) -> int:
         """m(G - vs), solved at most once per vertex set.
 
-        The empty set gives ``m``.  Above the memo size the vertices are
-        dropped from the record's maximum matching, at most one augmenting
-        search each; below it one vertex reuses the G - v of
-        :meth:`deleted`, and a larger set builds G - vs.  Out-of-range or
-        non-``int`` vertices raise ``ValueError``.
+        The empty set gives ``m``.  Otherwise the vertices are dropped
+        from the record's maximum matching, at most one augmenting search
+        each (:func:`.matching.matching_number_without`); no G - vs is
+        built.  Out-of-range or non-``int`` vertices raise ``ValueError``.
         """
         key = frozenset(vs)
-        if key in self._m_without:  # True == 1.0 == 1 finds vertex 1: a hit checks what a miss would
-            _checked_vertices(self.graph, key)
-        elif self._in_place:
-            _checked_vertices(self.graph, key)
+        # True == 1.0 == 1 would find vertex 1: check before the lookup
+        _checked_vertices(self.graph, key)
+        if key not in self._m_without:
             self._m_without[key] = matching_number_without(self.graph, self._mates, key)
-        elif len(key) != 1:
-            self._m_without[key] = matching_number(delete_vertices(self.graph, key))
-        else:
-            self._m_without[key] = matching_number(self.deleted(*key)[0])
         return self._m_without[key]
 
     def c_without(self, v: int) -> int:
@@ -221,14 +200,10 @@ class GraphFacts:
     def frontier_avoidable(self) -> bool:
         """Does some maximum matching avoid every frontier edge, i.e. m(G - frontier) = m?
 
-        Above the memo size G - frontier is not built: the matched frontier
-        edges are dropped from the record's maximum matching instead.
+        No G - frontier is built: the matched frontier edges are dropped
+        from the record's maximum matching instead.
         """
-        if not self.frontier:
-            return True
-        if self._in_place:
-            return matching_number_without_edges(self.graph, self._mates, self.frontier) == self.m
-        return matching_number(Graph(self.graph.n, self.graph.edges - self.frontier)) == self.m
+        return matching_number_without_edges(self.graph, self._mates, self.frontier) == self.m
 
     @cached_property
     def frontier_always_avoided(self) -> bool:
@@ -354,9 +329,9 @@ def check_deletion_corollaries(f: GraphFacts) -> bool | None:
     G - v), m is unchanged, c drops by 1, and v is not a quasi-pendant;
     for the lower case: p unchanged, tight below, m drops by 1, c drops
     by 1, and v is not a quasi-pendant.  p, m and c of G - v come from
-    the record (:meth:`GraphFacts.deleted`, :meth:`GraphFacts.m_without`,
-    :meth:`GraphFacts.c_without`), which builds no G - v above the memo
-    size; the interlacing lemma reuses the same per-vertex inertias.
+    the record (:meth:`GraphFacts.inertia_without`,
+    :meth:`GraphFacts.m_without`, :meth:`GraphFacts.c_without`); the
+    interlacing lemma reuses the same per-vertex inertias.
     """
     p, m, c = f.inertia.p, f.m, f.c
     upper, lower = p == m + c, p == m - c
@@ -365,7 +340,7 @@ def check_deletion_corollaries(f: GraphFacts) -> bool | None:
     for v in sorted(f.cycles.cyclic_vertices):
         if v in f.quasi_pendants:
             return False
-        ph = f.deleted(v)[1].p
+        ph = f.inertia_without(v).p
         mh = f.m_without((v,))
         ch = f.c_without(v)
         if ch != c - 1:
@@ -469,7 +444,7 @@ def _interlacing(f: GraphFacts) -> bool | None:
     if f.graph.n == 0:
         return None
     p, n = f.inertia.p, f.inertia.n
-    subs = (f.deleted(v)[1] for v in range(f.graph.n))
+    subs = (f.inertia_without(v) for v in range(f.graph.n))
     return all(sub.p in (p - 1, p) and sub.n in (n - 1, n) for sub in subs)
 
 
@@ -565,7 +540,6 @@ LEMMAS = (
     ("pendant_reduction", _pendant_reduction),
     ("component_additivity", _component_additivity),
     ("deletion_interlacing", _interlacing),
-    # after interlacing, which has put every G - v of a small row in the memo
     ("quasipendant_matching_drop", _quasipendant_matching_drop),
     ("tree_nullity_bound", check_tree_nullity),
     ("leaf_stripping_drop", _leaf_stripping_drop),

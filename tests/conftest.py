@@ -14,7 +14,7 @@ from inertia_bounds.graphs import _MEMOS
 
 
 def empty_memos() -> None:
-    """Empty the small-graph memos of ``graph_inertia`` and ``matching_number``: the only answers kept across rows.
+    """Empty ``graph_inertia``'s small-graph memo, the only answers kept across rows.
 
     The shared small graphs of ``delete_vertices`` stay: they hold graphs
     and their keys, no answer.

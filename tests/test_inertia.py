@@ -867,11 +867,12 @@ def test_the_memo_answers_every_small_graph_as_the_oracles_do():
         for g, (inertia, m) in zip(graphs, want):
             assert graph_inertia(g) == inertia, g
             assert matching_number(g) == m, g
-    # one entry per labelled graph: the int keys of distinct graphs differ
-    assert [len(memo) for memo in _MEMOS] == [1100] * 2
+    # graph_inertia's memo, the only one, holds one entry per labelled graph:
+    # the int keys of distinct graphs differ
+    assert [len(memo) for memo in _MEMOS] == [1100]
     for g in (cycle_graph(6), sparse_400()):
         graph_inertia(g), matching_number(g)
-    assert [len(memo) for memo in _MEMOS] == [1100] * 2
+    assert [len(memo) for memo in _MEMOS] == [1100]
 
 
 def test_a_warm_memo_still_hands_over_a_checked_certificate():
@@ -898,7 +899,7 @@ def test_a_call_with_terms_certifies_even_when_a_record_holds_its_core():
     # G - 7 leaves the 7-cycle core, and so does G once its tail peels off as one pendant pair
     g = cycle_with_tail(7, 2)
     f = GraphFacts(g)
-    assert f.deleted(7)[1] == graph_inertia_oracle(cycle_graph(7)) + (0, 0, 1)
+    assert f.inertia_without(7) == graph_inertia_oracle(cycle_graph(7)) + (0, 0, 1)
     kept = dict(f._cores)
     assert list(kept) == [tuple(range(7))]
     for h in (g, cycle_graph(9)):
@@ -918,12 +919,12 @@ def test_a_core_answer_from_a_patched_kernel_ends_with_its_row(monkeypatch):
     f = GraphFacts(g)
     with monkeypatch.context() as patched:
         patched.setattr(inertia_mod, "_eliminate", lambda rows, *args: Inertia(0, 0, len(rows)))
-        assert f.deleted(7)[1] == (1, 1, 8)
+        assert f.inertia_without(7) == (1, 1, 8)
     # undoing the patch leaves the wrong answer in the record's cores, and only there
-    assert f.deleted(8)[1] == (1, 1, 8)
+    assert f.inertia_without(8) == (1, 1, 8)
     want = graph_inertia_oracle(cycle_graph(7)) + (1, 1, 1)
     assert want == (4, 5, 1)
-    assert GraphFacts(g).deleted(8)[1] == graph_inertia(delete_vertices(g, (8,))) == want
+    assert GraphFacts(g).inertia_without(8) == graph_inertia(delete_vertices(g, (8,))) == want
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from inertia_bounds import (
     star_graph,
 )
 from inertia_bounds.corpus import enumerate_labeled, sample_random
-from inertia_bounds.graphs import _MEMOS
 from inertia_bounds.matching import _mates, matching_number_without, matching_number_without_edges
 from conftest import complete_graph, petersen
 from matching_oracle import BudgetExceededError, matching_bruteforce
@@ -201,13 +200,13 @@ def test_coverage_queries():
 
 
 def test_frontier_avoidable_never_solves_the_row_graph(monkeypatch):
-    # m(G) is on the record, so the frontier question solves only G minus its frontier
+    # the record holds G's maximum matching, so the frontier question drops the
+    # matched frontier edge from it and runs no blossom, on G or on G minus its frontier
     import inertia_bounds.matching as matching_mod
 
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])  # C4 plus the pendant edge 04
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 1)])  # C4 plus the pendant edge 01
     f = GraphFacts(g)
-    for memo in _MEMOS:  # a memo hit would hide a solve of G
-        memo.clear()
+    assert f.frontier == {(0, 1)} and f._mates[0] == 1  # a matched edge is dropped
     original, solved = matching_mod._mates, []
 
     def solve(h):
@@ -216,4 +215,4 @@ def test_frontier_avoidable_never_solves_the_row_graph(monkeypatch):
 
     monkeypatch.setattr(matching_mod, "_mates", solve)
     assert f.frontier_avoidable
-    assert solved == [Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])]
+    assert not solved

@@ -180,7 +180,28 @@ def test_deletion_corollaries_refuse_a_bound_the_graph_misses(g, bound):
     # the four corollaries fails
     m, c = matching_number(g), cyclomatic_number(g)
     p = m + c if bound == "upper" else m - c
-    assert not check_deletion_corollaries(GraphFacts(g, graph_inertia(g)._replace(p=p)))
+    terms: list = []
+    claimed = graph_inertia(g, terms)._replace(p=p)
+    assert not check_deletion_corollaries(GraphFacts(g, claimed, terms))
+
+
+def test_a_record_takes_the_inertia_and_its_terms_together():
+    # without its terms a given inertia would fail its certificate, and the
+    # certified lemmas would read False on a correct graph
+    g = Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (4, 5)])
+    terms: list = []
+    inertia = graph_inertia(g, terms)
+    for args in ((inertia,), (None, terms)):
+        with pytest.raises(ValueError, match="together with the terms"):
+            GraphFacts(g, *args)
+    given = GraphFacts(g, inertia, terms)
+    assert given.certified == inertia
+    verdicts = lemma_suite(given)
+    assert verdicts == lemma_suite(GraphFacts(g))
+    assert verdicts["pendant_reduction"] is verdicts["component_additivity"] is True
+    # an edgeless graph's terms are empty, and still given
+    empty: list = []
+    assert GraphFacts(Graph(3), graph_inertia(Graph(3), empty), empty).certified == (0, 0, 3)
 
 
 def test_deletion_corollaries_lower():
@@ -300,31 +321,38 @@ def test_lemma_verdicts_where_the_matching_lemmas_fire():
 
 
 def test_m_without_solves_each_vertex_set_once(monkeypatch):
-    import inertia_bounds.theorems as theorems_mod
+    # a row whose G - v fits the memo takes the same path as a larger one: G's
+    # one blossom run, then one matching_number_without call per vertex set
+    import inertia_bounds.matching as matching_mod
 
-    solved = []
-    original = theorems_mod.matching_number
+    blossoms, solved = [], []
+    mates, without = matching_mod._mates, matching_mod.matching_number_without
 
-    def counted(h):
-        solved.append(h)
-        return original(h)
+    def counted_mates(h):
+        blossoms.append(h)
+        return mates(h)
 
-    monkeypatch.setattr(theorems_mod, "matching_number", counted)
-    f = GraphFacts(cycle_with_tail(4, 2))  # m = 3
-    assert len(solved) == 1  # G itself
-    assert f.m_without(()) == f.m == 3 and len(solved) == 1
+    def counted_without(h, row_mates, vs):
+        solved.append(frozenset(vs))
+        return without(h, row_mates, vs)
+
+    patch_function(monkeypatch, mates, counted_mates)
+    patch_function(monkeypatch, without, counted_without)
+    g = cycle_with_tail(4, 2)  # m = 3
+    f = GraphFacts(g)
+    assert g.n - 1 <= MEMO_VERTICES and blossoms == [g]
+    assert f.m_without(()) == f.m == 3 and not solved
     assert f.m_without((0, 4)) == f.m_without([4, 0]) == f.m_without({0, 4}) == 1
     assert f.m_without((1,)) == 2
     assert f.m_without((1,)) == 2
-    assert len(solved) == 3
-    # one vertex reuses the G - v kept for interlacing
-    assert solved[-1] is f.deleted(1)[0]
+    assert solved == [{0, 4}, {1}]
+    assert blossoms == [g]
 
 
 def deletion_corpus() -> list[Graph]:
     """Seeded sparse and dense graphs on 2 to 30 vertices, and generator outputs of every residue.
 
-    Up to 6 vertices the record answers G - v through the shared small graphs, above on G itself.
+    Up to 6 vertices the record takes In(G - v) from the shared small graphs, above from G itself.
     """
     rng = random.Random(30)
     graphs = [
@@ -347,9 +375,9 @@ def deletion_corpus() -> list[Graph]:
 
 
 def test_the_record_answers_every_g_minus_v_as_the_built_g_minus_v_does():
-    # Above the memo size the record builds no G - v: In(G - v) comes from one
-    # walk of G's peel and the row's cores, m(G - v) from one search from v's
-    # former mate, c(G - v) from G's blocks.  Each of these wrong variants fails
+    # m(G - v) comes from one search from v's former mate, c(G - v) from G's
+    # blocks, and above the memo size In(G - v) from one walk of G's peel and
+    # the row's cores, so no G - v is built there.  Each of these wrong variants fails
     # here: m(G - v) taken as m - 1 without the search, the search left free to
     # use v, cores keyed by their size alone, block counts that skip bridges,
     # and the walk branching after a step of the peel instead of before it.
@@ -359,9 +387,9 @@ def test_the_record_answers_every_g_minus_v_as_the_built_g_minus_v_does():
         for v in range(g.n):
             h = delete_vertices(g, (v,))
             want = (graph_inertia(h), matching_number(h), cyclomatic_number(h))
-            assert (f.deleted(v)[1], f.m_without((v,)), f.c_without(v)) == want, (g, v)
+            assert (f.inertia_without(v), f.m_without((v,)), f.c_without(v)) == want, (g, v)
             checked += 1
-    assert checked > 1000 and f.deleted(0)[0] is None
+    assert checked > 1000
 
 
 def certified_pair_inertia(f: GraphFacts, pair: tuple[int, int]) -> Inertia | None:
@@ -387,7 +415,7 @@ def certified_subgraph_corpus() -> list[Graph]:
 
 
 def test_the_record_answers_every_m_of_g_minus_s_as_the_built_subgraph_does():
-    # Above the memo size no G - S is built: m(G - S) comes from dropping S's
+    # No G - S is built, on a row of any size: m(G - S) comes from dropping S's
     # vertices one at a time from G's maximum matching, and frontier_avoidable
     # from dropping the matched frontier edges the same way on G minus the
     # frontier.  Each of these wrong variants fails here: a search only from the
@@ -395,8 +423,6 @@ def test_the_record_answers_every_m_of_g_minus_s_as_the_built_subgraph_does():
     rng = random.Random(32)
     sets = frontiers = 0
     for g in deletion_corpus() + certified_subgraph_corpus():
-        if g.n - 1 <= MEMO_VERTICES:
-            continue
         f = GraphFacts(g)
         asked = [f.cycles.cyclic_vertices]
         if f.cycles.disjoint:
@@ -404,7 +430,7 @@ def test_the_record_answers_every_m_of_g_minus_s_as_the_built_subgraph_does():
             want = matching_number(Graph(g.n, g.edges - f.frontier)) == f.m
             assert f.frontier_avoidable is want, g
             frontiers += any(f._mates[x] == y for x, y in f.frontier)  # a matched edge is dropped
-        asked += [rng.sample(range(g.n), k) for k in (2, 2, 3, 3)]
+        asked += [rng.sample(range(g.n), min(k, g.n)) for k in (2, 2, 3, 3)]
         for vs in asked:
             assert f.m_without(vs) == matching_number(delete_vertices(g, vs)), (g, vs)
             sets += 1
@@ -469,12 +495,12 @@ def test_a_warmed_record_refuses_a_vertex_that_only_equals_an_int(vertex):
     # so its record answers them on P8 itself
     for g in (path_graph(4), path_graph(8)):
         fresh, warmed = GraphFacts(g), GraphFacts(g)
-        warmed.deleted(1)
+        warmed.inertia_without(1)
         warmed.m_without((1,))
         warmed.m_without((1, 2))
         warmed.c_without(1)
         for ask in (
-            lambda f: f.deleted(vertex),
+            lambda f: f.inertia_without(vertex),
             lambda f: f.m_without((vertex,)),
             lambda f: f.m_without((vertex, 2)),
             lambda f: f.c_without(vertex),

@@ -13,10 +13,12 @@ from inertia_bounds import (
     GraphFacts,
     GraphParseError,
     UpperClassification,
+    analyze_cycles,
     analyze_graph,
     check_deletion_corollaries,
     check_difference_bounds,
     classify_unicyclic,
+    contract_cycles,
     cycle_graph,
     emit_report,
     parse_graph6,
@@ -631,16 +633,16 @@ def test_no_row_runs_the_blossom_twice_on_one_vertex_set(monkeypatch, item):
     import inertia_bounds.matching as matching_mod
 
     g = item.graph
-    subgraphs = {}  # id of a subgraph of g -> (the subgraph, the vertex set deleted)
-    solved = []  # the vertex set of each blossom run on g or on a subgraph of g
+    built = []  # the vertex set of each subgraph of g that delete_vertices returns
+    blossoms = []  # each graph the blossom runs on
+    solved = []  # the vertex set of each m(G - S) answered from g's maximum matching
 
     def counted_delete(delete):
         def wrapper(h, vs):
             vs = frozenset(vs)
-            sub = delete(h, vs)
             if h is g:
-                subgraphs[id(sub)] = (sub, vs)
-            return sub
+                built.append(vs)
+            return delete(h, vs)
 
         return wrapper
 
@@ -652,14 +654,10 @@ def test_no_row_runs_the_blossom_twice_on_one_vertex_set(monkeypatch, item):
     mates, without = matching_mod._mates, matching_mod.matching_number_without
 
     def counted_mates(h):
-        if h is g:
-            solved.append(frozenset())
-        elif id(h) in subgraphs:
-            solved.append(subgraphs[id(h)][1])
+        blossoms.append(h)
         return mates(h)
 
     def counted_search(h, row_mates, vs):
-        # augmenting searches on g for m(G - vs)
         vs = frozenset(vs)
         if h is g:
             solved.append(vs)
@@ -669,14 +667,17 @@ def test_no_row_runs_the_blossom_twice_on_one_vertex_set(monkeypatch, item):
     patch_function(monkeypatch, without, counted_search)
     row = analyze_graph(g, item.graph_id, checks=ALL_CHECKS, residue=item.residue)
     assert row.lemmas["attached_even_cycle"] is True
+    # one blossom run on G, whatever its size; the only other is on the contracted forest
+    forest = contract_cycles(g, analyze_cycles(g))
+    assert [h for h in blossoms if h is g] == [g]
+    assert all(h is g or h == forest for h in blossoms)
     repeated = sorted(sorted(vs) for vs in set(solved) if solved.count(vs) > 1)
     assert not repeated
-    assert frozenset() in solved and any(len(vs) == 2 for vs in solved)
-    # some m(G - v) was solved: on a built G - v, or any built G - S, only when G - v fits
-    # the memo
-    assert any(len(vs) == 1 for vs in solved)
-    built = [vs for _, vs in subgraphs.values() if len(vs) == 1]
-    assert bool(built) == bool(subgraphs) == (g.n - 1 <= MEMO_VERTICES)
+    assert any(len(vs) == 1 for vs in solved) and any(len(vs) == 2 for vs in solved)
+    # no G - S is built for matching: only the single-vertex G - v of interlacing,
+    # and only when G - v fits the memo
+    assert all(len(vs) == 1 for vs in built)
+    assert bool(built) == (g.n - 1 <= MEMO_VERTICES)
 
 
 def once_per_row_corpus():
@@ -853,9 +854,8 @@ def test_one_blossom_per_row_on_the_row_graph(monkeypatch):
     corpus = once_per_row_corpus()
     report = run_verification(corpus, checks=ALL_CHECKS, workers=1)
     assert report.ok and len(per_row) == len(corpus)
-    assert max(per_row) == 1
-    # a row over the memo size misses the memo, so it solves G exactly once
-    assert all(count == 1 for item, count in zip(corpus, per_row) if item.graph.n > MEMO_VERTICES)
+    # no memo holds m(G), so every row, small or large, solves G exactly once
+    assert per_row == [1] * len(corpus)
     # m(G - S) is answered once per vertex set from G's matching, never by a second
     # blossom run on G
     assert any(searches) and all(len(set(vs)) == len(vs) for vs in searches)
