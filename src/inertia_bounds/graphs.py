@@ -9,7 +9,12 @@ only ``n`` and ``adj``, its neighbour sets; ``edges`` builds a new frozenset
 on each access, so a caller reads it once, not in a loop.  Parsing
 supports the graph6 interchange format and a plain edge-list format.
 ``graph_inertia`` without ``terms`` keeps its answers on small graphs
-for the life of the process (:func:`_memoised`).
+for the life of the process (:func:`_memoised`), keyed by an int that
+encodes the graph.  :func:`_deletion_keys` reads the key of every
+single-vertex deletion of a graph on at most ``MEMO_VERTICES + 1``
+vertices straight off its neighbour sets, so a caller that wants only
+those graphs' memo answers takes the shared graph for each key
+(:func:`_small_graph`) and builds no G - v.
 """
 
 from __future__ import annotations
@@ -426,6 +431,31 @@ def _memo_key(g: Graph) -> int:
         for i in nbrs:
             key |= bits[i]
     return key
+
+
+# _DROP_BITS[j][i][v]: pair (i, j)'s bit in the memo key of g minus vertex v,
+# for i < j <= MEMO_VERTICES; 0 when v is i or j.  Deleting v lowers by one
+# every label above it.
+_DROP_BITS = tuple(
+    tuple(
+        tuple(0 if v in (i, j) else _PAIR_BITS[j - (j > v)][i - (i > v)] for v in range(MEMO_VERTICES + 1))
+        for i in range(j)
+    )
+    for j in range(MEMO_VERTICES + 1)
+)
+
+
+def _deletion_keys(g: Graph) -> list[int]:
+    """The memo key of each ``delete_vertices(g, (v,))``, in vertex order, read off ``g.adj`` in one pass.
+
+    ``g`` has at most ``MEMO_VERTICES + 1`` vertices.  No vertex is
+    checked and no graph or relabelling is built; each edge adds its bit
+    to the key of every G - v that keeps it (the bits are distinct, so
+    summing them sets them).
+    """
+    n = g.n
+    columns = [_DROP_BITS[j][i] for j, nbrs in enumerate(g.adj) for i in nbrs if i < j]
+    return list(map(sum, zip([n - 1] * n, *columns)))
 
 
 _T = TypeVar("_T")

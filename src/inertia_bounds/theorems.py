@@ -32,8 +32,9 @@ from .graphs import (
     Edge,
     Graph,
     _checked_vertices,
+    _deletion_keys,
+    _small_graph,
     components,
-    delete_vertices,
     pendant_vertices,
 )
 from .inertia import (
@@ -71,19 +72,23 @@ class GraphFacts:
 
     A question about a vertex-deleted subgraph is asked through
     :meth:`inertia_without`, :meth:`m_without` or :meth:`c_without`, and
-    builds no G - S for matching.  m(G - S) comes from the record's
-    maximum matching, solved once per vertex set: S's vertices are
-    dropped from it one at a time, each at most one augmenting search
-    from its former mate (:func:`.matching.matching_number_without`),
-    and the frontier's matched edges are dropped the same way for
-    :attr:`frontier_avoidable`.  c(G - v) is read off the block counts of
-    ``cycles``.  In(G - v) is answered for every vertex at once, on first
-    use.  When G - v has more than ``MEMO_VERTICES`` vertices it comes
-    from one walk of G's peel (:func:`.inertia.deletion_inertias`), which
-    branches off G - v's own peel just before G's peel removes v and
-    eliminates each distinct core of the row once through a dict on the
-    record.  A smaller G - v is the process's shared graph, and its
-    inertia comes from ``graph_inertia``'s memo.
+    builds no G - S.  m(G - S) comes from the record's maximum matching,
+    solved once per vertex set: S's vertices are dropped from it one at
+    a time, each at most one augmenting search from its former mate
+    (:func:`.matching.matching_number_without`), and the frontier's
+    matched edges are dropped the same way for
+    :attr:`frontier_avoidable`.  c(G - v) and In(G - v) are each one
+    per-vertex list, filled for every vertex on first use; the verdicts
+    of this module index those lists, and the two methods check their
+    vertex first.  c(G - v) is read off the block counts of ``cycles``.
+    When G - v has more than ``MEMO_VERTICES`` vertices its inertia
+    comes from one walk of G's peel (:func:`.inertia.deletion_inertias`),
+    which branches off G - v's own peel just before G's peel removes v
+    and eliminates each distinct core of the row once through a dict on
+    the record.  A smaller G - v's memo key is read straight off G's
+    neighbour sets, every vertex in one pass
+    (:func:`.graphs._deletion_keys`), and ``graph_inertia`` answers the
+    process's shared graph for that key from its memo.
 
     The pendant-pair and component lemmas read their subgraph inertias
     off the accepted certificate, without eliminating: G's core S and
@@ -95,11 +100,11 @@ class GraphFacts:
 
     A record belongs to one graph, and :mod:`.verify` lets go of a row's
     record when the row is done.  Across graphs only the graph layer and
-    the inertia kernel keep anything, on purpose: ``delete_vertices``
-    returns one shared graph per result on at most ``MEMO_VERTICES``
-    vertices, and ``graph_inertia`` without ``terms`` answers each such
-    graph once per process, from the memo of :func:`.graphs._memoised`,
-    because in a sweep the small subgraphs of one row recur in the next.
+    the inertia kernel keep anything, on purpose: the graph layer holds
+    one shared graph per memo key (:func:`.graphs._small_graph`), and
+    ``graph_inertia`` without ``terms`` answers each such graph once per
+    process, from the memo of :func:`.graphs._memoised`, because in a
+    sweep the small subgraphs of one row recur in the next.
     """
 
     def __init__(self, graph: Graph, inertia: Inertia | None = None, terms: Sequence[Term] | None = None) -> None:
@@ -140,8 +145,14 @@ class GraphFacts:
         """In(G - v) for every vertex v: the memo's answer when G - v fits it, else one walk of G's peel."""
         g = self.graph
         if g.n - 1 <= MEMO_VERTICES:
-            return [graph_inertia(delete_vertices(g, (v,))) for v in range(g.n)]
+            return [graph_inertia(_small_graph(key)) for key in _deletion_keys(g)]
         return deletion_inertias(g, self._cores)
+
+    @cached_property
+    def _deletion_cs(self) -> list[int]:
+        """c(G - v) for every vertex v; see :meth:`c_without`."""
+        adj, blocks_at = self.graph.adj, self.cycles.blocks_at
+        return [self.c - len(nbrs) + blocks for nbrs, blocks in zip(adj, blocks_at)]
 
     def inertia_without(self, v: int) -> Inertia:
         """In(G - v); the first call answers every vertex at once."""
@@ -168,9 +179,10 @@ class GraphFacts:
 
         Deleting v deletes deg(v) edges and one vertex, and splits v's
         component into one part per block at v (none if v is isolated).
+        The first call answers every vertex at once.
         """
-        _checked_vertices(self.graph, (v,))
-        return self.c - len(self.graph.adj[v]) + self.cycles.blocks_at[v]
+        [v] = _checked_vertices(self.graph, (v,))
+        return self._deletion_cs[v]
 
     @cached_property
     def m_forest(self) -> int:
@@ -328,21 +340,23 @@ def check_deletion_corollaries(f: GraphFacts) -> bool | None:
     satisfy, for the upper case: p drops by 1, stays tight (p = m + c on
     G - v), m is unchanged, c drops by 1, and v is not a quasi-pendant;
     for the lower case: p unchanged, tight below, m drops by 1, c drops
-    by 1, and v is not a quasi-pendant.  p, m and c of G - v come from
-    the record (:meth:`GraphFacts.inertia_without`,
-    :meth:`GraphFacts.m_without`, :meth:`GraphFacts.c_without`); the
-    interlacing lemma reuses the same per-vertex inertias.
+    by 1, and v is not a quasi-pendant.  p and c of G - v are read from
+    the record's per-vertex lists, the ones behind
+    :meth:`GraphFacts.inertia_without` and :meth:`GraphFacts.c_without`,
+    and m from :meth:`GraphFacts.m_without`; the interlacing lemma reads
+    the same per-vertex inertias.
     """
     p, m, c = f.inertia.p, f.m, f.c
     upper, lower = p == m + c, p == m - c
     if not (f.cycles.cyclic_vertices and (upper or lower)):
         return None
+    inertias, cs = f._deletion_inertias, f._deletion_cs
     for v in sorted(f.cycles.cyclic_vertices):
         if v in f.quasi_pendants:
             return False
-        ph = f.inertia_without(v).p
+        ph = inertias[v].p
         mh = f.m_without((v,))
-        ch = f.c_without(v)
+        ch = cs[v]
         if ch != c - 1:
             return False
         if upper and not (ph == p - 1 and ph == mh + ch and mh == m):
@@ -444,8 +458,7 @@ def _interlacing(f: GraphFacts) -> bool | None:
     if f.graph.n == 0:
         return None
     p, n = f.inertia.p, f.inertia.n
-    subs = (f.inertia_without(v) for v in range(f.graph.n))
-    return all(sub.p in (p - 1, p) and sub.n in (n - 1, n) for sub in subs)
+    return all(sub.p in (p - 1, p) and sub.n in (n - 1, n) for sub in f._deletion_inertias)
 
 
 def _quasipendant_matching_drop(f: GraphFacts) -> bool | None:

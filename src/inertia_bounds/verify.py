@@ -26,6 +26,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, NamedTuple
 
 from .corpus import CorpusItem
@@ -370,12 +371,44 @@ def report_row_dict(r: GraphReport) -> dict[str, object]:
     return {name: get(r) for name, get in _COLUMNS}
 
 
+# each column's line in a JSON row, up to its value, as json.dumps(rows, indent=1) writes it
+_JSON_COLUMNS = tuple(("  " + encode_basestring_ascii(name) + ": ", get) for name, get in _COLUMNS)
+
+
+def _json_value(value: object) -> str:
+    """``value`` as json.dumps(rows, indent=1) writes it inside a row."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    # a container's lines sit two levels deep in the report
+    return json.dumps(value, indent=1).replace("\n", "\n  ")
+
+
+def _json_row(r: GraphReport) -> str:
+    return " {\n" + ",\n".join([prefix + _json_value(get(r)) for prefix, get in _JSON_COLUMNS]) + "\n }"
+
+
 def render_report(report: RunReport, fmt: str = "json") -> str:
-    """Render the rows (never the timing) in the requested format."""
-    rows = [report_row_dict(r) for r in report.rows]
+    """Render the rows (never the timing) in the requested format.
+
+    JSON is written row by row, each value encoded as :mod:`json` encodes
+    it, and gives the bytes of ``json.dumps(rows, indent=1) + "\n"`` over
+    the :func:`report_row_dict` of every row, without that encoder's
+    pure-Python indenting path; the empty report is ``[]``.
+    """
     if fmt == "json":
-        return json.dumps(rows, indent=1) + "\n"
+        if not report.rows:
+            return "[]\n"
+        return "[\n" + ",\n".join(map(_json_row, report.rows)) + "\n]\n"
     if fmt == "csv":
+        rows = [report_row_dict(r) for r in report.rows]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(REPORT_FIELDS)

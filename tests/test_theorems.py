@@ -32,7 +32,7 @@ from inertia_bounds import (
 )
 from inertia_bounds.cli import parse_corpus_spec
 from inertia_bounds.corpus import enumerate_labeled, generated_corpus
-from inertia_bounds.graphs import MEMO_VERTICES
+from inertia_bounds.graphs import MEMO_VERTICES, _deletion_keys, _memo_key
 from inertia_bounds.inertia import _component_inertias, _peel_part_inertia, _peel_without
 from inertia_bounds.theorems import GENERATOR_RECIPES, LEMMAS
 from inertia_bounds.verify import analyze_graph
@@ -390,6 +390,26 @@ def test_the_record_answers_every_g_minus_v_as_the_built_g_minus_v_does():
             assert (f.inertia_without(v), f.m_without((v,)), f.c_without(v)) == want, (g, v)
             checked += 1
     assert checked > 1000
+
+
+def test_every_small_g_minus_v_is_keyed_off_g_as_the_built_g_minus_v_is():
+    # on every labelled graph up to MEMO_VERTICES + 1 vertices, each G - v's memo key,
+    # read off G, is the key of the G - v that delete_vertices builds; on every graph
+    # up to MEMO_VERTICES vertices and a seeded eighth of the larger ones, the record's
+    # In(G - v) is that G - v's inertia
+    rng = random.Random(34)
+    keyed = inertias = 0
+    for n in range(MEMO_VERTICES + 2):
+        for item in enumerate_labeled(n):
+            g = item.graph
+            built = [delete_vertices(g, (v,)) for v in range(n)]
+            assert _deletion_keys(g) == [_memo_key(h) for h in built], g
+            keyed += 1
+            if n <= MEMO_VERTICES or rng.random() < 1 / 8:
+                f = GraphFacts(g)
+                assert [f.inertia_without(v) for v in range(n)] == [graph_inertia(h) for h in built], g
+                inertias += 1
+    assert keyed == 1100 + 2**15 and inertias > 1100 + 2**12 * 0.9
 
 
 def certified_pair_inertia(f: GraphFacts, pair: tuple[int, int]) -> Inertia | None:

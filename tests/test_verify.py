@@ -259,6 +259,32 @@ def test_render_json_schema():
     assert payload[2]["counterexample"] is False
 
 
+def test_the_json_writer_gives_the_bytes_of_json_dumps(tmp_path, monkeypatch):
+    import dataclasses
+
+    import inertia_bounds.theorems as theorems_mod
+    from inertia_bounds.cli import parse_corpus_spec
+
+    # graph ids are "{basename}:{lineno}", so the name reaches the report as it is
+    corpus_file = tmp_path / 'q"b\\s\tl\u00e9\U0001d53e.g6'
+    corpus_file.write_text("Dhc\nEl_G\n", encoding="ascii")
+    named = run_verification(parse_corpus_spec(f"file:{corpus_file}"))
+    assert named.rows[0].graph_id == corpus_file.name + ":1"
+    # every selected check is n/a on a 16-vertex path: no cycle, over the budget, no residue
+    na = run_verification([CorpusItem("p16", path_graph(16))], ("unicyclic", "corollaries", "difference", "generator"))
+    na_row = report_row_dict(na.rows[0])
+    assert all(na_row[name] is None for check in CHECKS for name, _ in check.columns)
+    assert na.rows[0].notes.count("n/a") == 4
+    # values of other types than the report's own still encode as json.dumps does
+    odd = dataclasses.replace(na.rows[0], p=1.5, notes=["x", {"y": [2, None]}, []])
+    patch_function(monkeypatch, theorems_mod.check_bounds, lambda f: False)
+    failing = run_verification(corpus_for_report())
+    assert failing.counterexamples and all("bounds:" in r.notes for r in failing.rows)
+    for report in (run_verification([]), named, na, dataclasses.replace(na, rows=(odd,)), failing):
+        want = json.dumps([report_row_dict(r) for r in report.rows], indent=1) + "\n"
+        assert render_report(report, "json") == want
+
+
 def test_render_csv_schema():
     report = run_verification(corpus_for_report())
     text = render_report(report, "csv")
@@ -674,10 +700,8 @@ def test_no_row_runs_the_blossom_twice_on_one_vertex_set(monkeypatch, item):
     repeated = sorted(sorted(vs) for vs in set(solved) if solved.count(vs) > 1)
     assert not repeated
     assert any(len(vs) == 1 for vs in solved) and any(len(vs) == 2 for vs in solved)
-    # no G - S is built for matching: only the single-vertex G - v of interlacing,
-    # and only when G - v fits the memo
-    assert all(len(vs) == 1 for vs in built)
-    assert bool(built) == (g.n - 1 <= MEMO_VERTICES)
+    # no G - S is built at all: a small G - v's memo key is read straight off G
+    assert not built
 
 
 def once_per_row_corpus():
@@ -782,7 +806,8 @@ def test_a_row_over_the_memo_size_builds_no_g_minus_v_and_eliminates_each_core_o
     handed = []  # each cores dict handed to a walk of deletion inertias
     inside = []  # one entry per open walk
     eliminated = []  # one entry per elimination run inside a walk
-    delete, deletion, eliminate = theorems_mod.delete_vertices, theorems_mod.deletion_inertias, inertia_mod._eliminate
+    delete = sys.modules["inertia_bounds.graphs"].delete_vertices
+    deletion, eliminate = theorems_mod.deletion_inertias, inertia_mod._eliminate
 
     def counted_delete(h, vs):
         vs = list(vs)
