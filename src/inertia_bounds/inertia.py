@@ -28,9 +28,12 @@
   recur in the next.  A call with ``terms`` always eliminates, so every
   certificate is built anew.  :func:`deletion_inertias` gives In(G - v)
   for every v on G's own adjacency, without building any G - v, by one
-  walk of G's peel: just before a step removes a vertex d, the walk
-  branches off a copy of the peel's state with d deleted and finishes
-  that peel, which is G - d's own.  Each core it ends in takes its
+  walk of G's peel.  Where G - d rejoins G's peel, as when d is removed
+  isolated or as the neighbour in a pair step, the answer is read off
+  the walk's own peel total and G's core; elsewhere, just before a step
+  removes d, the walk branches off a copy of the peel's state with d
+  deleted and finishes that peel, which is G - d's own, and one branch
+  answers a whole cycle of G's core.  Each core it ends in takes its
   inertia from a dict that the caller keeps for one graph, keyed by the
   core's vertex set, so that each distinct core of the G - v of one
   graph is eliminated once.
@@ -47,8 +50,12 @@ after the peel.  Leaf removal leaves the same core whatever the order of
 removal (Bauer and Golinelli, Eur. Phys. J. B 24, 2001), so G - u - w
 for a pendant pair peels to S as well: :func:`_peel_part_inertia`
 checks only that peel's terms, in O(row entries), against
-A(G - u - w) - A[S, S], and adds S's proven inertia.  A peel that
-leaves another core fails the check.  The congruence routes and the
+A(G - u - w) - A[S, S], and adds S's proven inertia.  The half of the
+check that does not depend on the pair, |E(S)| and that every vertex
+of S keeps a neighbour in S, is :func:`_core_degree_sum`, computed once
+per core.  A peel that leaves another core fails the check, wherever
+its terms came from: :mod:`.theorems` reads them off G's own peel
+terms.  The congruence routes and the
 checker, its sub-checks included, share no code, not the pendant rule
 and not the construction of the adjacency matrix; only the
 :class:`Inertia` record is common, which a test checks on this module's
@@ -281,7 +288,7 @@ def _peel(
     alive: list[bool],
     terms: list[Term] | None = None,
     work: list[int] | None = None,
-    branch: Callable[[int, list[int], Inertia], None] | None = None,
+    branch: Callable[[int, int, list[int], Inertia], None] | None = None,
 ) -> Inertia:
     """Peel isolated vertices and pendant pairs off the live vertices, in place; the inertia they remove.
 
@@ -293,9 +300,14 @@ def _peel(
 
     ``work`` is the pending worklist, every live vertex of degree at
     most 1 if not given; it is consumed.  ``branch``, if given, is called
-    as ``branch(d, work, peeled)`` just before a step removes the vertex
-    d, with the worklist and the inertia peeled so far as they stand
-    before the step; a pair step calls it for u, then for v.
+    once just before each step, as ``branch(u, v, work, peeled)``: u is
+    the isolated vertex or the pendant that the step removes, v the
+    pendant's one live neighbour or -1 for an isolated u, and ``work``,
+    ``peeled`` (the inertia peeled so far), ``alive`` and ``degree``
+    stand as they are before the step.  The callback may read them and
+    copy them, but must not change them: :func:`deletion_inertias` reads
+    each G - d off this state (the live graph just before the step) and
+    the step that follows it.
     """
     if work is None:
         work = [v for v in range(len(adj)) if alive[v] and degree[v] <= 1]
@@ -306,7 +318,7 @@ def _peel(
             continue
         if not degree[u]:
             if branch is not None:
-                branch(u, work, _peeled(pairs, isolated))
+                branch(u, -1, work, _peeled(pairs, isolated))
             alive[u] = False
             isolated += 1
             continue
@@ -314,9 +326,7 @@ def _peel(
             if alive[v]:
                 break
         if branch is not None:
-            peeled = _peeled(pairs, isolated)
-            branch(u, work, peeled)
-            branch(v, work, peeled)
+            branch(u, v, work, _peeled(pairs, isolated))
         alive[u] = alive[v] = False
         pairs += 1
         for w in adj[v]:
@@ -367,32 +377,68 @@ def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
 def deletion_inertias(g: Graph, cores: dict[tuple[int, ...], Inertia]) -> list[Inertia]:
     """In(G - v) for every vertex v, by one walk of g's peel; entry v equals ``graph_inertia(delete_vertices(g, (v,)))``.
 
-    No G - v is built.  Just before a step of g's peel removes a vertex
-    d, the walk copies the live vertices, their degrees and the pending
-    worklist, deletes d there, queues d's neighbours that drop to degree
-    at most 1, and finishes that peel with :func:`_peel`.  Each vertex of
-    g's core branches the same way from the state the peel ends in.
+    No G - v is built.  Let X be the live graph just before the step of
+    g's peel that removes d.  The steps before it stay legal in G - d:
+    each removes an isolated vertex, or a pendant u with its one live
+    neighbour, neither of them d, and deleting d only takes neighbours
+    away, so u is isolated or pendant on the same neighbour in G - d too
+    and the step removes the same inertia.  So In(G - d) is what g's peel
+    removed before X plus In(X - d), and the walk answers it by the first
+    rule that fits, with In(G) the walk's peel total plus the inertia of
+    g's core:
 
-    This is a peel of G - d.  A step of g's peel stays legal in G - d
-    until it removes d: it removes an isolated vertex, or a pendant u
-    with its one live neighbour, neither of them d, and deleting d only
-    takes neighbours away, so u is isolated or pendant on the same
-    neighbour in G - d too and the step removes the same inertia.  The
-    branch peels the rest of G - d from there, and leaf removal leaves
-    one core whatever the order (Bauer and Golinelli, Eur. Phys. J. B 24,
-    2001), so the core that the branch ends in is G - d's.
+    * d is removed isolated: X - d is the peel's next state, so
+      In(G - d) = In(G) - (0, 0, 1).
+    * d is the neighbour v of a pair step (u, v), or its pendant u while
+      v has no other live neighbour: in X - d the other one of u, v is
+      isolated, and removing it leaves the next state X - u - v, from
+      which g's peel went on after removing a pendant pair, so
+      In(G - d) = In(G) - (1, 1, 0) + (0, 0, 1).
+    * d is the pendant u of a pair step (u, v) while v has one other
+      live neighbour x: X - u peels the pair (v, x) down to X' - x, X'
+      being the next state X - u - v.  G - x peels by g's steps to X
+      (x is removed after u, or is in the core), and then by (u, v),
+      which is a pendant pair of X - x too, down to X' - x as well.  So
+      In(G - u) = In(G - x).  These links are resolved after the walk,
+      latest first, since x may itself be such a link.
+    * Any other pendant u branches: the walk copies the live vertices,
+      their degrees and the pending worklist, deletes u there and
+      finishes that peel with :func:`_peel`.  Leaf removal leaves one
+      core whatever the order (Bauer and Golinelli, Eur. Phys. J. B 24,
+      2001), so the core that the branch ends in is G - u's.
 
-    The core's inertia is read from ``cores``, keyed by the core's
-    vertices in g's labels, and eliminated and stored there only if it
-    is missing.  Equal vertex sets S give the same principal submatrix
-    A[S, S], so a hit is the congruence of G - d's own core, not an
-    interlacing bound.  The caller keeps ``cores`` for one graph and
+    g's whole peel stays legal in G - v for a vertex v of g's core, and
+    ends in the core less v, so the core's vertices branch from the
+    state the peel ends in.  A component of the core whose every vertex
+    has core degree 2 is a chordless cycle; deleting any of its vertices
+    leaves the same path beside the same rest of the core, so one branch
+    answers the whole cycle.
+
+    Each answer is the inertia of a peel of G - d; none is read off an
+    inertia of g computed elsewhere.  The inertia of each core that a
+    branch ends in, and of g's own core, is read from ``cores``, keyed by
+    the core's vertices in g's labels, and eliminated and stored there
+    only if it is missing.  Equal vertex sets S give the same principal
+    submatrix A[S, S], so a hit is the congruence of that very core, not
+    an interlacing bound.  The caller keeps ``cores`` for one graph and
     lets go of it with the graph.
     """
     adj = g.adj
     degree = list(map(len, adj))
     alive = [True] * g.n
     answers = [Inertia(0, 0, 0)] * g.n
+    lone, paired = Inertia(0, 0, 1), _PENDANT_PAIR + (0, 0, -1)
+    ruled: list[tuple[int, Inertia]] = []  # (d, In(G) - In(G - d))
+    links: list[tuple[int, int]] = []  # (u, x): In(G - u) = In(G - x)
+
+    def core_inertia(core: list[int], deg: list[int]) -> Inertia:
+        # the key is a tuple of a list: a tuple grown from an iterator
+        # reallocates, and over many rows that fragments the heap
+        key = tuple(core)
+        inertia = cores.get(key)
+        if inertia is None:
+            inertia = cores[key] = _eliminate(_degree_ordered_rows(adj, core, deg)[1])
+        return inertia
 
     def branch(d: int, work: list[int], peeled: Inertia) -> None:
         live, deg, todo = alive.copy(), degree.copy(), work.copy()
@@ -404,19 +450,50 @@ def deletion_inertias(g: Graph, cores: dict[tuple[int, ...], Inertia]) -> list[I
                     todo.append(w)
         peeled += _peel(adj, deg, live, work=todo)
         core = list(compress(range(g.n), live))
-        if core:
-            # the key is a tuple of a list: a tuple grown from an iterator
-            # reallocates, and over many rows that fragments the heap
-            key = tuple(core)
-            inertia = cores.get(key)
-            if inertia is None:
-                inertia = cores[key] = _eliminate(_degree_ordered_rows(adj, core, deg)[1])
-            peeled += inertia
-        answers[d] = peeled
+        answers[d] = peeled + core_inertia(core, deg) if core else peeled
 
-    peeled = _peel(adj, degree, alive, branch=branch)
-    for v in compress(range(g.n), alive):
-        branch(v, [], peeled)
+    def step(u: int, v: int, work: list[int], peeled: Inertia) -> None:
+        if v < 0:
+            ruled.append((u, lone))
+            return
+        ruled.append((v, paired))
+        if degree[v] == 1:
+            ruled.append((u, paired))
+        elif degree[v] == 2:
+            for x in adj[v]:
+                if alive[x] and x != u:
+                    break
+            links.append((u, x))
+        else:
+            branch(u, work, peeled)
+
+    peeled = _peel(adj, degree, alive, branch=step)
+    core = list(compress(range(g.n), alive))
+    seen = [False] * g.n
+    for v in core:
+        if seen[v]:
+            continue
+        seen[v] = True
+        part, todo = [v], [v]
+        while todo:
+            for w in adj[todo.pop()]:
+                if alive[w] and not seen[w]:
+                    seen[w] = True
+                    part.append(w)
+                    todo.append(w)
+        if all(degree[w] == 2 for w in part):
+            branch(v, [], peeled)
+            for w in part:
+                answers[w] = answers[v]
+        else:
+            for w in part:
+                branch(w, [], peeled)
+    if ruled:
+        p, n, eta = peeled + core_inertia(core, degree) if core else peeled
+        for d, (dp, dn, deta) in ruled:
+            answers[d] = Inertia(p - dp, n - dn, eta - deta)
+    for u, x in reversed(links):
+        answers[u] = answers[x]
     return answers
 
 
@@ -538,8 +615,8 @@ def _pendant_shaped(block: tuple[int, ...], rows: tuple[dict[int, int], ...], de
     )
 
 
-def _certified_core(terms: Sequence[Term]) -> tuple[frozenset[int], Inertia]:
-    """G's core S and In(A[S, S]), from a certificate that :func:`certificate_inertia` accepted for G.
+def _certified_core(terms: Sequence[Term]) -> tuple[frozenset[int], Inertia, int]:
+    """G's core S, In(A[S, S]) and the number of peel terms, from a certificate that :func:`certificate_inertia` accepted for G.
 
     The peel terms are the longest prefix of pendant-shaped terms (see
     :func:`_pendant_shaped`), and S is every index that a later term's
@@ -561,7 +638,7 @@ def _certified_core(terms: Sequence[Term]) -> tuple[frozenset[int], Inertia]:
         core.update(block)
         for r in rows:
             core.update(r)
-    return frozenset(core), _read_inertia(core_terms, len(core))
+    return frozenset(core), _read_inertia(core_terms, len(core)), k
 
 
 def _component_inertias(g: Graph, terms: Sequence[Term], parts: Sequence[frozenset[int]]) -> list[Inertia] | None:
@@ -586,28 +663,47 @@ def _component_inertias(g: Graph, terms: Sequence[Term], parts: Sequence[frozens
     return [_read_inertia(own, len(part)) for own, part in zip(split, parts)]
 
 
+def _core_degree_sum(g: Graph, core: frozenset[int]) -> int | None:
+    """The sum over the core S of |N(v) & S|, which is 2 |E(S)|, or None if a vertex of S has no neighbour in S.
+
+    This is the half of :func:`_peel_part_inertia`'s check that does not
+    depend on the vertices dropped, so a caller that checks several
+    peels on one core computes it once.
+    """
+    adj = g.adj
+    inner = [len(adj[v] & core) for v in core]
+    return None if 0 in inner else sum(inner)
+
+
 def _peel_part_inertia(
-    g: Graph, drop: Sequence[int], terms: Sequence[Term], core: frozenset[int], core_inertia: Inertia
+    g: Graph,
+    drop: Sequence[int],
+    terms: Sequence[Term],
+    core: frozenset[int],
+    core_inertia: Inertia,
+    core_degrees: int | None,
 ) -> Inertia | None:
     """In(A(G - drop)) from its peel terms and a proven core, or None if a check fails.
 
     ``core`` is a vertex set S of g and ``core_inertia`` the inertia
-    that g's certificate proves for A[S, S] (:func:`_certified_core`).
-    Only ``terms`` are checked, against A(G - drop) - A[S, S], in
-    O(row entries) plus O(|E(S)|): each must be pendant-shaped, the
-    certificate of ``terms`` followed by S's core terms must be echelon
-    (no block index used twice, in S or in ``drop``, no row entry on an
-    earlier block index or in ``drop``), every claimed (v, x) must be an
-    edge of G, each vertex of S must have a neighbour in S, and the
-    claims plus |E(S)| must be |E(G - drop)|.  The echelon rule claims
-    no edge twice and no claim lies in S, so the claims and E(S) then
-    make up E(G - drop) exactly: the terms and S's core terms sum to
-    A(G - drop), and S is the core that the peel leaves.  A 2x2 term
-    counts once each way, as in :func:`certificate_inertia`.
+    that g's certificate proves for A[S, S] (:func:`_certified_core`);
+    ``core_degrees`` is ``_core_degree_sum(g, core)``, None if a vertex
+    of S has no neighbour in S, which fails the check.  Only ``terms``
+    are checked, against A(G - drop) - A[S, S], in O(row entries):
+    each must be pendant-shaped, the certificate of ``terms`` followed
+    by S's core terms must be echelon (no block index used twice, in S
+    or in ``drop``, no row entry on an earlier block index or in
+    ``drop``), every claimed (v, x) must be an edge of G, each vertex of
+    S must have a neighbour in S, and the claims plus |E(S)| must be
+    |E(G - drop)|.  The echelon rule claims no edge twice and no claim
+    lies in S, so the claims and E(S) then make up E(G - drop) exactly:
+    the terms and S's core terms sum to A(G - drop), and S is the core
+    that the peel leaves.  A 2x2 term counts once each way, as in
+    :func:`certificate_inertia`.
     """
     adj = g.adj
     barred = set(drop)  # no block index or row entry may fall here
-    if not barred.isdisjoint(core):
+    if core_degrees is None or not barred.isdisjoint(core):
         return None
     # twice |E(G - drop)|: each edge inside ``drop`` is subtracted at both ends
     twice = 2 * g.num_edges
@@ -624,8 +720,7 @@ def _peel_part_inertia(
             return None
         barred.update(block)
         claims += len(row)
-    inner = [len(adj[v] & core) for v in core]
-    if 0 in inner or 2 * claims + sum(inner) != twice:
+    if 2 * claims + core_degrees != twice:
         return None
     k = len(terms)
     p, n, eta = core_inertia

@@ -42,8 +42,8 @@ from .inertia import (
     Term,
     _certified_core,
     _component_inertias,
+    _core_degree_sum,
     _peel_part_inertia,
-    _peel_without,
     certificate_inertia,
     deletion_inertias,
     graph_inertia,
@@ -82,20 +82,24 @@ class GraphFacts:
     of this module index those lists, and the two methods check their
     vertex first.  c(G - v) is read off the block counts of ``cycles``.
     When G - v has more than ``MEMO_VERTICES`` vertices its inertia
-    comes from one walk of G's peel (:func:`.inertia.deletion_inertias`),
-    which branches off G - v's own peel just before G's peel removes v
-    and eliminates each distinct core of the row once through a dict on
-    the record.  A smaller G - v's memo key is read straight off G's
+    comes from one walk of G's peel (:func:`.inertia.deletion_inertias`).
+    Where G - v rejoins G's peel the walk reads In(G - v) off its own
+    peel total and G's core; elsewhere it branches off G - v's own peel
+    just before G's peel removes v, once per cycle of G's core, and it
+    eliminates each distinct core of the row once through a dict on the
+    record.  A smaller G - v's memo key is read straight off G's
     neighbour sets, every vertex in one pass
     (:func:`.graphs._deletion_keys`), and ``graph_inertia`` answers the
     process's shared graph for that key from its memo.
 
     The pendant-pair and component lemmas read their subgraph inertias
-    off the accepted certificate, without eliminating: G's core S and
-    In(A[S, S]) (:func:`.inertia._certified_core`, once, on first use)
-    and each component's share of the terms
-    (:func:`.inertia._component_inertias`).  S's inertia also seeds the
-    dict of cores, so a G - v that peels to G's own core eliminates
+    off the accepted certificate, without eliminating: G's core S,
+    In(A[S, S]) and the number of G's peel terms
+    (:func:`.inertia._certified_core`, once, on first use), and each
+    component's share of the terms (:func:`.inertia._component_inertias`).
+    A pendant pair's G - u - w takes its peel terms from G's, so no
+    G - u - w is peeled.  S's inertia also seeds the dict of cores, so
+    the walk's In(G), and a G - v that peels to G's own core, eliminate
     nothing.
 
     A record belongs to one graph, and :mod:`.verify` lets go of a row's
@@ -128,8 +132,8 @@ class GraphFacts:
         self._m_without: dict[frozenset[int], int] = {frozenset(): self.m}
 
     @cached_property
-    def _proven_core(self) -> tuple[frozenset[int], Inertia] | None:
-        """G's core S and the In(A[S, S]) that the certificate proves; None if it was rejected."""
+    def _proven_core(self) -> tuple[frozenset[int], Inertia, int] | None:
+        """G's core S, the In(A[S, S]) that the certificate proves and the number of G's peel terms; None if it was rejected."""
         return None if isinstance(self.certified, str) else _certified_core(self._terms)
 
     @cached_property
@@ -137,7 +141,7 @@ class GraphFacts:
         """The inertia of each core that a G - v peels to, keyed by its vertices; G's proven core to start."""
         if self._proven_core is None:
             return {}
-        core, core_inertia = self._proven_core
+        core, core_inertia, _ = self._proven_core
         return {tuple(sorted(core)): core_inertia}
 
     @cached_property
@@ -421,10 +425,42 @@ def check_difference_bounds(f: GraphFacts) -> DifferenceBounds | None:
 # subgraph inertias that the row's checked certificate proves, so the
 # peeling is not checked against itself.  A component's inertia is its
 # share of the terms (inertia._component_inertias).  A pendant pair's
-# G - u - w is peeled afresh on G's adjacency, and only its peel terms are
-# checked (inertia._peel_part_inertia), on top of G's proven core
-# (inertia._certified_core): leaf removal leaves the same core in any
-# order, so G - u - w peels to G's core, and any other core fails.
+# G - u - w peels by G's own peel steps less the one that removes w
+# (_pair_peel_terms).  The steps before it remove neither u nor w, so they
+# stay legal without them.  The state they reach, less u and w, differs
+# from G's state after w's step in one isolated vertex at most (u kept by
+# G, against w's partner in G - u - w), and an isolated vertex leaves
+# without a term.  So G - u - w's terms are G's peel terms less w's, with
+# u and w struck from the rows, and nothing is peeled again.  Only
+# those terms are checked (inertia._peel_part_inertia), on top of G's
+# proven core (inertia._certified_core), with the half of the check that
+# does not depend on the pair computed once per row
+# (inertia._core_degree_sum).  The check proves its inertia whatever the
+# terms' source: leaf removal leaves the same core in any order, so
+# G - u - w peels to G's core, and any other core fails.
+
+
+def _pair_peel_terms(g: Graph, peel: Sequence[Term], term_of: dict[int, int], pair: tuple[int, int]) -> list[Term]:
+    """G - u - w's peel terms, read off G's: ``peel`` less the term that removes w, with u and w struck from the rows.
+
+    ``pair`` is a pendant u and its neighbour w, in either order;
+    ``peel`` is G's peel terms and ``term_of`` maps each of their block
+    indices to its term.  G's peel removes w in one pair term, which
+    holds u too unless u is left isolated by it.  Only the rows that
+    hold u or w are copied, and only the terms of their neighbours can.
+    """
+    a, b = pair
+    t = term_of.get(a, term_of.get(b))
+    terms = list(peel)
+    for x in g.adj[a] | g.adj[b]:
+        s = term_of.get(x)
+        if s is not None and s != t:
+            block, (head, row), det = terms[s]
+            if a in row or b in row:
+                terms[s] = block, (head, {y: e for y, e in row.items() if y != a and y != b}), det
+    if t is not None:
+        del terms[t]
+    return terms
 
 
 def _pendant_reduction(f: GraphFacts) -> bool | None:
@@ -433,12 +469,14 @@ def _pendant_reduction(f: GraphFacts) -> bool | None:
     if f._proven_core is None:
         return False
     g = f.graph
-    core, core_inertia = f._proven_core
+    core, core_inertia, k = f._proven_core
+    core_degrees = _core_degree_sum(g, core)
+    peel = f._terms[:k]
+    term_of = {x: t for t, (block, _, _) in enumerate(peel) for x in block}
     # the two pendants of a K2 component make one pair
     for pair in sorted({(u, w) if u < w else (w, u) for u in f.pendants for w in g.adj[u]}):
-        terms: list[Term] = []
-        _peel_without(g, pair, terms)
-        sub = _peel_part_inertia(g, pair, terms, core, core_inertia)
+        terms = _pair_peel_terms(g, peel, term_of, pair)
+        sub = _peel_part_inertia(g, pair, terms, core, core_inertia, core_degrees)
         # In(G) = In(G - u - w) + (1, 1, 0)
         if sub is None or (sub.p + 1, sub.n + 1, sub.eta) != f.inertia:
             return False

@@ -32,10 +32,10 @@ from inertia_bounds import (
     path_graph,
     star_graph,
 )
-from inertia_bounds.corpus import enumerate_labeled, sample_random
+from inertia_bounds.corpus import enumerate_labeled, generated_corpus, sample_random
 import inertia_bounds.inertia as inertia_mod
 from inertia_bounds.graphs import _INTERNED, _MEMOS, MEMO_VERTICES, _memo_key
-from inertia_bounds.inertia import _component_inertias, _eliminate, _peel_part_inertia, _peel_without
+from inertia_bounds.inertia import _component_inertias, _core_degree_sum, _eliminate, _peel_part_inertia, _peel_without
 from charpoly import (
     _descartes_inertia,
     _hessenberg_mod,
@@ -717,7 +717,8 @@ def peel_parts() -> list[tuple[Graph, tuple[int, int], list, frozenset[int], Ine
         for pair in sorted({tuple(sorted((u, *g.adj[u]))) for u in f.pendants}):
             terms: list = []
             _peel_without(g, pair, terms)
-            out.append((g, pair, terms, *f._proven_core))
+            core, core_inertia, _ = f._proven_core
+            out.append((g, pair, terms, core, core_inertia))
     return out
 
 
@@ -824,13 +825,15 @@ def test_the_peel_part_check_rejects_every_mutated_peel():
     rejected = {mutate.__name__: 0 for mutate in PEEL_MUTATIONS}
     for g, pair, terms, core, core_inertia in peel_parts():
         want = graph_inertia(delete_vertices(g, pair))
-        assert _peel_part_inertia(g, pair, terms, core, core_inertia) == want, (g, pair)
+        core_degrees = _core_degree_sum(g, core)
+        assert _peel_part_inertia(g, pair, terms, core, core_inertia, core_degrees) == want, (g, pair)
         for mutate in PEEL_MUTATIONS:
             mutated = mutate(g, pair, copied(terms), core, rng)
             if mutated is not None:
-                assert _peel_part_inertia(g, pair, *mutated, core_inertia) is None, (mutate.__name__, g, pair)
+                got = _peel_part_inertia(g, pair, *mutated, core_inertia, _core_degree_sum(g, mutated[1]))
+                assert got is None, (mutate.__name__, g, pair)
                 rejected[mutate.__name__] += 1
-        assert _peel_part_inertia(g, pair, terms, core, core_inertia) == want  # the mutations worked on copies
+        assert _peel_part_inertia(g, pair, terms, core, core_inertia, core_degrees) == want  # the mutations worked on copies
     assert min(rejected.values()) >= 100, rejected
 
 
@@ -927,6 +930,55 @@ def test_a_core_answer_from_a_patched_kernel_ends_with_its_row(monkeypatch):
     assert GraphFacts(g).inertia_without(8) == graph_inertia(delete_vertices(g, (8,))) == want
 
 
+def theta_graph() -> Graph:
+    """Vertices 0 and 1 joined by paths of 2, 3 and 3 edges: a core with two vertices of degree 3."""
+    return Graph(7, [(0, 2), (2, 1), (0, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 1)])
+
+
+def walk_row() -> Graph:
+    """The generator row of test_verify.py::test_consecutive_deletions_with_one_core_eliminate_it_once."""
+    return next(generated_corpus(GeneratorParams(1, 2, 1, 4, 3), 1)).graph
+
+
+# (graph, _peel calls of one walk): g's own peel, plus one per branch
+WALK_PEELS = [pytest.param(path_graph(n), 1, id=f"P{n}") for n in range(2, 13)] + [
+    # the first leaf branches, since the centre keeps two other leaves; the rest take rules
+    pytest.param(star_graph(3), 2, id="K1,3"),
+    # one branch answers the whole cycle
+    pytest.param(cycle_graph(7), 2, id="C7"),
+    pytest.param(disjoint_union(cycle_graph(5), cycle_graph(7)), 3, id="C5+C7"),
+    # a core that is no cycle: each of its 7 vertices branches
+    pytest.param(theta_graph(), 1 + 7, id="theta"),
+    # the pendants on the two degree-3 vertices 11 and 13 branch, and each of the
+    # two 5-cycles of the core once; 1 + 19 when every vertex branched
+    pytest.param(walk_row(), 1 + 2 + 2, id="generator-row"),
+]
+
+
+@pytest.mark.parametrize("g, peels", WALK_PEELS)
+def test_the_walk_peels_only_where_g_minus_d_leaves_gs_peel(monkeypatch, g, peels):
+    # In(G - d) takes a rule off the walk's own peel when d is removed isolated,
+    # is the neighbour in a pair step, or is a pendant whose neighbour has at most
+    # one other live neighbour; one branch answers a cycle of the core.  Each of
+    # these wrong variants fails here and in
+    # test_theorems.py::test_the_record_answers_every_g_minus_v_as_the_built_g_minus_v_does:
+    # links resolved in walk order, the cycle rule without its degree-2 test, the
+    # neighbour offset (1, 1, 0), the isolated offset (0, 0, 0), x taken as v in
+    # the link rule, and the link rule taken when v has two or more other neighbours
+    calls = []
+    peel = inertia_mod._peel
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return peel(*args, **kwargs)
+
+    monkeypatch.setattr(inertia_mod, "_peel", counted)
+    got = inertia_mod.deletion_inertias(g, {})
+    assert len(calls) == peels
+    monkeypatch.undo()
+    assert got == [graph_inertia(delete_vertices(g, (v,))) for v in range(g.n)]
+
+
 # ---------------------------------------------------------------------------
 # route independence, read off the syntax tree of the inertia module
 
@@ -1014,7 +1066,7 @@ def test_congruence_routes_and_the_certificate_checker_share_only_the_inertia_re
 def test_the_sub_checks_share_only_the_inertia_record_with_the_routes():
     # the pendant-pair and component lemmas read subgraph inertias that these prove
     reads = module_reads(inertia_module_tree())
-    sub_checks = reachable(reads, {"_certified_core", "_component_inertias", "_peel_part_inertia"})
+    sub_checks = reachable(reads, {"_certified_core", "_component_inertias", "_core_degree_sum", "_peel_part_inertia"})
     assert "_pendant_shaped" in sub_checks and "_PENDANT_PAIR" not in sub_checks
     assert sub_checks & reachable(reads, CONGRUENCE_ROOTS) == {"Inertia", "NamedTuple"}
 

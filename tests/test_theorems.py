@@ -33,8 +33,8 @@ from inertia_bounds import (
 from inertia_bounds.cli import parse_corpus_spec
 from inertia_bounds.corpus import enumerate_labeled, generated_corpus
 from inertia_bounds.graphs import MEMO_VERTICES, _deletion_keys, _memo_key
-from inertia_bounds.inertia import _component_inertias, _peel_part_inertia, _peel_without
-from inertia_bounds.theorems import GENERATOR_RECIPES, LEMMAS
+from inertia_bounds.inertia import _component_inertias, _core_degree_sum, _peel_part_inertia, _peel_without
+from inertia_bounds.theorems import GENERATOR_RECIPES, LEMMAS, _pair_peel_terms
 from inertia_bounds.verify import analyze_graph
 from charpoly import graph_inertia_oracle
 from conftest import complete_graph, cycle_with_tail, disjoint_union, lower_bound_near_miss, patch_function
@@ -380,7 +380,8 @@ def test_the_record_answers_every_g_minus_v_as_the_built_g_minus_v_does():
     # the row's cores, so no G - v is built there.  Each of these wrong variants fails
     # here: m(G - v) taken as m - 1 without the search, the search left free to
     # use v, cores keyed by their size alone, block counts that skip bridges,
-    # and the walk branching after a step of the peel instead of before it.
+    # the walk branching after a step of the peel instead of before it, and the
+    # walk's rules gone wrong (see test_inertia.py::test_the_walk_peels_only_where_g_minus_d_leaves_gs_peel).
     checked = 0
     for g in deletion_corpus():
         f = GraphFacts(g)
@@ -412,11 +413,20 @@ def test_every_small_g_minus_v_is_keyed_off_g_as_the_built_g_minus_v_is():
     assert keyed == 1100 + 2**15 and inertias > 1100 + 2**12 * 0.9
 
 
-def certified_pair_inertia(f: GraphFacts, pair: tuple[int, int]) -> Inertia | None:
-    """In(G - u - w) as pendant_reduction proves it: the pair's peel terms checked on G's proven core."""
-    terms: list = []
-    _peel_without(f.graph, pair, terms)
-    return _peel_part_inertia(f.graph, pair, terms, *f._proven_core)
+def derived_pair_terms(f: GraphFacts, pair: tuple[int, int]) -> list:
+    """G - u - w's peel terms as pendant_reduction reads them off the row's certificate."""
+    _, _, k = f._proven_core
+    peel = f._terms[:k]
+    term_of = {x: t for t, (block, _, _) in enumerate(peel) for x in block}
+    return _pair_peel_terms(f.graph, peel, term_of, pair)
+
+
+def certified_pair_inertia(f: GraphFacts, pair: tuple[int, int], terms: list | None = None) -> Inertia | None:
+    """In(G - u - w) as pendant_reduction proves it: the pair's derived peel terms, or ``terms``, checked on G's proven core."""
+    core, core_inertia, _ = f._proven_core
+    if terms is None:
+        terms = derived_pair_terms(f, pair)
+    return _peel_part_inertia(f.graph, pair, terms, core, core_inertia, _core_degree_sum(f.graph, core))
 
 
 def certified_subgraph_corpus() -> list[Graph]:
@@ -480,6 +490,46 @@ def test_pendant_pairs_and_components_are_certified_as_the_built_subgraphs_are()
             assert h.n > 12 or graph_inertia_oracle(h) == got
             parts += 1
     assert pairs > 2000 and parts > 2000
+
+
+def test_a_pair_peel_read_off_g_is_certified_as_a_fresh_peel_and_a_bad_one_is_not():
+    # pendant_reduction takes G - u - w's peel terms from G's peel; the fresh peel
+    # of G - u - w passes the same check with the same inertia, and a derivation
+    # that keeps u in a row, keeps w in the rows that held it, or keeps w's term
+    # is refused
+    checked = 0
+    refused = {"u in a row": 0, "w in a row": 0, "w's term": 0}
+    for g in certified_subgraph_corpus():
+        f = GraphFacts(g)
+        _, _, k = f._proven_core
+        peel = f._terms[:k]
+        for pair in sorted({tuple(sorted((u, *g.adj[u]))) for u in f.pendants}):
+            derived = derived_pair_terms(f, pair)
+            fresh: list = []
+            _peel_without(g, pair, fresh)
+            want = certified_pair_inertia(f, pair, derived)
+            assert want is not None and certified_pair_inertia(f, pair, fresh) == want, (g, pair)
+            checked += 1
+            [t] = [t for t, (block, _, _) in enumerate(peel) if set(block) & set(pair)]
+            u = min(set(pair) & f.pendants)
+            if derived:
+                kept_u = copied(derived)
+                kept_u[-1][1][1][u] = 1
+                assert certified_pair_inertia(f, pair, kept_u) is None, (g, pair)
+                refused["u in a row"] += 1
+            unstruck = peel[:t] + peel[t + 1 :]
+            if unstruck != derived:
+                assert certified_pair_inertia(f, pair, unstruck) is None, (g, pair)
+                refused["w in a row"] += 1
+            kept_term = derived[:t] + [peel[t]] + derived[t:]
+            assert certified_pair_inertia(f, pair, kept_term) is None, (g, pair)
+            refused["w's term"] += 1
+    assert checked > 2000 and refused["w's term"] == checked and min(refused.values()) > 400, (checked, refused)
+
+
+def copied(terms: list) -> list:
+    """A copy of ``terms`` whose rows can be changed without touching the originals."""
+    return [(block, tuple(dict(row) for row in rows), det) for block, rows, det in terms]
 
 
 def test_the_pendant_and_component_lemmas_eliminate_nothing(monkeypatch):
