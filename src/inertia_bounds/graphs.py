@@ -1,12 +1,10 @@
 """Simple undirected graphs with exact, deterministic primitives.
 
 Vertices are the integers ``0..n-1``.  Graphs are immutable: an
-operation that changes a graph returns a new one, except that a vertex
-deletion leaving at most ``MEMO_VERTICES`` vertices returns the one
-graph the process shares for its result, so equal small results are one
-object.  Graphs are compared with ``==``, never ``is``.  A graph holds
-only ``n`` and ``adj``, its neighbour sets; ``edges`` builds a new frozenset
-on each access, so a caller reads it once, not in a loop.  Parsing
+operation that changes a graph returns a new one.  Graphs are compared
+with ``==``, never ``is``.  A graph holds only ``n`` and ``adj``, its
+neighbour sets; ``edges`` builds a new frozenset on each access, so a
+caller reads it once, not in a loop.  Parsing
 supports the graph6 interchange format and a plain edge-list format.
 ``graph_inertia`` without ``terms`` keeps its answers on small graphs
 for the life of the process (:func:`_memoised`), keyed by an int that
@@ -355,25 +353,12 @@ def delete_vertices(g: Graph, vs: Iterable[int]) -> Graph:
     """Remove ``vs`` and their incident edges.
 
     Survivors keep their order: a kept vertex ``v`` becomes ``v`` minus
-    the number of deleted vertices below it.  A result on at most
-    :data:`MEMO_VERTICES` vertices is the one graph the process shares
-    for it (:func:`_small_graph`), found by its memo key, which is read
-    straight off ``g.adj``; equal results are then one object, which no
-    caller may rely on: graphs are compared with ``==``.  A larger result
-    is a new graph whose neighbour sets are relabelled directly, without
+    the number of deleted vertices below it.  The result is a new graph
+    whose neighbour sets are relabelled directly, without
     ``Graph.__init__``: a subgraph of a valid graph holds no self-loop
     and no pair out of range, so there is nothing to check again.
     """
     n, adj, drop = g.n, g.adj, _checked_vertices(g, vs)
-    if n - len(drop) <= MEMO_VERTICES:
-        keep = [v for v in range(n) if v not in drop]
-        key = len(keep)
-        for j, v in enumerate(keep):
-            nbrs, bits = adj[v], _PAIR_BITS[j]
-            for i in range(j):
-                if keep[i] in nbrs:
-                    key |= bits[i]
-        return _small_graph(key)
     # ``label`` is right on every kept vertex; a deleted one keeps a stale
     # label, so only the neighbours of deleted vertices filter them out
     ds = sorted(drop)

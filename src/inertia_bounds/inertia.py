@@ -40,24 +40,15 @@
 
 The lemmas ``pendant_reduction`` and ``component_additivity`` in
 :mod:`.theorems` test the very rules the peeling applies, so they read
-only subgraph inertias that a checked certificate proves, and no
-elimination runs for them.  Once :func:`certificate_inertia` has
-accepted a graph's certificate, the sub-checks below read more off it
-without summing it again: :func:`_component_inertias` proves In(A[C, C])
-of each component C from C's share of the terms, and
-:func:`_certified_core` proves In(A[S, S]) of the core S from the terms
-after the peel.  Leaf removal leaves the same core whatever the order of
-removal (Bauer and Golinelli, Eur. Phys. J. B 24, 2001), so G - u - w
-for a pendant pair peels to S as well: :func:`_peel_part_inertia`
-checks only that peel's terms, in O(row entries), against
-A(G - u - w) - A[S, S], and adds S's proven inertia.  The half of the
-check that does not depend on the pair, |E(S)| and that every vertex
-of S keeps a neighbour in S, is :func:`_core_degree_sum`, computed once
-per core.  A peel that leaves another core fails the check, wherever
-its terms came from: :mod:`.theorems` reads them off G's own peel
-terms.  The congruence routes and the
-checker, its sub-checks included, share no code, not the pendant rule
-and not the construction of the adjacency matrix; only the
+their verdicts only off a checked certificate, and no elimination runs
+for them.  Once :func:`certificate_inertia` has accepted a graph's
+certificate, the sub-checks below read more off it without summing it
+again: :func:`_component_inertias` proves In(A[C, C]) of each component
+C from C's share of the terms, and :func:`_certified_core` proves
+In(A[S, S]) of the core S from the terms after the peel and counts the
+peel terms, whose blocks the pendant lemma reads.  The congruence routes
+and the checker, its sub-checks included, share no code, not the
+pendant rule and not the construction of the adjacency matrix; only the
 :class:`Inertia` record is common, which a test checks on this module's
 syntax tree.  A certificate that the checker accepts proves its inertia
 whatever code produced it, so a wrong count in the congruence route
@@ -67,7 +58,7 @@ shows as a disagreement with the checker.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, compress
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graphs import Graph, _memoised
 
@@ -341,24 +332,6 @@ def _peel(
     return _peeled(pairs, isolated)
 
 
-def _peel_without(
-    g: Graph, drop: Iterable[int], terms: list[Term] | None = None
-) -> tuple[Inertia, list[bool], list[int]]:
-    """Peel g with the vertices ``drop`` removed, in place on g's adjacency.
-
-    Returns what :func:`_peel` returns and the live vertices and their
-    degrees; ``drop`` is not checked here.
-    """
-    adj = g.adj
-    degree = list(map(len, adj))
-    alive = [True] * g.n
-    for v in drop:
-        alive[v] = False
-        for w in adj[v]:
-            degree[w] -= 1
-    return _peel(adj, degree, alive, terms), alive, degree
-
-
 @_memoised
 def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
     """Inertia of the adjacency matrix: peel pendants, then eliminate the core.
@@ -366,11 +339,14 @@ def graph_inertia(g: Graph, terms: list[Term] | None = None) -> Inertia:
     Given ``terms``, it appends the congruence it applied, one term per
     step on g's labels, for :func:`certificate_inertia` to check.
     """
-    peeled, alive, degree = _peel_without(g, (), terms)
+    adj = g.adj
+    degree = list(map(len, adj))
+    alive = [True] * g.n
+    peeled = _peel(adj, degree, alive, terms)
     core = list(compress(range(g.n), alive))
     if not core:
         return peeled
-    order, rows = _degree_ordered_rows(g.adj, core, degree)
+    order, rows = _degree_ordered_rows(adj, core, degree)
     return peeled + _eliminate(rows, terms, order)
 
 
@@ -619,25 +595,27 @@ def _certified_core(terms: Sequence[Term]) -> tuple[frozenset[int], Inertia, int
     """G's core S, In(A[S, S]) and the number of peel terms, from a certificate that :func:`certificate_inertia` accepted for G.
 
     The peel terms are the longest prefix of pendant-shaped terms (see
-    :func:`_pendant_shaped`), and S is every index that a later term's
-    block or rows hold.  No term is summed again.  Why the later terms
+    :func:`_pendant_shaped`), and S is every index at which a later
+    term's rows hold a nonzero entry, so that each column of S in the
+    later rows is nonzero; each block index is in S, since a block's own
+    scalar is nonzero.  No term is summed again.  Why the later terms
     prove In(A[S, S]): the terms sum to A, and W is echelon.  A peel term
     on (u, v) sets the entries (v, x), x in its row, to 1; its block
     comes before every core term, so no core row holds u or v, and
-    neither is in S.  The core terms sum to a matrix on S x S, and the
-    peel terms, which add and never cancel, to one off S x S: each
-    claimed (v, x) is an edge of G, claimed once, and the core terms sum
-    to A[S, S], a certificate of its own.
+    neither is in S.  The core terms sum to a matrix on S x S, since a
+    zero entry adds nothing, and the peel terms, which add and never
+    cancel, to one off S x S: each claimed (v, x) is an edge of G,
+    claimed once, and the core terms sum to A[S, S], a certificate of
+    its own.
     """
     k = 0
     while k < len(terms) and _pendant_shaped(*terms[k]):
         k += 1
     core_terms = terms[k:]
     core: set[int] = set()
-    for block, rows, _ in core_terms:
-        core.update(block)
+    for _, rows, _ in core_terms:
         for r in rows:
-            core.update(r)
+            core.update(j for j, x in r.items() if x)
     return frozenset(core), _read_inertia(core_terms, len(core)), k
 
 
@@ -661,67 +639,3 @@ def _component_inertias(g: Graph, terms: Sequence[Term], parts: Sequence[frozens
             return None
         split[c].append(term)
     return [_read_inertia(own, len(part)) for own, part in zip(split, parts)]
-
-
-def _core_degree_sum(g: Graph, core: frozenset[int]) -> int | None:
-    """The sum over the core S of |N(v) & S|, which is 2 |E(S)|, or None if a vertex of S has no neighbour in S.
-
-    This is the half of :func:`_peel_part_inertia`'s check that does not
-    depend on the vertices dropped, so a caller that checks several
-    peels on one core computes it once.
-    """
-    adj = g.adj
-    inner = [len(adj[v] & core) for v in core]
-    return None if 0 in inner else sum(inner)
-
-
-def _peel_part_inertia(
-    g: Graph,
-    drop: Sequence[int],
-    terms: Sequence[Term],
-    core: frozenset[int],
-    core_inertia: Inertia,
-    core_degrees: int | None,
-) -> Inertia | None:
-    """In(A(G - drop)) from its peel terms and a proven core, or None if a check fails.
-
-    ``core`` is a vertex set S of g and ``core_inertia`` the inertia
-    that g's certificate proves for A[S, S] (:func:`_certified_core`);
-    ``core_degrees`` is ``_core_degree_sum(g, core)``, None if a vertex
-    of S has no neighbour in S, which fails the check.  Only ``terms``
-    are checked, against A(G - drop) - A[S, S], in O(row entries):
-    each must be pendant-shaped, the certificate of ``terms`` followed
-    by S's core terms must be echelon (no block index used twice, in S
-    or in ``drop``, no row entry on an earlier block index or in
-    ``drop``), every claimed (v, x) must be an edge of G, each vertex of
-    S must have a neighbour in S, and the claims plus |E(S)| must be
-    |E(G - drop)|.  The echelon rule claims no edge twice and no claim
-    lies in S, so the claims and E(S) then make up E(G - drop) exactly:
-    the terms and S's core terms sum to A(G - drop), and S is the core
-    that the peel leaves.  A 2x2 term counts once each way, as in
-    :func:`certificate_inertia`.
-    """
-    adj = g.adj
-    barred = set(drop)  # no block index or row entry may fall here
-    if core_degrees is None or not barred.isdisjoint(core):
-        return None
-    # twice |E(G - drop)|: each edge inside ``drop`` is subtracted at both ends
-    twice = 2 * g.num_edges
-    for v in drop:
-        twice -= 2 * len(adj[v]) - len(adj[v] & barred)
-    size = g.n - len(barred)
-    claims = 0
-    for block, rows, det in terms:
-        if not _pendant_shaped(block, rows, det):
-            return None
-        v = block[1]
-        row = rows[1]
-        if v in barred or not (core.isdisjoint(block) and barred.isdisjoint(row) and row.keys() <= adj[v]):
-            return None
-        barred.update(block)
-        claims += len(row)
-    if 2 * claims + core_degrees != twice:
-        return None
-    k = len(terms)
-    p, n, eta = core_inertia
-    return Inertia(k + p, k + n, size - 2 * k - len(core) + eta)

@@ -42,8 +42,6 @@ from .inertia import (
     Term,
     _certified_core,
     _component_inertias,
-    _core_degree_sum,
-    _peel_part_inertia,
     certificate_inertia,
     deletion_inertias,
     graph_inertia,
@@ -92,15 +90,16 @@ class GraphFacts:
     (:func:`.graphs._deletion_keys`), and ``graph_inertia`` answers the
     process's shared graph for that key from its memo.
 
-    The pendant-pair and component lemmas read their subgraph inertias
-    off the accepted certificate, without eliminating: G's core S,
-    In(A[S, S]) and the number of G's peel terms
-    (:func:`.inertia._certified_core`, once, on first use), and each
-    component's share of the terms (:func:`.inertia._component_inertias`).
-    A pendant pair's G - u - w takes its peel terms from G's, so no
-    G - u - w is peeled.  S's inertia also seeds the dict of cores, so
-    the walk's In(G), and a G - v that peels to G's own core, eliminate
-    nothing.
+    The pendant-pair and component lemmas read their verdicts off the
+    accepted certificate, without eliminating: G's core S, In(A[S, S])
+    and the number of G's peel terms (:func:`.inertia._certified_core`,
+    once, on first use), and each component's share of the terms
+    (:func:`.inertia._component_inertias`).  The pendant lemma holds
+    exactly when every pendant's neighbour is in a peel term's block and
+    the certified inertia is the row's (``_pendant_reduction`` gives the
+    argument), so no G - u - w is derived or checked.  S's inertia also
+    seeds the dict of cores, so the walk's In(G), and a G - v that peels
+    to G's own core, eliminate nothing.
 
     A record belongs to one graph, and :mod:`.verify` lets go of a row's
     record when the row is done.  Across graphs only the graph layer and
@@ -420,67 +419,79 @@ def check_difference_bounds(f: GraphFacts) -> DifferenceBounds | None:
 # and tests its own premise.  Verdicts: True (holds), False
 # (counterexample!), None (premise absent).
 
-# graph_inertia peels pendants and isolated vertices, which applies the
-# pendant and additivity rules; the lemmas that test those rules read only
-# subgraph inertias that the row's checked certificate proves, so the
-# peeling is not checked against itself.  A component's inertia is its
-# share of the terms (inertia._component_inertias).  A pendant pair's
-# G - u - w peels by G's own peel steps less the one that removes w
-# (_pair_peel_terms).  The steps before it remove neither u nor w, so they
-# stay legal without them.  The state they reach, less u and w, differs
-# from G's state after w's step in one isolated vertex at most (u kept by
-# G, against w's partner in G - u - w), and an isolated vertex leaves
-# without a term.  So G - u - w's terms are G's peel terms less w's, with
-# u and w struck from the rows, and nothing is peeled again.  Only
-# those terms are checked (inertia._peel_part_inertia), on top of G's
-# proven core (inertia._certified_core), with the half of the check that
-# does not depend on the pair computed once per row
-# (inertia._core_degree_sum).  The check proves its inertia whatever the
-# terms' source: leaf removal leaves the same core in any order, so
-# G - u - w peels to G's core, and any other core fails.
-
-
-def _pair_peel_terms(g: Graph, peel: Sequence[Term], term_of: dict[int, int], pair: tuple[int, int]) -> list[Term]:
-    """G - u - w's peel terms, read off G's: ``peel`` less the term that removes w, with u and w struck from the rows.
-
-    ``pair`` is a pendant u and its neighbour w, in either order;
-    ``peel`` is G's peel terms and ``term_of`` maps each of their block
-    indices to its term.  G's peel removes w in one pair term, which
-    holds u too unless u is left isolated by it.  Only the rows that
-    hold u or w are copied, and only the terms of their neighbours can.
-    """
-    a, b = pair
-    t = term_of.get(a, term_of.get(b))
-    terms = list(peel)
-    for x in g.adj[a] | g.adj[b]:
-        s = term_of.get(x)
-        if s is not None and s != t:
-            block, (head, row), det = terms[s]
-            if a in row or b in row:
-                terms[s] = block, (head, {y: e for y, e in row.items() if y != a and y != b}), det
-    if t is not None:
-        del terms[t]
-    return terms
-
-
 def _pendant_reduction(f: GraphFacts) -> bool | None:
+    """In(G) = In(G - u - w) + (1, 1, 0) for each pendant u and its neighbour w, read off the row's accepted certificate.
+
+    ``graph_inertia`` peels by this very rule, so the verdict reads
+    In(G - u - w) only off what the checked certificate proves, and
+    nothing is peeled, eliminated or summed again.  Let the peel terms
+    be the certificate's first k terms, P their block indices, and S
+    the core that :func:`.inertia._certified_core` reads off the rest.
+    The verdict is False if the certificate was rejected or some w is
+    not in P, and otherwise whether the certified inertia equals
+    ``inertia``: the certificate then proves In(G - u - w) =
+    In_cert(G) - (1, 1, 0) for each pair, by the argument below, which
+    holds for any certificate that :func:`.inertia.certificate_inertia`
+    accepts.
+
+    What acceptance gives.  A peel term on (x, v) has det 1 and rows
+    e_v and r, with r all ones, holding x but not v, so it adds 1 to
+    the entries (v, y) and (y, v) for each y in r: it claims the pairs
+    {v, y}.  No core term holds a peel block index in its block or rows
+    (no index is used twice, no row holds an earlier block index), so no
+    claim lies in S x S, and the core terms sum to a matrix on S x S.
+    The terms sum to A, and claims add and never cancel, so each claim
+    is an edge of G, claimed once, and the claims and E(S) make up E(G).
+    Each vertex z of S has a neighbour in S: S holds only indices with a
+    nonzero entry in a core row, so column z of the core rows W is
+    nonzero; W has full row rank and E is nonsingular, so
+    A[S, S] e_z = W^T E W e_z is nonzero.
+
+    Now fix a pendant u with its neighbour w in P.
+
+    * w lies in exactly one peel term t, and u lies in t's block or
+      row.  u is not in S, as its one neighbour w, a peel block index,
+      is not, so the edge {u, w} is a claim {v, y} of a peel term s,
+      with v = u or v = w.
+      If v = u, s's row holds only neighbours of u, so its x is w and
+      s = t, with u in its block.  If v = w, then s = t and u = y.
+    * No other term holds u or w in its block.  Blocks are disjoint, so
+      w is only in t's.  A peel term holding u as its x claims {v, u},
+      so its v is w; one holding u as its v has a row of neighbours of
+      u, so its x is w; either way it is t.  No core block holds u,
+      which is not in S.
+    * t's row claims only edges at u or w, since t's v is u or w.
+    * So G's peel terms less t, with u and w struck from their rows,
+      pass every condition that the per-pair check (kept as the test
+      oracle ``tests/pair_peel_oracle.py``) asks of G - u - w's peel
+      terms on top of S.  Each term keeps its shape, as its own x and v
+      are neither u nor w.  No block index is used twice, and no row
+      holds an earlier block index, u or w, as only entries were taken
+      away.  Every claim is an edge of G, and every vertex of S has a
+      neighbour in S.  The claims left are E(G) less E(S) less every
+      edge at u or w, each once, since the claims that go, t's and the
+      struck entries, are exactly the claims at u or w.  With S's core
+      terms, which hold neither u nor w (a core row holds no peel block
+      index, and u at most as a zero entry), they sum to A(G - u - w),
+      with k - 1 pairs on n - 2 vertices, so they prove
+      In(G - u - w) = In_cert(G) - (1, 1, 0).
+
+    If some w is not in P, then u is in S: otherwise {u, w} would be a
+    claim and, as above, put w in P.  No G - u - w is then read off G's
+    peel, and the verdict is False, as on a certificate from one
+    elimination of the whole matrix.  On the certificates that
+    ``graph_inertia`` builds, S is G's core, and G - u - w peels to it
+    too: (u, w) is a legal first step of G's peel, and leaf removal
+    leaves one core whatever the order (Bauer and Golinelli, Eur. Phys.
+    J. B 24, 2001).  The proof above does not need this.
+    """
     if not f.pendants:
         return None
     if f._proven_core is None:
         return False
-    g = f.graph
-    core, core_inertia, k = f._proven_core
-    core_degrees = _core_degree_sum(g, core)
-    peel = f._terms[:k]
-    term_of = {x: t for t, (block, _, _) in enumerate(peel) for x in block}
-    # the two pendants of a K2 component make one pair
-    for pair in sorted({(u, w) if u < w else (w, u) for u in f.pendants for w in g.adj[u]}):
-        terms = _pair_peel_terms(g, peel, term_of, pair)
-        sub = _peel_part_inertia(g, pair, terms, core, core_inertia, core_degrees)
-        # In(G) = In(G - u - w) + (1, 1, 0)
-        if sub is None or (sub.p + 1, sub.n + 1, sub.eta) != f.inertia:
-            return False
-    return True
+    peeled = {x for block, _, _ in f._terms[: f._proven_core[2]] for x in block}
+    adj = f.graph.adj
+    return all(adj[u] <= peeled for u in f.pendants) and f.certified == f.inertia
 
 
 def _component_additivity(f: GraphFacts) -> bool | None:

@@ -16,8 +16,8 @@ from inertia_bounds.graphs import _MEMOS
 def empty_memos() -> None:
     """Empty ``graph_inertia``'s small-graph memo, the only answers kept across rows.
 
-    The shared small graphs of ``delete_vertices`` stay: they hold graphs
-    and their keys, no answer.
+    The shared small graphs of ``graphs._small_graph`` stay: they hold
+    graphs and their keys, no answer.
     """
     for memo in _MEMOS:
         memo.clear()

@@ -175,8 +175,8 @@ def relabelled_deletion(g: Graph, drop: set[int]) -> Graph:
 
 
 def test_every_vertex_deletion_is_the_relabelled_graph():
-    # small results are the process's shared graphs, larger ones are built; both must
-    # equal the plain relabel, neighbour sets and all
+    # every result is relabelled straight off g's neighbour sets; it must equal the
+    # plain relabel, neighbour sets and all
     rng = random.Random(29)
     graphs = [item.graph for n in range(6) for item in enumerate_labeled(n)]
     graphs += [item.graph for n in (6, 7, 8) for item in sample_random(n, 0.5, 10, rng.randrange(1000))]
@@ -189,14 +189,12 @@ def test_every_vertex_deletion_is_the_relabelled_graph():
 
 
 def test_equal_small_deletions_are_one_graph():
-    # C6 and P6 minus either end vertex are all the path 0-1-2-3-4
+    # C6 and P6 minus either end vertex are all the path 0-1-2-3-4; graphs are
+    # compared with ==, so no caller may rely on equal results being one object
     paths = [delete_vertices(g, (v,)) for g in (cycle_graph(6), path_graph(6)) for v in (0, 5)]
-    assert paths[0] == path_graph(5)
-    assert all(p is paths[0] for p in paths)
-    # a result over the cap is a new graph each time
+    assert all(p == path_graph(5) for p in paths)
     big = cycle_graph(7)
     assert delete_vertices(big, (0,)) == delete_vertices(big, (6,)) == path_graph(6)
-    assert delete_vertices(big, (0,)) is not delete_vertices(big, (6,))
 
 
 # graph6 codec

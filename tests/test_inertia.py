@@ -34,8 +34,8 @@ from inertia_bounds import (
 )
 from inertia_bounds.corpus import enumerate_labeled, generated_corpus, sample_random
 import inertia_bounds.inertia as inertia_mod
-from inertia_bounds.graphs import _INTERNED, _MEMOS, MEMO_VERTICES, _memo_key
-from inertia_bounds.inertia import _component_inertias, _core_degree_sum, _eliminate, _peel_part_inertia, _peel_without
+from inertia_bounds.graphs import _INTERNED, _MEMOS, MEMO_VERTICES, _deletion_keys, _memo_key, _small_graph
+from inertia_bounds.inertia import _component_inertias, _eliminate
 from charpoly import (
     _descartes_inertia,
     _hessenberg_mod,
@@ -47,6 +47,7 @@ from charpoly import (
 )
 from conftest import all_trees, complete_graph, cycle_with_tail, disjoint_union, random_tree
 from matching_oracle import matching_bruteforce
+from pair_peel_oracle import core_degree_sum, peel_part_inertia, peel_without
 
 
 def kernel_inertia(m: list[list[int]]) -> Inertia:
@@ -716,7 +717,7 @@ def peel_parts() -> list[tuple[Graph, tuple[int, int], list, frozenset[int], Ine
         f = GraphFacts(g)
         for pair in sorted({tuple(sorted((u, *g.adj[u]))) for u in f.pendants}):
             terms: list = []
-            _peel_without(g, pair, terms)
+            peel_without(g, pair, terms)
             core, core_inertia, _ = f._proven_core
             out.append((g, pair, terms, core, core_inertia))
     return out
@@ -825,15 +826,15 @@ def test_the_peel_part_check_rejects_every_mutated_peel():
     rejected = {mutate.__name__: 0 for mutate in PEEL_MUTATIONS}
     for g, pair, terms, core, core_inertia in peel_parts():
         want = graph_inertia(delete_vertices(g, pair))
-        core_degrees = _core_degree_sum(g, core)
-        assert _peel_part_inertia(g, pair, terms, core, core_inertia, core_degrees) == want, (g, pair)
+        core_degrees = core_degree_sum(g, core)
+        assert peel_part_inertia(g, pair, terms, core, core_inertia, core_degrees) == want, (g, pair)
         for mutate in PEEL_MUTATIONS:
             mutated = mutate(g, pair, copied(terms), core, rng)
             if mutated is not None:
-                got = _peel_part_inertia(g, pair, *mutated, core_inertia, _core_degree_sum(g, mutated[1]))
+                got = peel_part_inertia(g, pair, *mutated, core_inertia, core_degree_sum(g, mutated[1]))
                 assert got is None, (mutate.__name__, g, pair)
                 rejected[mutate.__name__] += 1
-        assert _peel_part_inertia(g, pair, terms, core, core_inertia, core_degrees) == want  # the mutations worked on copies
+        assert peel_part_inertia(g, pair, terms, core, core_inertia, core_degrees) == want  # the mutations worked on copies
     assert min(rejected.values()) >= 100, rejected
 
 
@@ -891,9 +892,10 @@ def test_a_warm_memo_still_hands_over_a_checked_certificate():
 
 
 def test_an_interned_graph_is_keyed_as_its_edges_walk():
-    # the memo reads a shared graph's key by its id; it must be the key its edges give
+    # the memo reads a shared graph's key by its id; it must be the key its edges give.
+    # Each shared graph is taken by the key read off g plus an isolated last vertex
     for g in small_graphs():
-        shared = delete_vertices(g, ())
+        shared = _small_graph(_deletion_keys(Graph(g.n + 1, g.edges))[g.n])
         assert shared == g and _INTERNED[id(shared)] == (shared, _memo_key(g)), g
     assert len({key for _, key in _INTERNED.values()}) == len(_INTERNED) == 1100
 
@@ -1064,9 +1066,9 @@ def test_congruence_routes_and_the_certificate_checker_share_only_the_inertia_re
 
 
 def test_the_sub_checks_share_only_the_inertia_record_with_the_routes():
-    # the pendant-pair and component lemmas read subgraph inertias that these prove
+    # the pendant-pair and component lemmas read their verdicts off what these prove
     reads = module_reads(inertia_module_tree())
-    sub_checks = reachable(reads, {"_certified_core", "_component_inertias", "_core_degree_sum", "_peel_part_inertia"})
+    sub_checks = reachable(reads, {"_certified_core", "_component_inertias"})
     assert "_pendant_shaped" in sub_checks and "_PENDANT_PAIR" not in sub_checks
     assert sub_checks & reachable(reads, CONGRUENCE_ROOTS) == {"Inertia", "NamedTuple"}
 

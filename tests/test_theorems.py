@@ -33,11 +33,12 @@ from inertia_bounds import (
 from inertia_bounds.cli import parse_corpus_spec
 from inertia_bounds.corpus import enumerate_labeled, generated_corpus
 from inertia_bounds.graphs import MEMO_VERTICES, _deletion_keys, _memo_key
-from inertia_bounds.inertia import _component_inertias, _core_degree_sum, _peel_part_inertia, _peel_without
-from inertia_bounds.theorems import GENERATOR_RECIPES, LEMMAS, _pair_peel_terms
+from inertia_bounds.inertia import _component_inertias, _eliminate
+from inertia_bounds.theorems import GENERATOR_RECIPES, LEMMAS
 from inertia_bounds.verify import analyze_graph
 from charpoly import graph_inertia_oracle
 from conftest import complete_graph, cycle_with_tail, disjoint_union, lower_bound_near_miss, patch_function
+from pair_peel_oracle import core_degree_sum, pair_peel_terms, peel_part_inertia, peel_without, pendant_reduction_by_pairs
 
 
 def test_bounds_hold_on_small_samples():
@@ -414,19 +415,19 @@ def test_every_small_g_minus_v_is_keyed_off_g_as_the_built_g_minus_v_is():
 
 
 def derived_pair_terms(f: GraphFacts, pair: tuple[int, int]) -> list:
-    """G - u - w's peel terms as pendant_reduction reads them off the row's certificate."""
+    """G - u - w's peel terms as the per-pair oracle reads them off the row's certificate."""
     _, _, k = f._proven_core
     peel = f._terms[:k]
     term_of = {x: t for t, (block, _, _) in enumerate(peel) for x in block}
-    return _pair_peel_terms(f.graph, peel, term_of, pair)
+    return pair_peel_terms(f.graph, peel, term_of, pair)
 
 
 def certified_pair_inertia(f: GraphFacts, pair: tuple[int, int], terms: list | None = None) -> Inertia | None:
-    """In(G - u - w) as pendant_reduction proves it: the pair's derived peel terms, or ``terms``, checked on G's proven core."""
+    """In(G - u - w) as the per-pair oracle proves it: the pair's derived peel terms, or ``terms``, checked on G's proven core."""
     core, core_inertia, _ = f._proven_core
     if terms is None:
         terms = derived_pair_terms(f, pair)
-    return _peel_part_inertia(f.graph, pair, terms, core, core_inertia, _core_degree_sum(f.graph, core))
+    return peel_part_inertia(f.graph, pair, terms, core, core_inertia, core_degree_sum(f.graph, core))
 
 
 def certified_subgraph_corpus() -> list[Graph]:
@@ -493,7 +494,7 @@ def test_pendant_pairs_and_components_are_certified_as_the_built_subgraphs_are()
 
 
 def test_a_pair_peel_read_off_g_is_certified_as_a_fresh_peel_and_a_bad_one_is_not():
-    # pendant_reduction takes G - u - w's peel terms from G's peel; the fresh peel
+    # the per-pair oracle takes G - u - w's peel terms from G's peel; the fresh peel
     # of G - u - w passes the same check with the same inertia, and a derivation
     # that keeps u in a row, keeps w in the rows that held it, or keeps w's term
     # is refused
@@ -506,7 +507,7 @@ def test_a_pair_peel_read_off_g_is_certified_as_a_fresh_peel_and_a_bad_one_is_no
         for pair in sorted({tuple(sorted((u, *g.adj[u]))) for u in f.pendants}):
             derived = derived_pair_terms(f, pair)
             fresh: list = []
-            _peel_without(g, pair, fresh)
+            peel_without(g, pair, fresh)
             want = certified_pair_inertia(f, pair, derived)
             assert want is not None and certified_pair_inertia(f, pair, fresh) == want, (g, pair)
             checked += 1
@@ -525,6 +526,90 @@ def test_a_pair_peel_read_off_g_is_certified_as_a_fresh_peel_and_a_bad_one_is_no
             assert certified_pair_inertia(f, pair, kept_term) is None, (g, pair)
             refused["w's term"] += 1
     assert checked > 2000 and refused["w's term"] == checked and min(refused.values()) > 400, (checked, refused)
+
+
+def whole_matrix_facts(g: Graph) -> GraphFacts:
+    """A record on the certificate of one elimination of g's whole adjacency matrix, nothing peeled first."""
+    terms: list = []
+    inertia = _eliminate([{w: 1 for w in nbrs} for nbrs in g.adj], terms, range(g.n))
+    return GraphFacts(g, inertia, terms)
+
+
+def random_order_facts(g: Graph, rng: random.Random) -> GraphFacts:
+    """A record on a certificate whose peel takes a random legal step each time and stops at a random one; the rest is eliminated."""
+    adj, n = g.adj, g.n
+    alive = [True] * n
+    terms: list = []
+    peeled = Inertia(0, 0, 0)
+    for _ in range(rng.randrange(n + 1)):
+        ready = [v for v in range(n) if alive[v] and sum(alive[w] for w in adj[v]) <= 1]
+        if not ready:
+            break
+        u = rng.choice(ready)
+        alive[u] = False
+        live = [w for w in adj[u] if alive[w]]
+        if not live:
+            peeled += (0, 0, 1)
+            continue
+        [v] = live
+        alive[v] = False
+        row = {w: 1 for w in adj[v] if alive[w]}
+        row[u] = 1
+        terms.append(((u, v), ({v: 1}, row), 1))
+        peeled += (1, 1, 0)
+    rest = [v for v in range(n) if alive[v]]
+    index = {v: i for i, v in enumerate(rest)}
+    rows = [{index[w]: 1 for w in adj[v] if w in index} for v in rest]
+    return GraphFacts(g, peeled + _eliminate(rows, terms, rest), terms)
+
+
+def zero_entry_facts() -> GraphFacts:
+    """A record on K1,2 + K3 whose certificate's core row holds the pendant 0 as a zero entry.
+
+    The core S counts only nonzero entries, so 0 stays out of S, and both
+    the lemma and the per-pair oracle read the pair {0, 1} off the peel.
+    """
+    g = Graph(6, [(0, 1), (1, 5), (2, 3), (3, 4), (2, 4)])
+    terms = [((5, 1), ({1: 1}, {5: 1, 0: 1}), 1), ((2, 3), ({3: 1, 4: 1, 0: 0}, {2: 1, 4: 1}), 1), ((4,), ({4: -2},), 1)]
+    return GraphFacts(g, graph_inertia(g), terms)
+
+
+def test_pendant_reduction_agrees_with_the_per_pair_oracle_on_any_accepted_certificate(monkeypatch):
+    # The lemma reads its verdict off the row's accepted certificate: every pendant's
+    # neighbour in a peel block, and the certified inertia the row's.  The oracle derives
+    # and checks each pair's G - u - w.  They must agree on production rows, on the
+    # certificates of one elimination of the whole matrix and of peels in random legal
+    # orders stopped at random (where a rule without the peel-block premise says True
+    # and the oracle False), on a certificate with a zero row entry, and on rows whose
+    # peel counts a pair as (1, 0, 1)
+    import inertia_bounds.inertia as inertia_mod
+
+    rule = dict(LEMMAS)["pendant_reduction"]
+    rng = random.Random(36)
+    graphs = certified_subgraph_corpus()
+    kinds = {
+        "production": [GraphFacts(g) for g in graphs],
+        "whole matrix": [whole_matrix_facts(g) for g in graphs],
+        "random order": [random_order_facts(g, rng) for g in graphs for _ in range(3)],
+        "zero entry": [zero_entry_facts()],
+    }
+    monkeypatch.setattr(inertia_mod, "_PENDANT_PAIR", Inertia(1, 0, 1))
+    kinds["pair mutant"] = [GraphFacts(g) for g in graphs]
+    verdicts = {}
+    for kind, records in kinds.items():
+        counts = {True: 0, False: 0, None: 0}
+        for f in records:
+            assert isinstance(f.certified, Inertia), (kind, f.graph)
+            want = pendant_reduction_by_pairs(f)
+            assert rule(f) is want, (kind, f.graph, f._terms)
+            counts[want] += 1
+        verdicts[kind] = counts
+    # a correct route is never False, and a pendant makes the mutant count a pair wrong
+    assert verdicts["production"][True] > 500 and not verdicts["production"][False], verdicts
+    assert verdicts["pair mutant"][False] > 500 and not verdicts["pair mutant"][True], verdicts
+    assert min(verdicts["random order"][True], verdicts["random order"][False]) > 400, verdicts
+    assert min(verdicts["whole matrix"][True], verdicts["whole matrix"][False]) > 30, verdicts
+    assert verdicts["zero entry"][True] == 1, verdicts
 
 
 def copied(terms: list) -> list:
@@ -606,30 +691,20 @@ def test_pendant_lemmas_do_not_check_the_peeling_against_itself(monkeypatch):
     assert report["component_additivity"] is False
 
 
-def test_pendant_reduction_eliminates_each_pendant_pair_once(monkeypatch):
-    # the two pendants of a K2 component are one pair {u, v}, so one G - u - v,
-    # whose peel terms are checked once and which eliminates nothing
+def test_pendant_reduction_derives_no_pair_and_eliminates_nothing(monkeypatch):
+    # the verdict reads only the peel terms' blocks: no pair's peel terms are
+    # derived or checked, no term's rows are read, and nothing is peeled,
+    # eliminated or certified again, on K2 + K2 + K1,3
     import inertia_bounds.inertia as inertia_mod
-    import inertia_bounds.theorems as theorems_mod
-
-    checked, eliminated = [], []
-    check, eliminate = inertia_mod._peel_part_inertia, inertia_mod._eliminate
-
-    def counted(g, drop, *args):
-        checked.append(drop)
-        return check(g, drop, *args)
-
-    def counted_eliminate(rows, *args):
-        eliminated.append(rows)
-        return eliminate(rows, *args)
 
     f = GraphFacts(disjoint_union(path_graph(2), path_graph(2), star_graph(3)))
-    patch_function(monkeypatch, check, counted)
-    monkeypatch.setattr(inertia_mod, "_eliminate", counted_eliminate)
-    assert dict(theorems_mod.LEMMAS)["pendant_reduction"](f) is True
-    # {0, 1}, {2, 3} and the star's three leaves with its centre
-    assert sorted(checked) == [(0, 1), (2, 3), (4, 5), (4, 6), (4, 7)]
-    assert not eliminated
+    assert f._proven_core[2] == 3  # {0, 1}, {2, 3} and the star's centre with a leaf
+    f._terms = [(block, None, det) for block, _, det in f._terms]
+    called = []
+    for name in ("_eliminate", "_peel", "_pendant_shaped", "certificate_inertia"):
+        patch_function(monkeypatch, getattr(inertia_mod, name), lambda *args, name=name, **kwargs: called.append(name))
+    assert dict(LEMMAS)["pendant_reduction"](f) is True
+    assert not called
 
 
 # extremal generator
